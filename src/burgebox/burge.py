@@ -20,24 +20,25 @@ code word (positions of ``ba``) read as a super-distinct partition give the
 descent map, the combinatorial form of the dominant Jordan type in the
 nilpotent commutator.
 
-All pairs touched by one operator application are disjoint, so the
-transfers are applied simultaneously from index sets computed up front;
-the index sets are never recomputed mid-update.
+All pairs touched by one operator application are disjoint, so one scan
+over the spreads applies every transfer.  The public functions here
+validate their input once and hand a plain list to the single-pass
+kernels in ``kernels``; what they return is an immutable tuple or string.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
+from . import kernels
 from .partitions import (
     Partition,
     FreqSeq,
     as_frequency,
     as_partition,
     is_super_distinct,
-    left_set,
     length,
     reduced,
     right_set,
@@ -69,32 +70,25 @@ def is_code_word(word: str) -> bool:
 
 def in_class_b(freq: Iterable[int]) -> bool:
     """True when 1 is in R(f), i.e. 1 sits in a spread of odd size."""
-    return 1 in right_set(freq)
+    return kernels.demote(list(as_frequency(freq))) == "b"
 
 
 def apply_a(freq: Iterable[int]) -> FreqSeq:
-    f = as_frequency(freq)
-    out = list(f) + [0]  # a transfer may land one past the stored end
-    for i in left_set(f):
-        out[i - 1] -= 1
-        out[i] += 1
-    return as_frequency(out)
+    f = list(as_frequency(freq))
+    kernels.promote(f)
+    return tuple(f)
 
 
 def apply_b(freq: Iterable[int]) -> FreqSeq:
-    f = as_frequency(freq)
-    head = (f[0] if f else 0) + 1
-    return as_frequency((head,) + apply_a(f[1:]))
+    f = list(as_frequency(freq))
+    kernels.promote_b(f)
+    return tuple(f)
 
 
 def apply_del(freq: Iterable[int]) -> FreqSeq:
-    f = as_frequency(freq)
-    out = list(f)
-    for j in right_set(f):
-        out[j - 1] -= 1
-        if j >= 2:
-            out[j - 2] += 1
-    return as_frequency(out)
+    f = list(as_frequency(freq))
+    kernels.demote(f)
+    return tuple(f)
 
 
 @dataclass(frozen=True)
@@ -110,20 +104,19 @@ class BurgeChain:
 
 
 def burge_chain(freq: Iterable[int]) -> BurgeChain:
-    state = as_frequency(freq)
-    states = []
+    f = list(as_frequency(freq))
+    states = [tuple(f)]
     letters = []
-    while True:
-        states.append(state)
-        letters.append("b" if in_class_b(state) else "a")
-        if not state:
-            return BurgeChain(tuple(states), "".join(letters))
-        state = apply_del(state)
+    while f:
+        letters.append(kernels.demote(f))
+        states.append(tuple(f))
+    letters.append("a")
+    return BurgeChain(tuple(states), "".join(letters))
 
 
 def encode(freq: Iterable[int]) -> str:
     """Code word of a frequency sequence."""
-    return burge_chain(freq).word
+    return kernels.encode(list(as_frequency(freq)))
 
 
 def decode(word: str) -> FreqSeq:
@@ -135,18 +128,21 @@ def decode(word: str) -> FreqSeq:
     w = check_word(word)
     if not _CODE_RE.match(w):
         raise ValueError(f"word {word!r} does not end with a single trailing 'a'")
-    state: FreqSeq = ()
-    for ch in reversed(w):
-        state = apply_b(state) if ch == "b" else apply_a(state)
-    return state
+    return tuple(kernels.decode(w))
+
+
+def _descents(w: str) -> tuple:
+    out = []
+    i = w.find("ba")
+    while i >= 0:
+        out.append(i + 1)
+        i = w.find("ba", i + 2)
+    return tuple(out)
 
 
 def descent_set(word: str) -> tuple:
     """Positions i with word[i] = b and word[i+1] = a, ascending, 1-based."""
-    w = check_word(word)
-    return tuple(
-        i + 1 for i in range(len(w) - 1) if w[i] == "b" and w[i + 1] == "a"
-    )
+    return _descents(check_word(word))
 
 
 def des(word: str) -> int:
@@ -164,8 +160,7 @@ def descent_map(parts: Iterable[int]) -> Partition:
     dominance-maximum Jordan type occurring in the nilpotent commutator of
     a nilpotent matrix of Jordan type P.
     """
-    p = as_partition(parts)
-    return tuple(sorted(descent_set(encode(to_frequency(p))), reverse=True))
+    return _descents(kernels.encode(list(to_frequency(parts))))[::-1]
 
 
 @dataclass(frozen=True)
@@ -181,15 +176,7 @@ class SuperDistinctReport:
     descent_map_fixes: bool       # descent_map(P) = P
 
     def values(self) -> tuple:
-        return (
-            self.super_distinct,
-            self.length_equals_two_measure,
-            self.code_has_no_bb,
-            self.freq_is_right_set_indicator,
-            self.del_is_shift,
-            self.del_is_reduction,
-            self.descent_map_fixes,
-        )
+        return astuple(self)
 
     @property
     def consistent(self) -> bool:

@@ -7,12 +7,13 @@ Partitions are accepted as comma lists (10,7,3), bracket multiset form
 ([4^2,3,2^2]), 'e' or '[]' for the empty partition, and frequency form
 f:(0,2,1,2).  Output uses the bracket multiset form.  The environment
 variable BURGEBOX_FIELD overrides the default field modulus of the
-matrix commands.
+matrix commands; it is read only when one of them runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,14 +36,25 @@ from .partitions import (
 from .sweep import CHECKS, SweepConfig, run_sweep
 
 
-def _env_field(fallback: int) -> int:
+def _field(args, fallback: int) -> int:
+    """--field if given, else BURGEBOX_FIELD if set, else the command's default."""
+    if args.field is not None:
+        return args.field
     raw = os.environ.get("BURGEBOX_FIELD")
     if raw is None:
         return fallback
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: BURGEBOX_FIELD={raw!r} is not an integer")
+        raise ValueError(f"BURGEBOX_FIELD={raw!r} is not an integer") from None
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for counts and limits."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
 
 
 def _coords(text: str) -> tuple:
@@ -55,83 +67,61 @@ def _coords(text: str) -> tuple:
         raise ValueError(f"bad coordinate list {text!r}")
 
 
-def _emit(args, data: dict, human: str) -> None:
-    print(json.dumps(data) if args.json else human)
+# Each command returns (JSON data, text) or, when it verifies something,
+# (JSON data, text, ok); main prints one of the two and maps ok to the exit code.
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args):
     f = to_frequency(parse_partition(args.partition))
     word = burge.encode(f)
-    _emit(args, {"partition": list(to_partition(f)), "word": word}, word)
-    return 0
+    return {"partition": list(to_partition(f)), "word": word}, word
 
 
-def cmd_decode(args) -> int:
-    f = burge.decode(args.word)
-    p = to_partition(f)
-    _emit(
-        args,
-        {"word": burge.check_word(args.word), "partition": list(p)},
-        format_partition(p),
-    )
-    return 0
+def cmd_decode(args):
+    p = to_partition(burge.decode(args.word))
+    return {"word": burge.check_word(args.word), "partition": list(p)}, format_partition(p)
 
 
-def cmd_dmap(args) -> int:
+def cmd_dmap(args):
     q = burge.descent_map(parse_partition(args.partition))
-    _emit(args, {"partition": list(q)}, format_partition(q))
-    return 0
+    return {"partition": list(q)}, format_partition(q)
 
 
-def cmd_chain(args) -> int:
+def cmd_chain(args):
     ch = burge.burge_chain(to_frequency(parse_partition(args.partition)))
-    if args.json:
-        print(json.dumps({"states": [list(s) for s in ch.states], "word": ch.word}))
-        return 0
-    for i, (state, letter) in enumerate(zip(ch.states, ch.word)):
-        print(f"{i:3d}  {format_frequency(state):24s} {letter}")
-    print(f"word: {ch.word}")
-    return 0
+    lines = [
+        f"{i:3d}  {format_frequency(state):24s} {letter}"
+        for i, (state, letter) in enumerate(zip(ch.states, ch.word))
+    ]
+    data = {"states": [list(s) for s in ch.states], "word": ch.word}
+    return data, "\n".join(lines + [f"word: {ch.word}"])
 
 
-def cmd_oblak(args) -> int:
+def cmd_oblak(args):
     out = oblak(to_frequency(parse_partition(args.partition)))
-    _emit(args, {"partition": list(out)}, format_partition(out))
-    return 0
+    return {"partition": list(out)}, format_partition(out)
 
 
-def cmd_oblak_chains(args) -> int:
+def cmd_oblak_chains(args):
     f = to_frequency(parse_partition(args.partition))
-    chains = oblak_all_chains(f, limit=args.limit)
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "indices": list(c.indices),
-                        "states": [list(s) for s in c.states],
-                        "valuation": list(c.valuation),
-                    }
-                    for c in chains
-                ]
-            )
-        )
-        return 0
-    for c in chains:
-        idx = ",".join(str(i) for i in c.indices)
-        print(f"indices ({idx})  valuation {format_partition(c.valuation)}")
-    print(f"{len(chains)} chain(s)")
-    return 0
+    chains = [(c, c.valuation) for c in oblak_all_chains(f, limit=args.limit)]
+    data = [
+        {"indices": list(c.indices), "states": [list(s) for s in c.states], "valuation": list(v)}
+        for c, v in chains
+    ]
+    lines = [
+        f"indices ({','.join(str(i) for i in c.indices)})  valuation {format_partition(v)}"
+        for c, v in chains
+    ]
+    return data, "\n".join(lines + [f"{len(chains)} chain(s)"])
 
 
-def cmd_check_square(args) -> int:
-    f = to_frequency(parse_partition(args.partition))
-    ok = check_commuting_square(f, args.index)
-    _emit(args, {"index": args.index, "commutes": ok}, "true" if ok else "false")
-    return 0
+def cmd_check_square(args):
+    ok = check_commuting_square(to_frequency(parse_partition(args.partition)), args.index)
+    return {"index": args.index, "commutes": ok}, "true" if ok else "false"
 
 
-def cmd_fiber(args) -> int:
+def cmd_fiber(args):
     q = parse_partition(args.partition)
     rows = [
         {
@@ -142,144 +132,104 @@ def cmd_fiber(args) -> int:
         }
         for coords, part in boxes.fiber(q)
     ]
-    if args.json:
-        print(json.dumps(rows))
-        return 0
-    for row in rows:
-        coords = ",".join(str(c) for c in row["coords"])
-        print(
-            f"({coords})  {row['code']}  "
-            f"{format_partition(row['partition'])}  {row['parts']}"
-        )
-    return 0
+    lines = [
+        f"({','.join(str(c) for c in row['coords'])})  {row['code']}  "
+        f"{format_partition(row['partition'])}  {row['parts']}"
+        for row in rows
+    ]
+    return rows, "\n".join(lines)
 
 
-def cmd_coords(args) -> int:
+def cmd_coords(args):
     q, coords = boxes.coordinates_of(parse_partition(args.partition))
-    _emit(
-        args,
-        {"q": list(q), "coords": list(coords)},
-        f"Q={format_partition(q)} coords=({','.join(str(c) for c in coords)})",
-    )
-    return 0
+    text = f"Q={format_partition(q)} coords=({','.join(str(c) for c in coords)})"
+    return {"q": list(q), "coords": list(coords)}, text
 
 
-def cmd_maxparts(args) -> int:
+def cmd_maxparts(args):
     p = boxes.max_parts_partition(parse_partition(args.partition))
-    _emit(args, {"partition": list(p)}, format_partition(p))
-    return 0
+    return {"partition": list(p)}, format_partition(p)
 
 
-def cmd_symmetry(args) -> int:
+def cmd_symmetry(args):
     q = parse_partition(args.partition)
-    positions = _coords(args.positions) if args.positions else tuple(
-        range(1, len(q) + 1)
-    )
+    positions = _coords(args.positions) if args.positions else range(1, len(q) + 1)
     out = boxes.symmetry_map(q, _coords(args.coords), positions)
-    _emit(
-        args,
-        {"coords": list(out)},
-        "(" + ",".join(str(c) for c in out) + ")",
-    )
-    return 0
+    return {"coords": list(out)}, "(" + ",".join(str(c) for c in out) + ")"
 
 
-def cmd_foata(args) -> int:
-    q = parse_partition(args.partition)
-    coords = _coords(args.coords)
-    w = words.foata_fiber(q, coords)
+def cmd_foata(args):
+    w = words.foata_fiber(parse_partition(args.partition), _coords(args.coords))
     image = words.path_to_partition(w)
-    _emit(
-        args,
-        {"word": w, "partition": list(image)},
-        f"{w}  ->  {format_partition(image)}",
-    )
-    return 0
+    return {"word": w, "partition": list(image)}, f"{w}  ->  {format_partition(image)}"
 
 
-def cmd_hooks(args) -> int:
+def cmd_hooks(args):
     h = words.diagonal_hooks(parse_partition(args.partition))
-    _emit(args, {"hooks": list(h)}, format_partition(h))
-    return 0
+    return {"hooks": list(h)}, format_partition(h)
 
 
-def cmd_durfee(args) -> int:
+def cmd_durfee(args):
     d = words.durfee(parse_partition(args.partition))
-    _emit(args, {"durfee": d}, str(d))
-    return 0
+    return {"durfee": d}, str(d)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     report = oracle.verify_restriction(
         parse_partition(args.partition),
-        p=args.field,
+        p=_field(args, oracle.GENERIC_PRIME),
         trials=args.trials,
         seed=args.seed,
         witness_only=args.witness_only,
     )
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        status = "ok" if report.ok else "FAIL"
-        print(
-            f"{status}: expected {format_partition(report.expected)}, "
-            f"witness gave {format_partition(report.witness_observed)}, "
-            f"{len(report.misses)}/{report.trials} random misses"
-        )
-    return 0 if report.ok else 1
+    text = (
+        f"{'ok' if report.ok else 'FAIL'}: expected {format_partition(report.expected)}, "
+        f"witness gave {format_partition(report.witness_observed)}, "
+        f"{len(report.misses)}/{report.trials} random misses"
+    )
+    return report.to_dict(), text, report.ok
 
 
-def cmd_scan_max(args) -> int:
+def cmd_scan_max(args):
     report = oracle.scan_max_type(
         parse_partition(args.partition),
-        p=args.field,
+        p=_field(args, 2),
         budget=args.budget,
         mode=args.mode,
     )
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        status = "ok" if report.ok else "FAIL"
-        got = (
-            format_partition(report.max_type)
-            if report.max_type is not None
-            else "(no maximum)"
-        )
-        print(
-            f"{status}: scanned {report.scanned} ({report.mode}), "
-            f"{len(report.types)} types, max {got}, "
-            f"expected {format_partition(report.expected)}"
-        )
-    return 0 if report.ok else 1
+    got = "(no maximum)" if report.max_type is None else format_partition(report.max_type)
+    text = (
+        f"{'ok' if report.ok else 'FAIL'}: scanned {report.scanned} ({report.mode}), "
+        f"{len(report.types)} types, max {got}, "
+        f"expected {format_partition(report.expected)}"
+    )
+    return report.to_dict(), text, report.ok
 
 
-def cmd_sweep(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else ()
+def cmd_sweep(args):
     cfg = SweepConfig(
         max_n=args.max_n,
-        checks=checks,
-        field=args.field,
+        checks=tuple(args.checks.split(",")) if args.checks else (),
+        field=_field(args, 10007),
         trials=args.trials,
         threads=args.threads,
         seed=args.seed,
     )
     results = run_sweep(cfg)
-    if args.json:
-        print(json.dumps([r.to_dict() for r in results]))
-    else:
-        for r in results:
-            line = (
-                f"{'ok  ' if r.ok else 'FAIL'} {r.name:24s} "
-                f"{r.instances:6d} instances, {r.failures} failures "
-                f"({r.elapsed:.2f}s)"
-            )
-            print(line)
-            if r.first_counterexample:
-                print(f"     repro: {r.first_counterexample}")
-    return 0 if all(r.ok for r in results) else 1
+    lines = []
+    for r in results:
+        lines.append(
+            f"{'ok  ' if r.ok else 'FAIL'} {r.name:24s} "
+            f"{r.instances:6d} instances, {r.failures} failures ({r.elapsed:.2f}s)"
+        )
+        if r.first_counterexample:
+            lines.append(f"     repro: {r.first_counterexample}")
+    return [r.to_dict() for r in results], "\n".join(lines), all(r.ok for r in results)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process, since it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="burgebox",
         description="Partition codes, descent-map fibers, the Oblak process, "
@@ -287,24 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, partition_arg=True):
+    def add(name, fn, help_text, positional="partition"):
         sp = sub.add_parser(name, help=help_text)
-        if partition_arg:
+        if positional == "word":
+            sp.add_argument("word", help="word over {a,b} ending in a single a")
+        elif positional:
             sp.add_argument("partition", help="partition text, e.g. 10,7,3 or [4^2,3]")
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.set_defaults(fn=fn)
         return sp
 
     add("encode", cmd_encode, "code word of a partition")
-    sp = sub.add_parser("decode", help="partition of a code word")
-    sp.add_argument("word", help="word over {a,b} ending in a single a")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_decode)
+    add("decode", cmd_decode, "partition of a code word", positional="word")
     add("dmap", cmd_dmap, "descent map: dominant commuting nilpotent Jordan type")
     add("chain", cmd_chain, "iterated demotion chain and its letters")
     add("oblak", cmd_oblak, "Oblak process output (independent of dmap)")
     sp = add("oblak-chains", cmd_oblak_chains, "all chains over inequivalent maximal indices")
-    sp.add_argument("--limit", type=int, default=DEFAULT_CHAIN_LIMIT)
+    sp.add_argument("--limit", type=nonnegative_int, default=DEFAULT_CHAIN_LIMIT)
     sp = add("check-square", cmd_check_square, "does annihilation commute with demotion at an index")
     sp.add_argument("--index", type=int, required=True)
     add("fiber", cmd_fiber, "full descent-map fiber over a super-distinct partition")
@@ -318,44 +267,38 @@ def build_parser() -> argparse.ArgumentParser:
     add("hooks", cmd_hooks, "diagonal hook lengths of a partition")
     add("durfee", cmd_durfee, "Durfee square side of a partition")
 
-    sp = sub.add_parser("verify", help="matrix oracle: restriction type of witness and random draws")
+    sp = add("verify", cmd_verify, "matrix oracle: restriction type of witness and random draws", None)
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--field", type=int, default=_env_field(oracle.GENERIC_PRIME))
-    sp.add_argument("--trials", type=int, default=5)
+    sp.add_argument("--field", type=int)
+    sp.add_argument("--trials", type=nonnegative_int, default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--witness-only", action="store_true")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("scan-max", help="exhaustive dominance-maximum scan over a small field")
+    sp = add("scan-max", cmd_scan_max, "exhaustive dominance-maximum scan over a small field", None)
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--field", type=int, default=_env_field(2))
-    sp.add_argument("--budget", type=int, default=oracle.DEFAULT_SCAN_BUDGET)
+    sp.add_argument("--field", type=int)
+    sp.add_argument("--budget", type=nonnegative_int, default=oracle.DEFAULT_SCAN_BUDGET)
     sp.add_argument("--mode", choices=("auto", "full", "reduced"), default="auto")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_scan_max)
 
-    sp = sub.add_parser("sweep", help="run named exhaustive property suites")
+    sp = add("sweep", cmd_sweep, "run named exhaustive property suites", None)
     sp.add_argument("--max-n", type=int, required=True)
     sp.add_argument("--checks", help="comma list from: " + ", ".join(CHECKS))
-    sp.add_argument("--field", type=int, default=_env_field(10007))
-    sp.add_argument("--trials", type=int, default=5)
+    sp.add_argument("--field", type=int)
+    sp.add_argument("--trials", type=nonnegative_int, default=5)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_sweep)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        data, text, *ok = args.fn(args)
     except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(data) if args.json else text)
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

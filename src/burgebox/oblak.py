@@ -13,6 +13,10 @@ partition that is independent of the choices made and coincides with the
 descent map of the corresponding partition; this module computes it
 without touching the code-word machinery, so the two routes can be checked
 against each other.
+
+The public functions validate their input once; the process itself runs
+in ``kernels`` on a plain list, with all evaluations of a state taken in
+one backward pass over a running suffix sum.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import kernels
 from .burge import apply_del
 from .errors import BudgetError
 from .partitions import FreqSeq, Partition, as_frequency, size
@@ -32,11 +37,7 @@ def evaluate(freq: Iterable[int], i: int) -> int:
     f = as_frequency(freq)
     if i < 0:
         raise ValueError("evaluation index must be nonnegative")
-    if i == 0:
-        i = 1
-    fi = f[i - 1] if i <= len(f) else 0
-    fi1 = f[i] if i + 1 <= len(f) else 0
-    return i * fi + (i + 1) * fi1 + 2 * sum(f[i + 1:])
+    return kernels.evaluations(f)[i] if i <= len(f) else 0
 
 
 def annihilate(freq: Iterable[int], i: int) -> FreqSeq:
@@ -44,9 +45,13 @@ def annihilate(freq: Iterable[int], i: int) -> FreqSeq:
     f = as_frequency(freq)
     if i < 0:
         raise ValueError("annihilation index must be nonnegative")
-    if i == 0:
-        i = 1
-    return as_frequency(f[: i - 1] + f[i + 1:])
+    return _annihilated(f, i)
+
+
+def _annihilated(f: FreqSeq, i: int) -> FreqSeq:
+    g = list(f)
+    kernels.annihilate(g, i)
+    return tuple(g)
 
 
 def maximal_indices(freq: Iterable[int]) -> tuple:
@@ -55,12 +60,7 @@ def maximal_indices(freq: Iterable[int]) -> tuple:
     Beyond the support window [0, max support] every evaluation is zero,
     so only that window is searched.  Empty input has no maximal index.
     """
-    f = as_frequency(freq)
-    if not f:
-        return ()
-    vals = [evaluate(f, i) for i in range(len(f) + 1)]
-    m = max(vals)
-    return tuple(i for i, v in enumerate(vals) if v == m)
+    return kernels.maximal_indices(as_frequency(freq))[1]
 
 
 def right_admissible(freq: Iterable[int]) -> frozenset:
@@ -109,8 +109,8 @@ def equivalent_indices(freq: Iterable[int]) -> list:
 def _maximal_class_representatives(f: FreqSeq) -> list:
     """Smallest member of each annihilation-equivalence class of maximal indices."""
     reps: dict = {}
-    for i in maximal_indices(f):
-        key = annihilate(f, i)
+    for i in kernels.maximal_indices(f)[1]:
+        key = _annihilated(f, i)
         if key not in reps:
             reps[key] = i
     return sorted(reps.values())
@@ -169,14 +169,14 @@ def is_valid_index_sequence(freq: Iterable[int], indices: Iterable[int]) -> bool
 
 def oblak_chain(freq: Iterable[int]) -> OblakChain:
     """Deterministic run: always the smallest maximal index."""
-    state = as_frequency(freq)
-    states = [state]
+    f = list(as_frequency(freq))
+    states = [tuple(f)]
     indices = []
-    while state:
-        i = maximal_indices(state)[0]
+    while f:
+        i = kernels.maximal_indices(f)[1][0]
         indices.append(i)
-        state = annihilate(state, i)
-        states.append(state)
+        kernels.annihilate(f, i)
+        states.append(tuple(f))
     return OblakChain(tuple(states), tuple(indices))
 
 
@@ -185,8 +185,9 @@ def oblak(freq: Iterable[int]) -> Partition:
 
     The successive values decrease by at least two, so no sort is needed;
     choice independence makes the deterministic chain representative.
+    Each step checks that the size drop equals the recorded evaluation.
     """
-    return oblak_chain(freq).valuation
+    return tuple(kernels.oblak(list(as_frequency(freq))))
 
 
 def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> list:
@@ -209,7 +210,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
             out.append(OblakChain(tuple(states), tuple(indices)))
             return
         for i in _maximal_class_representatives(state):
-            nxt = annihilate(state, i)
+            nxt = _annihilated(state, i)
             rec(nxt, states + [nxt], indices + [i])
 
     rec(f, [f], [])

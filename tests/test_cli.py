@@ -169,6 +169,33 @@ def test_env_field_default(capsys, monkeypatch):
     assert json.loads(out)["field"] == 101
 
 
+def test_env_field_read_only_by_matrix_commands(capsys, monkeypatch):
+    monkeypatch.setenv("BURGEBOX_FIELD", "abc")
+    code, out, _ = run(capsys, "dmap", "3,2")
+    assert code == 0 and out.strip() == "[5]"
+    code, _, err = run(capsys, "verify", "--partition", "3,1", "--trials", "1")
+    assert code == 2
+    assert "BURGEBOX_FIELD" in err and "Traceback" not in err
+    code, out, _ = run(
+        capsys, "verify", "--partition", "3,1", "--trials", "1", "--field", "101", "--json"
+    )
+    assert code == 0 and json.loads(out)["field"] == 101
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--partition", "3,1", "--trials", "-3"],
+    ["scan-max", "--partition", "2,1", "--budget", "-1"],
+    ["oblak-chains", "3,1", "--limit", "-1"],
+    ["sweep", "--max-n", "2", "--trials", "-1"],
+    ["verify", "--partition", "3,1", "--trials", "x"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_sweep_reports_infeasible_check_instead_of_crashing(capsys):
     # dominance scans over a huge field exceed the matrix budget; the sweep
     # reports that check as failed with the reason and keeps going
