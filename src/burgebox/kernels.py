@@ -122,12 +122,12 @@ def size(f) -> int:
     return sum(i * m for i, m in enumerate(f, 1))
 
 
-def oblak(f: list) -> list:
-    """Valuation of the chain taking the smallest maximal index; leaves f empty.
+def oblak_steps(f: list):
+    """Run the Oblak process on f at the smallest maximal index, down to empty.
 
-    Checks at each step that the size drop equals the evaluation recorded.
+    Yields (index, evaluation) after each annihilation, once the size drop
+    has been checked against the evaluation.
     """
-    out = []
     before = size(f)
     while f:
         ev, indices = maximal_indices(f)
@@ -135,6 +135,5 @@ def oblak(f: list) -> list:
         after = size(f)
         if before - after != ev:
             raise ValueError(f"corrupt chain: size drop {before - after} != evaluation {ev}")
-        out.append(ev)
+        yield indices[0], ev
         before = after
-    return out

@@ -172,10 +172,8 @@ def oblak_chain(freq: Iterable[int]) -> OblakChain:
     f = list(as_frequency(freq))
     states = [tuple(f)]
     indices = []
-    while f:
-        i = kernels.maximal_indices(f)[1][0]
+    for i, _ in kernels.oblak_steps(f):
         indices.append(i)
-        kernels.annihilate(f, i)
         states.append(tuple(f))
     return OblakChain(tuple(states), tuple(indices))
 
@@ -187,7 +185,7 @@ def oblak(freq: Iterable[int]) -> Partition:
     choice independence makes the deterministic chain representative.
     Each step checks that the size drop equals the recorded evaluation.
     """
-    return tuple(kernels.oblak(list(as_frequency(freq))))
+    return tuple(ev for _, ev in kernels.oblak_steps(list(as_frequency(freq))))
 
 
 def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> list:
