@@ -102,7 +102,7 @@ def evaluations(f) -> list:
     return out
 
 
-def maximal_indices(f) -> tuple:
+def max_evaluation(f) -> tuple:
     """(maximum evaluation, every index reaching it); (0, ()) for empty f."""
     if not f:
         return 0, ()
@@ -113,7 +113,8 @@ def maximal_indices(f) -> tuple:
 
 def annihilate(f: list, i: int) -> None:
     """Splice entries i and i + 1 (1-based; 0 means 1) out of f."""
-    del f[max(i, 1) - 1 : max(i, 1) + 1]
+    i = max(i, 1)
+    del f[i - 1 : i + 1]
     _strip(f)
 
 
@@ -130,7 +131,7 @@ def oblak_steps(f: list):
     """
     before = size(f)
     while f:
-        ev, indices = maximal_indices(f)
+        ev, indices = max_evaluation(f)
         annihilate(f, indices[0])
         after = size(f)
         if before - after != ev:

@@ -60,7 +60,7 @@ def maximal_indices(freq: Iterable[int]) -> tuple:
     Beyond the support window [0, max support] every evaluation is zero,
     so only that window is searched.  Empty input has no maximal index.
     """
-    return kernels.maximal_indices(as_frequency(freq))[1]
+    return kernels.max_evaluation(as_frequency(freq))[1]
 
 
 def right_admissible(freq: Iterable[int]) -> frozenset:
@@ -109,7 +109,7 @@ def equivalent_indices(freq: Iterable[int]) -> list:
 def _maximal_class_representatives(f: FreqSeq) -> list:
     """Smallest member of each annihilation-equivalence class of maximal indices."""
     reps: dict = {}
-    for i in kernels.maximal_indices(f)[1]:
+    for i in kernels.max_evaluation(f)[1]:
         key = _annihilated(f, i)
         if key not in reps:
             reps[key] = i
