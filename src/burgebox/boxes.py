@@ -18,7 +18,7 @@ import itertools
 import re
 from typing import Iterable
 
-from .burge import decode, descent_set, encode
+from .burge import decode, descent_map, encode
 from .partitions import (
     Partition,
     as_partition,
@@ -82,17 +82,16 @@ def fiber(q: Iterable[int]) -> list:
 def coordinates_of(parts: Iterable[int]) -> tuple:
     """Locate a partition in its fiber: (Q, coordinates).
 
-    Q is the descent set of the code word of P read as a partition, and the
-    coordinates are the b-run lengths of that word; the pair inverts
-    fiber_code exactly.
+    The coordinates are the b-run lengths of the code word of P; the pair
+    inverts fiber_code exactly.
     """
-    f = to_frequency(parts)
-    word = encode(f)
-    q = descent_set(word)[::-1]
+    p = as_partition(parts)
+    q = descent_map(p)
+    word = encode(to_frequency(p))
     coords = tuple(len(run.group(0)) for run in _B_RUN_RE.finditer(word))
     if fiber_code(q, coords) != word:
         raise AssertionError(
-            f"code {word} of {to_partition(f)} does not parse into the box shape of {q}"
+            f"code {word} of {p} does not parse into the box shape of {q}"
         )
     return q, coords
 

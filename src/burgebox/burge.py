@@ -22,8 +22,8 @@ nilpotent commutator.
 
 All pairs touched by one operator application are disjoint, so one scan
 over the spreads applies every transfer.  The public functions here
-validate their input once and hand a plain list to the single-pass
-kernels in ``kernels``; what they return is an immutable tuple or string.
+validate their input and hand a plain list to the single-pass kernels in
+``kernels``; what they return is an immutable tuple or string.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def apply_a(freq: Iterable[int]) -> FreqSeq:
 
 def apply_b(freq: Iterable[int]) -> FreqSeq:
     f = list(as_frequency(freq))
-    kernels.promote_b(f)
+    kernels.promote(f, b=True)
     return tuple(f)
 
 
@@ -115,8 +115,20 @@ def burge_chain(freq: Iterable[int]) -> BurgeChain:
 
 
 def encode(freq: Iterable[int]) -> str:
-    """Code word of a frequency sequence."""
-    return kernels.encode(list(as_frequency(freq)))
+    """Code word of a frequency sequence.
+
+    The word shifts under demotion: it is the class letter of f followed
+    by the word of apply_del(f).  That first step goes through the public
+    operators; the demotion kernel takes the rest in place.
+    """
+    f = as_frequency(freq)
+    if not f:
+        return "a"
+    letters = ["b" if in_class_b(f) else "a"]
+    rest = list(apply_del(f))
+    while rest:
+        letters.append(kernels.demote(rest))
+    return "".join(letters) + "a"
 
 
 def decode(word: str) -> FreqSeq:
@@ -128,21 +140,21 @@ def decode(word: str) -> FreqSeq:
     w = check_word(word)
     if not _CODE_RE.match(w):
         raise ValueError(f"word {word!r} does not end with a single trailing 'a'")
-    return tuple(kernels.decode(w))
+    f: list = []
+    for ch in reversed(w):
+        kernels.promote(f, ch == "b")
+    return tuple(f)
 
 
-def _descents(w: str) -> tuple:
+def descent_set(word: str) -> tuple:
+    """Positions i with word[i] = b and word[i+1] = a, ascending, 1-based."""
+    w = check_word(word)
     out = []
     i = w.find("ba")
     while i >= 0:
         out.append(i + 1)
         i = w.find("ba", i + 2)
     return tuple(out)
-
-
-def descent_set(word: str) -> tuple:
-    """Positions i with word[i] = b and word[i+1] = a, ascending, 1-based."""
-    return _descents(check_word(word))
 
 
 def des(word: str) -> int:
@@ -160,7 +172,7 @@ def descent_map(parts: Iterable[int]) -> Partition:
     dominance-maximum Jordan type occurring in the nilpotent commutator of
     a nilpotent matrix of Jordan type P.
     """
-    return _descents(kernels.encode(list(to_frequency(parts))))[::-1]
+    return descent_set(encode(to_frequency(parts)))[::-1]
 
 
 @dataclass(frozen=True)

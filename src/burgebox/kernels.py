@@ -37,10 +37,13 @@ def demote(f: list) -> str:
     return letter
 
 
-def promote(f: list, start: int = 0) -> None:
-    """Promote f[start:] (the a-step on that tail) in one upward scan over its spreads."""
+def promote(f: list, b: bool = False) -> None:
+    """The a-step on f in one upward scan over its spreads.
+
+    With b, the b-step instead: the a-step on f[1:], then one more f_1.
+    """
     n = len(f)
-    k = start
+    k = int(b)
     while k < n:
         if not f[k]:
             k += 1
@@ -56,59 +59,30 @@ def promote(f: list, start: int = 0) -> None:
             f[j + 1] += 1
         k = hi + 1  # f[hi] was zero before the transfer
     _strip(f)
-
-
-def promote_b(f: list) -> None:
-    """The b-step: promote f[1:], then add one to f_1."""
-    promote(f, 1)
-    if f:
-        f[0] += 1
-    else:
-        f.append(1)
-
-
-def encode(f: list) -> str:
-    """Code word of f; leaves f empty."""
-    letters = []
-    while f:
-        letters.append(demote(f))
-    return "".join(letters) + "a"
-
-
-def decode(word: str) -> list:
-    """Frequency list of a word in (a*b)*a, applying its letters right to left."""
-    f: list = []
-    for ch in reversed(word):
-        if ch == "b":
-            promote_b(f)
-        else:
-            promote(f)
-    return f
-
-
-def evaluations(f) -> list:
-    """Evaluations of f at indices 0..len(f) in one backward pass.
-
-    out[i] = i*f_i + (i+1)*f_(i+1) + 2*(f_(i+2) + f_(i+3) + ...), with the
-    suffix sum kept running; index 0 evaluates as index 1.
-    """
-    out = [0] * (len(f) + 1)
-    tail = nxt = 0  # f_(i+2) + f_(i+3) + ..., and f_(i+1)
-    for i in range(len(f), 0, -1):
-        out[i] = i * f[i - 1] + (i + 1) * nxt + 2 * tail
-        tail += nxt
-        nxt = f[i - 1]
-    out[0] = out[1] if f else 0
-    return out
+    if b:
+        f[:1] = [f[0] + 1 if f else 1]
 
 
 def max_evaluation(f) -> tuple:
-    """(maximum evaluation, every index reaching it); (0, ()) for empty f."""
-    if not f:
-        return 0, ()
-    vals = evaluations(f)
-    m = max(vals)
-    return m, tuple(i for i, v in enumerate(vals) if v == m)
+    """(maximum evaluation, every index reaching it, ascending); (0, ()) for empty f.
+
+    One backward pass: the evaluation at i is i*f_i + (i+1)*f_(i+1) +
+    2*(f_(i+2) + f_(i+3) + ...), with that suffix sum kept running; index
+    0 evaluates as index 1.
+    """
+    best, at = 0, []
+    tail = nxt = 0  # f_(i+2) + f_(i+3) + ..., and f_(i+1)
+    for i in range(len(f), 0, -1):
+        v = i * f[i - 1] + (i + 1) * nxt + 2 * tail
+        if v > best:
+            best, at = v, [i]
+        elif v == best:
+            at.append(i)
+        tail += nxt
+        nxt = f[i - 1]
+    if at and at[-1] == 1:
+        at.append(0)
+    return best, tuple(reversed(at))
 
 
 def annihilate(f: list, i: int) -> None:
@@ -119,7 +93,7 @@ def annihilate(f: list, i: int) -> None:
 
 
 def size(f) -> int:
-    """partitions.size without its validation."""
+    """|f| = sum of i * f_i."""
     return sum(i * m for i, m in enumerate(f, 1))
 
 

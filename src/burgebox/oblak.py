@@ -14,9 +14,9 @@ descent map of the corresponding partition; this module computes it
 without touching the code-word machinery, so the two routes can be checked
 against each other.
 
-The public functions validate their input once; the process itself runs
-in ``kernels`` on a plain list, with all evaluations of a state taken in
-one backward pass over a running suffix sum.
+The public functions validate their input; the process itself runs in
+``kernels`` on a plain list, with all evaluations of a state taken in one
+backward pass over a running suffix sum.
 """
 
 from __future__ import annotations
@@ -37,21 +37,19 @@ def evaluate(freq: Iterable[int], i: int) -> int:
     f = as_frequency(freq)
     if i < 0:
         raise ValueError("evaluation index must be nonnegative")
-    return kernels.evaluations(f)[i] if i <= len(f) else 0
+    i = max(i, 1)
+    fi = f[i - 1] if i <= len(f) else 0
+    fi1 = f[i] if i < len(f) else 0
+    return i * fi + (i + 1) * fi1 + 2 * sum(f[i + 1:])
 
 
 def annihilate(freq: Iterable[int], i: int) -> FreqSeq:
     """Annihilation of f at index i >= 0: entries i and i+1 spliced out."""
-    f = as_frequency(freq)
+    f = list(as_frequency(freq))
     if i < 0:
         raise ValueError("annihilation index must be nonnegative")
-    return _annihilated(f, i)
-
-
-def _annihilated(f: FreqSeq, i: int) -> FreqSeq:
-    g = list(f)
-    kernels.annihilate(g, i)
-    return tuple(g)
+    kernels.annihilate(f, i)
+    return tuple(f)
 
 
 def maximal_indices(freq: Iterable[int]) -> tuple:
@@ -109,8 +107,8 @@ def equivalent_indices(freq: Iterable[int]) -> list:
 def _maximal_class_representatives(f: FreqSeq) -> list:
     """Smallest member of each annihilation-equivalence class of maximal indices."""
     reps: dict = {}
-    for i in kernels.max_evaluation(f)[1]:
-        key = _annihilated(f, i)
+    for i in maximal_indices(f):
+        key = annihilate(f, i)
         if key not in reps:
             reps[key] = i
     return sorted(reps.values())
@@ -183,9 +181,18 @@ def oblak(freq: Iterable[int]) -> Partition:
 
     The successive values decrease by at least two, so no sort is needed;
     choice independence makes the deterministic chain representative.
-    Each step checks that the size drop equals the recorded evaluation.
+    The process recurses on the annihilation at a maximal index: that
+    first step goes through the public functions and the kernel runs the
+    rest.  Each step checks that the size drop equals its evaluation.
     """
-    return tuple(ev for _, ev in kernels.oblak_steps(list(as_frequency(freq))))
+    f = as_frequency(freq)
+    if not f:
+        return ()
+    i = maximal_indices(f)[0]
+    ev, rest = evaluate(f, i), annihilate(f, i)
+    if size(f) - size(rest) != ev:
+        raise ValueError(f"corrupt chain: size drop {size(f) - size(rest)} != evaluation {ev}")
+    return (ev,) + tuple(v for _, v in kernels.oblak_steps(list(rest)))
 
 
 def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> list:
@@ -208,7 +215,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
             out.append(OblakChain(tuple(states), tuple(indices)))
             return
         for i in _maximal_class_representatives(state):
-            nxt = _annihilated(state, i)
+            nxt = annihilate(state, i)
             rec(nxt, states + [nxt], indices + [i])
 
     rec(f, [f], [])

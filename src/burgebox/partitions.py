@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, NamedTuple
 
+from . import kernels
+
 Partition = tuple
 FreqSeq = tuple
 
@@ -87,8 +89,7 @@ def to_partition(freq: Iterable[int]) -> Partition:
 
 def size(freq: Iterable[int]) -> int:
     """|f| = sum of i * f_i, the size of the underlying partition."""
-    f = as_frequency(freq)
-    return sum(i * m for i, m in enumerate(f, 1))
+    return kernels.size(as_frequency(freq))
 
 
 def length(freq: Iterable[int]) -> int:
@@ -178,9 +179,6 @@ def dominates(parts: Iterable[int], other: Iterable[int]) -> bool:
 def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n, in reverse lexicographic order."""
     if n < 0:
-        return
-    if n == 0:
-        yield ()
         return
 
     def rec(remaining, largest):
