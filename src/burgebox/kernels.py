@@ -3,7 +3,7 @@
 Each kernel takes a plain list of nonnegative ints without trailing zeros
 (a frequency sequence, 0-indexed in storage) and validates nothing; the
 ones that change the sequence do so in place and keep that form.  The
-public functions in ``burge`` and ``oblak`` validate once and return
+public functions in ``burge`` and ``oblak`` validate their input and return
 immutable tuples.
 """
 

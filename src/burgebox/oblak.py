@@ -37,9 +37,10 @@ def evaluate(freq: Iterable[int], i: int) -> int:
     f = as_frequency(freq)
     if i < 0:
         raise ValueError("evaluation index must be nonnegative")
-    i = max(i, 1)
+    if i == 0:
+        i = 1
     fi = f[i - 1] if i <= len(f) else 0
-    fi1 = f[i] if i < len(f) else 0
+    fi1 = f[i] if i + 1 <= len(f) else 0
     return i * fi + (i + 1) * fi1 + 2 * sum(f[i + 1:])
 
 

@@ -180,6 +180,9 @@ def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n, in reverse lexicographic order."""
     if n < 0:
         return
+    if n == 0:
+        yield ()
+        return
 
     def rec(remaining, largest):
         if remaining == 0:
