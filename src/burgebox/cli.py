@@ -200,7 +200,7 @@ def cmd_scan_max(args):
     got = "(no maximum)" if report.max_type is None else format_partition(report.max_type)
     text = (
         f"{'ok' if report.ok else 'FAIL'}: scanned {report.scanned} ({report.mode}), "
-        f"{len(report.types)} types, max {got}, "
+        f"{report.rejected} rejected, {len(report.types)} types, max {got}, "
         f"expected {format_partition(report.expected)}"
     )
     return report.to_dict(), text, report.ok

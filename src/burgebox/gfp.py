@@ -1,29 +1,53 @@
-"""Exact dense linear algebra over a prime field GF(p).
+"""Exact linear algebra over a prime field GF(p).
 
-Matrices are immutable: rows are stored as a tuple of tuples with entries
-already reduced mod p.  Everything is plain integer arithmetic, so results
-are exact for any prime modulus; pivoting uses modular inverses via
-``pow(x, -1, p)``.  Sizes in this project stay tiny (n <= ~20), so no
-effort is spent on blocking or bit packing.
+``MatrixGFp`` is the general dense matrix: immutable, rows stored as a
+tuple of tuples with entries already reduced mod p.  Everything is plain
+integer arithmetic, so results are exact for any prime modulus; pivoting
+uses modular inverses via ``pow(x, -1, p)``.
+
+For GF(2) there are also two kernels on bit-packed rows, where bit c of
+the int ``rows[r]`` is entry (r, c): a product that XORs together the rows
+picked by the set bits, and a rank by XOR elimination.  They take plain
+lists of non-negative ints and validate nothing.  The exhaustive
+commutator scan over GF(2) runs on them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
+# Deterministic Miller-Rabin: these 13 prime bases decide every n below the
+# limit, the least strong pseudoprime to all of them.  The first 12 alone
+# are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
 
+
+@functools.lru_cache(maxsize=128)
 def is_prime(p: int) -> bool:
+    """Exact primality below ``MR_LIMIT``; a larger p raises ValueError."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MR_LIMIT:
+        raise ValueError(f"modulus {p} is too large to certify as prime (limit {MR_LIMIT})")
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while not d % 2:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -31,6 +55,33 @@ def check_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
+
+
+def gf2_matmul(x: Sequence[int], y: Sequence[int]) -> list:
+    """XY over GF(2) on int rows: row r is the XOR of the rows of Y picked by row r of X."""
+    out = []
+    for row in x:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= y[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of int rows, by XOR elimination."""
+    basis = {}  # leading bit -> a reduced row with that leading bit
+    for v in rows:
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                break
+            v ^= b
+    return len(basis)
 
 
 class MatrixGFp:

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .burge import apply_del, descent_map
 from .errors import BudgetError
-from .gfp import MatrixGFp, check_prime, row_echelon_basis
+from .gfp import MatrixGFp, check_prime, gf2_matmul, gf2_rank, row_echelon_basis
 from .partitions import (
     Partition,
     as_partition,
@@ -80,13 +80,18 @@ class ParamSlot:
     h: int
 
     @property
+    def leading(self) -> bool:
+        """An entry of a same-size leading-coefficient matrix (a_1, i = j)."""
+        return self.i == self.j and self.h == 1
+
+    @property
     def forced_zero(self) -> bool:
         """Slots pinned to zero inside the maximal nilpotent subalgebra.
 
         These are the upper-and-diagonal entries of the same-size
         leading-coefficient matrices.
         """
-        return self.i == self.j and self.h == 1 and self.k <= self.l
+        return self.leading and self.k <= self.l
 
 
 def param_slots(parts: Iterable[int], reduced: bool = True) -> list:
@@ -274,12 +279,34 @@ def jordan_type(m: MatrixGFp) -> Partition:
             raise ValueError("matrix is not nilpotent")
         ranks.append(power.rank())
         power = power @ m
-    ranks.append(0)
-    freq = [
-        ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        for k in range(1, len(ranks) - 1)
-    ]
-    return to_partition(freq)
+    return _type_of_ranks(ranks)
+
+
+def _type_of_ranks(ranks) -> Partition:
+    """Jordan type from r_0 = n, r_1, ..., a rank sequence ending at 0."""
+    ranks = [*ranks, 0]
+    return to_partition(
+        ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)
+    )
+
+
+def _gf2_ranks(rows: list) -> tuple | None:
+    """rank(A), rank(A^2), ... while non-zero, for A on GF(2) int rows.
+
+    None once rank(A^k) = rank(A^(k-1)) > 0, with r_0 = n: the ranks stay
+    there, so A^n != 0 and A is not nilpotent.
+    """
+    ranks = []
+    last = len(rows)
+    power = rows
+    while any(power):
+        r = gf2_rank(power)
+        if r == last:
+            return None
+        ranks.append(r)
+        last = r
+        power = gf2_matmul(power, rows)
+    return tuple(ranks)
 
 
 def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
@@ -376,7 +403,8 @@ class ScanReport:
     partition: Partition
     field: int
     mode: str                      # "full" or "reduced"
-    scanned: int
+    scanned: int                   # size of the space the walk covers
+    rejected: int                  # non-nilpotent matrices in it; 0 in reduced mode
     types: list                    # every occurring Jordan type, sorted
     max_type: Partition | None     # dominance maximum, when one exists
     expected: Partition
@@ -391,11 +419,28 @@ class ScanReport:
             "field": self.field,
             "mode": self.mode,
             "scanned": self.scanned,
+            "rejected": self.rejected,
             "types": [list(t) for t in self.types],
             "max_type": list(self.max_type) if self.max_type is not None else None,
             "expected": list(self.expected),
             "status": "ok" if self.ok else "fail",
         }
+
+
+def _gray_walk(count: int, p: int):
+    """The p-ary Gray walk over ``count`` slots, as the slot to change before each visit.
+
+    Yields None for the all-zero start, then for t = 1 .. p**count - 1 the
+    slot v_p(t) (trailing base-p zeros of t), which gains 1 mod p; this
+    visits every assignment exactly once.
+    """
+    yield None
+    for t in range(1, p**count):
+        x = 0
+        while not t % p:
+            t //= p
+            x += 1
+        yield x
 
 
 def scan_max_type(
@@ -406,12 +451,21 @@ def scan_max_type(
 ) -> ScanReport:
     """Enumerate nilpotent commuting matrices and find the dominant Jordan type.
 
-    ``full`` walks the whole commutator algebra and filters by A^n = 0;
-    ``reduced`` walks the maximal nilpotent subalgebra, which realizes the
-    same set of Jordan types since every nilpotent commuting matrix is
-    similar to one of its members.  ``auto`` picks ``full`` when it fits
-    the budget and falls back to ``reduced``; if even that exceeds the
-    budget, BudgetError is raised.
+    ``full`` walks the whole commutator algebra; ``reduced`` walks the
+    maximal nilpotent subalgebra, which realizes the same set of Jordan
+    types since every nilpotent commuting matrix is similar to one of its
+    members.  ``auto`` picks ``full`` when it fits the budget and falls
+    back to ``reduced``; if even that exceeds the budget, BudgetError is
+    raised.
+
+    The slots are walked in Gray-code order, one slot change per step, with
+    the leading-coefficient slots as the outer walk.  A commuting matrix is
+    nilpotent iff its leading blocks are, so an outer assignment with a
+    non-nilpotent leading block has its whole inner walk counted as
+    ``rejected`` without building it; a matrix that is built and is not
+    nilpotent raises AssertionError.  ``scanned`` counts the whole space.
+    Over GF(2) a matrix is kept as int rows and typed by the GF(2) kernels;
+    over odd p each one goes through ``MatrixGFp`` and ``jordan_type``.
     """
     pt = as_partition(parts)
     check_prime(p)
@@ -432,39 +486,74 @@ def scan_max_type(
         )
 
     layout = chain_layout(pt)
-    entries = [_slot_entries(s, layout) for s in slots]
     b = jordan_matrix(pt, p)
     if n:
         probe = build_commuting(pt, p, {s: 1 for s in slots})
         if probe @ b != b @ probe:
             raise AssertionError("slot placement does not commute with the base matrix")
-    types = set()
-    scanned = 0
 
-    def assign(idx: int, rows: list) -> None:
-        nonlocal scanned
-        if idx == len(slots):
-            scanned += 1
-            a = MatrixGFp(rows, p)
-            if not a.power(n).is_zero():
-                if mode == "reduced":
-                    raise AssertionError("reduced-mode matrix is not nilpotent")
-                return
-            types.add(jordan_type(a))
-            return
-        for v in range(p):
-            for r, c in entries[idx]:
-                rows[r][c] = v
-            assign(idx + 1, rows)
-        for r, c in entries[idx]:
-            rows[r][c] = 0
+    # The leading slots come first and form the outer walk.  In reduced mode
+    # every leading block is strictly lower triangular: nothing to prune.
+    outer = 0
+    if mode == "full":
+        slots.sort(key=lambda s: not s.leading)
+        outer = sum(s.leading for s in slots)
+    inner = len(slots) - outer
+    binary = p == 2
 
-    if n == 0:
-        types.add(())
-        scanned = 1
-    else:
-        assign(0, [[0] * n for _ in range(n)])
+    def zero(m: int) -> list:
+        return [0] * m if binary else [[0] * m for _ in range(m)]
 
+    # A slot writes its value into the matrix and, if leading, into its block.
+    rows = zero(n)
+    f = to_frequency(pt)
+    blocks = {i: zero(m) for i, m in enumerate(f, 1) if m}
+    targets = [
+        [(rows, r, c) for r, c in _slot_entries(s, layout)]
+        + ([(blocks[s.i], s.k - 1, s.l - 1)] if x < outer else [])
+        for x, s in enumerate(slots)
+    ]
+    if binary:
+        targets = [[(t, r, 1 << c) for t, r, c in ts] for ts in targets]
+    values = [0] * len(slots)
+
+    def bump(x: int) -> None:
+        v = values[x] = (values[x] + 1) % p
+        if binary:
+            for t, r, bit in targets[x]:
+                t[r] ^= bit
+        else:
+            for t, r, c in targets[x]:
+                t[r][c] = v
+
+    def key_of(m: list):
+        """Rank sequence over GF(2), Jordan type otherwise; None if m is not nilpotent."""
+        if binary:
+            return _gf2_ranks(m)
+        try:
+            return jordan_type(MatrixGFp(m, p))
+        except ValueError:
+            return None
+
+    keys = set()
+    rejected = 0
+    for x in _gray_walk(outer, p):
+        if x is not None:
+            bump(x)
+        if any(key_of(block) is None for block in blocks.values()):
+            rejected += p**inner
+            continue
+        for y in _gray_walk(inner, p):
+            if y is not None:
+                bump(outer + y)
+            key = key_of(rows)
+            if key is None:
+                raise AssertionError(
+                    f"{mode}-mode matrix is not nilpotent, but its leading blocks are"
+                )
+            keys.add(key)
+
+    types = {_type_of_ranks((n, *k, 0)) for k in keys} if binary else keys
     ordered = sorted(types, reverse=True)
     max_type = None
     for t in ordered:
@@ -475,7 +564,8 @@ def scan_max_type(
         partition=pt,
         field=p,
         mode=mode,
-        scanned=scanned,
+        scanned=p**count,
+        rejected=rejected,
         types=ordered,
         max_type=max_type,
         expected=expected,

@@ -103,34 +103,36 @@ def support(freq: Iterable[int]) -> tuple:
     return tuple(i for i, m in enumerate(f, 1) if m)
 
 
+def _runs(f: FreqSeq) -> Iterator[tuple]:
+    """(lo, hi) of each maximal run of non-zero entries of a validated f, 1-based."""
+    lo = 0
+    for i, m in enumerate(f, 1):
+        if not m:
+            if lo:
+                yield lo, i - 1
+                lo = 0
+        elif not lo:
+            lo = i
+    if lo:
+        yield lo, len(f)  # f has no trailing zeros
+
+
 def spreads(freq: Iterable[int]) -> list:
     """Maximal intervals of the support, as Spread(lo, hi), sorted by lo."""
-    out = []
-    run_lo = None
-    prev = None
-    for i in support(freq):
-        if run_lo is None:
-            run_lo = i
-        elif i != prev + 1:
-            out.append(Spread(run_lo, prev))
-            run_lo = i
-        prev = i
-    if run_lo is not None:
-        out.append(Spread(run_lo, prev))
-    return out
+    return [Spread(lo, hi) for lo, hi in _runs(as_frequency(freq))]
 
 
 def left_set(freq: Iterable[int]) -> frozenset:
     """L(f): every other support index of each spread, starting at its low end."""
     return frozenset(
-        i for s in spreads(freq) for i in range(s.lo, s.hi + 1, 2)
+        i for lo, hi in _runs(as_frequency(freq)) for i in range(lo, hi + 1, 2)
     )
 
 
 def right_set(freq: Iterable[int]) -> frozenset:
     """R(f): every other support index of each spread, starting at its high end."""
     return frozenset(
-        j for s in spreads(freq) for j in range(s.hi, s.lo - 1, -2)
+        j for lo, hi in _runs(as_frequency(freq)) for j in range(hi, lo - 1, -2)
     )
 
 
@@ -140,7 +142,7 @@ def two_measure(freq: Iterable[int]) -> int:
     Equals the largest subset of the support with no two consecutive
     indices, which is ceil(len/2) summed over the spreads.
     """
-    return sum((s.hi - s.lo + 2) // 2 for s in spreads(freq))
+    return sum((hi - lo + 2) // 2 for lo, hi in _runs(as_frequency(freq)))
 
 
 def is_super_distinct(parts: Iterable[int]) -> bool:

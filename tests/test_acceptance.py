@@ -239,6 +239,17 @@ def test_dominance_maximum_exhaustive_over_gf2():
                     assert dominates(rep.max_type, t)
 
 
+def test_dominance_maximum_exhaustive_over_gf2_n6():
+    with report("scanned commutators have dominance maximum = descent map, |P| = 6, GF(2)"):
+        for p in partitions_of(6):
+            rep = scan_max_type(p, p=2, budget=2**24)
+            assert rep.scanned <= 2**24
+            assert rep.max_type is not None
+            assert rep.max_type == descent_map(p) == rep.expected
+            for t in rep.types:
+                assert dominates(rep.max_type, t)
+
+
 def test_hook_correspondence_to_18():
     with report("fibers biject onto diagonal-hook classes via the path composite, |Q| <= 18"):
         for n in range(19):

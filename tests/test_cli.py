@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -105,6 +106,24 @@ def test_scan_max(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["max_type"] == [3] and data["status"] == "ok"
+    assert data["mode"] == "full" and data["scanned"] == 32 and data["rejected"] == 24
+    code, out, _ = run(capsys, "scan-max", "--partition", "2,1", "--field", "2")
+    assert code == 0 and "scanned 32 (full), 24 rejected," in out
+
+
+def test_verify_large_prime_field(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "--partition", "3,1", "--field", "1000000000000000003", "--json"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["status"] == "ok", err
+
+
+@pytest.mark.parametrize("field", ["1000000000000000001", "3317044064679887385961981"])
+def test_verify_composite_or_uncertifiable_field(capsys, field):
+    code, _, err = run(capsys, "verify", "--partition", "3,1", "--field", field)
+    assert code == 2 and "error" in err and "Traceback" not in err
 
 
 def test_sweep_vacuous(capsys):

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from burgebox.gfp import MatrixGFp, is_prime, rank_of, row_echelon_basis
+from burgebox.gfp import (
+    MR_LIMIT,
+    MatrixGFp,
+    gf2_matmul,
+    gf2_rank,
+    is_prime,
+    rank_of,
+    row_echelon_basis,
+)
 
 
 def det_mod(rows, p):
@@ -40,6 +48,24 @@ def test_is_prime():
     assert [x for x in range(20) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert is_prime(10007)
     assert not is_prime(10005)
+
+
+def test_is_prime_miller_rabin():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(-5, 20000))
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    # above the 12-base bound, so only the 13th base (41) separates these two
+    assert is_prime(10**24 + 7)
+    assert not is_prime(318665857834031151167461)  # = 399165290221 * 798330580441
+    # Carmichael numbers and strong pseudoprimes to the smaller base sets
+    for n in (561, 41041, 3215031751, 3825123056546413051, 10**18 + 1):
+        assert not is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(MR_LIMIT)
+    with pytest.raises(ValueError):
+        MatrixGFp([[1]], MR_LIMIT + 2)
 
 
 def test_construction_reduces_mod_p():
@@ -110,3 +136,22 @@ def test_empty_matrix():
     assert e.rank() == 0
     assert e.is_zero()
     assert e.is_nilpotent()
+
+
+def pack(rows):
+    return [sum(v << c for c, v in enumerate(row)) for row in rows]
+
+
+def test_gf2_kernels_match_matrix_gfp():
+    rng = random.Random(5)
+    for _ in range(300):
+        m, k, n = (rng.randrange(1, 7) for _ in range(3))
+        x = [[rng.randrange(2) for _ in range(k)] for _ in range(m)]
+        y = [[rng.randrange(2) for _ in range(n)] for _ in range(k)]
+        product = MatrixGFp(x, 2) @ MatrixGFp(y, 2)
+        assert gf2_matmul(pack(x), pack(y)) == pack(product.rows)
+        assert gf2_rank(pack(x)) == MatrixGFp(x, 2).rank()
+        if m <= 4 and k <= 4:
+            assert gf2_rank(pack(x)) == brute_rank(x, 2)
+    assert gf2_rank([]) == 0 and gf2_rank([0, 0]) == 0
+    assert gf2_matmul([0b101], [0b01, 0b11, 0b10]) == [0b11]

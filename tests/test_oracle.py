@@ -21,6 +21,7 @@ from burgebox.oracle import (
     witness_matrix,
 )
 from burgebox.partitions import partitions_of, to_frequency, to_partition
+from reference_scan import reference_scan
 
 P_BIG = (4, 4, 3, 2, 2)
 
@@ -289,6 +290,33 @@ def test_scan_reduced_matches_full():
         red = scan_max_type(p, p=2, mode="reduced")
         assert full.types == red.types
         assert full.max_type == red.max_type
+
+
+def test_scan_matches_reference_scan():
+    # the Gray-code walk against the dense recursive scan it replaced; in
+    # full mode the pruned count must equal the brute-force count of A^n != 0
+    cases = [(q, 2, 2**12) for n in range(6) for q in partitions_of(n)]
+    cases += [(q, 3, 3**7) for n in range(5) for q in partitions_of(n)]
+    modes = set()
+    for q, p, budget in cases:
+        rep = scan_max_type(q, p=p, budget=budget)
+        mode, scanned, rejected, types, max_type = reference_scan(q, p=p, budget=budget)
+        got = (rep.mode, rep.scanned, rep.types, rep.max_type)
+        assert got == (mode, scanned, types, max_type), (q, p)
+        assert rep.rejected == rejected, (q, p)
+        assert rep.to_dict()["rejected"] == rejected
+        modes.add((p, mode))
+    assert modes == {(p, mode) for p in (2, 3) for mode in ("full", "reduced")}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("attr,mode", [("leading", "full"), ("forced_zero", "reduced")])
+def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p, attr, mode):
+    # break the premise (no slot leading, or nothing forced to zero): the
+    # walk then builds non-nilpotent matrices and must raise, not miscount
+    monkeypatch.setattr(ParamSlot, attr, property(lambda slot: False))
+    with pytest.raises(AssertionError, match=f"{mode}-mode matrix is not nilpotent"):
+        scan_max_type((2, 1), p=p, mode=mode)
 
 
 def test_scan_rejects_bad_mode():
