@@ -210,9 +210,9 @@ def cmd_sweep(args):
     cfg = SweepConfig(
         max_n=args.max_n,
         checks=tuple(args.checks.split(",")) if args.checks else (),
-        field=_field(args, 10007),
+        field=_field(args, oracle.GENERIC_PRIME),
+        scan_field=_field(args, 2),
         trials=args.trials,
-        threads=args.threads,
         seed=args.seed,
     )
     results = run_sweep(cfg)
@@ -283,9 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("sweep", cmd_sweep, "run named exhaustive property suites", None)
     sp.add_argument("--max-n", type=int, required=True)
     sp.add_argument("--checks", help="comma list from: " + ", ".join(CHECKS))
-    sp.add_argument("--field", type=int)
+    sp.add_argument(
+        "--field", type=int,
+        help="field of both matrix checks; by default matrix-restriction uses "
+        f"{oracle.GENERIC_PRIME} and matrix-dominance uses 2",
+    )
     sp.add_argument("--trials", type=nonnegative_int, default=5)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -1,9 +1,19 @@
 """Exact linear algebra over a prime field GF(p).
 
-``MatrixGFp`` is the general dense matrix: immutable, rows stored as a
-tuple of tuples with entries already reduced mod p.  Everything is plain
-integer arithmetic, so results are exact for any prime modulus; pivoting
-uses modular inverses via ``pow(x, -1, p)``.
+``MatrixGFp`` is the general matrix: immutable, rows stored as a tuple of
+tuples with entries already reduced mod p.  Everything is plain integer
+arithmetic, so results are exact for any prime modulus; pivoting uses
+modular inverses via ``pow(x, -1, p)``.
+
+The constructor validates: it checks that p is prime, reduces every entry
+and rejects ragged rows.  Products do work only for nonzero entries: row r
+of XY adds x * (row k of Y) into an unreduced accumulator for each nonzero
+entry x = X[r][k], then reduces each entry once, and ``mat_vec`` skips the
+zero entries of the vector.  A product's rows are reduced and its modulus
+already checked, so it is built by ``_trusted``, which validates nothing.
+The oracle's matrices (shift matrices and Toeplitz blocks) are mostly
+zeros; on a dense matrix the product does the same multiplications as a
+row-by-column one.
 
 For GF(2) there are also two kernels on bit-packed rows, where bit c of
 the int ``rows[r]`` is entry (r, c): a product that XORs together the rows
@@ -85,7 +95,7 @@ def gf2_rank(rows: Iterable[int]) -> int:
 
 
 class MatrixGFp:
-    """A dense matrix over GF(p)."""
+    """A matrix over GF(p)."""
 
     __slots__ = ("p", "rows", "nrows", "ncols")
 
@@ -143,12 +153,26 @@ class MatrixGFp:
         self._check_compat(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} != {other.nrows}")
-        cols = list(zip(*other.rows)) if other.rows else []
         p = self.p
-        return MatrixGFp(
-            [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in self.rows],
-            p,
-        )
+        width = other.ncols
+        out = []
+        for row in self.rows:
+            acc = [0] * width
+            for a, brow in zip(row, other.rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            out.append(tuple([x % p for x in acc]))
+        return MatrixGFp._trusted(tuple(out), p)
+
+    @classmethod
+    def _trusted(cls, rows: tuple, p: int) -> "MatrixGFp":
+        """A matrix on a tuple of equal-length tuples already reduced mod a checked prime p."""
+        m = cls.__new__(cls)
+        m.p = p
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
 
     def _check_compat(self, other: "MatrixGFp", same_shape: bool = False) -> None:
         if self.p != other.p:
@@ -159,20 +183,26 @@ class MatrixGFp:
     def power(self, k: int) -> "MatrixGFp":
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
-        result = MatrixGFp.identity(self.nrows, self.p)
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        if k == 0:
+            return MatrixGFp.identity(self.nrows, self.p)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base @ base
 
     def mat_vec(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         p = self.p
-        return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in self.rows)
+        nonzero = [(c, x) for c, x in enumerate(vec) if x]
+        return tuple(sum(row[c] * x for c, x in nonzero) % p for row in self.rows)
 
     def columns(self) -> list:
         return [tuple(col) for col in zip(*self.rows)] if self.rows else []

@@ -314,16 +314,21 @@ def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
 
     Works from the dimension sequence d_k = dim(B^k W): the number of
     blocks of size >= k is d_{k-1} - d_k.  Requires AB = BA (so W is
-    B-invariant) and B nilpotent.
+    B-invariant) and B nilpotent.  B is applied through the (column,
+    value) pairs of its nonzero entries, listed once per row; the images
+    are left unreduced, since ``row_echelon_basis`` reduces its input.
     """
     if a @ b != b @ a:
         raise ValueError("matrices do not commute")
     if not b.is_nilpotent():
         raise ValueError("restriction requires a nilpotent base matrix")
-    basis = row_echelon_basis(a.columns(), a.p)
+    p = b.p
+    nonzero = [[(c, x) for c, x in enumerate(row) if x] for row in b.rows]
+    basis = row_echelon_basis(a.columns(), p)
     dims = [len(basis)]
     while dims[-1] > 0:
-        basis = row_echelon_basis([b.mat_vec(v) for v in basis], b.p)
+        images = [[sum(x * v[c] for c, x in row) for row in nonzero] for v in basis]
+        basis = row_echelon_basis(images, p)
         dims.append(len(basis))
     at_least = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
     freq = [

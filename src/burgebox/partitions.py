@@ -24,6 +24,8 @@ FreqSeq = tuple
 
 # Parts above this are almost certainly malformed input (ids, timestamps, ...).
 PART_CAP = 10**6
+# parse_partition lists every part, so it bounds the total size before doing so.
+SIZE_CAP = 10**5
 
 
 class Spread(NamedTuple):
@@ -212,7 +214,9 @@ _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 def parse_partition(text: str, cap: int = PART_CAP) -> Partition:
     """Parse one of the accepted partition text forms.
 
-    Raises ValueError with the offending position on malformed input.
+    Raises ValueError with the offending position on malformed input, and
+    before any part is listed if the size (sum of part * multiplicity)
+    exceeds ``SIZE_CAP``.
     """
     s = text.strip()
     if s in ("e", "[]", "ε"):
@@ -231,12 +235,16 @@ def parse_partition(text: str, cap: int = PART_CAP) -> Partition:
             if not e.isdigit():
                 raise ValueError(f"bad frequency entry {entry!r} at position {col + 1} of {text!r}")
             freq.append(int(e))
+        total = sum(i * m for i, m in enumerate(freq, 1))
+        if total > SIZE_CAP:
+            raise ValueError(f"size {total} of {text!r} exceeds the size cap {SIZE_CAP}")
         return to_partition(freq)
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1].strip()
         if not s:
             return ()
     parts = []
+    total = 0
     for col, entry in enumerate(s.split(",")):
         m = _ENTRY_RE.match(entry.strip())
         if not m:
@@ -245,6 +253,11 @@ def parse_partition(text: str, cap: int = PART_CAP) -> Partition:
         mult = int(m.group(2)) if m.group(2) else 1
         if part < 1:
             raise ValueError(f"part must be positive, got {entry!r} in {text!r}")
+        total += part * mult
+        if total > SIZE_CAP:
+            raise ValueError(
+                f"size exceeds the size cap {SIZE_CAP} at position {col + 1} of {text!r}"
+            )
         parts.extend([part] * mult)
     return as_partition(sorted(parts, reverse=True), cap=cap)
 

@@ -8,7 +8,6 @@ instance.  All checks are deterministic given the configuration.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import boxes, burge, oracle, words
@@ -30,9 +29,9 @@ from .partitions import (
 class SweepConfig:
     max_n: int
     checks: tuple = ()          # empty means: run everything
-    field: int = 10007
+    field: int = 10007          # matrix-restriction
+    scan_field: int = 2         # matrix-dominance: its scan covers scan_field^slots matrices
     trials: int = 5
-    threads: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -223,15 +222,19 @@ def check_matrix_restriction(cfg: SweepConfig) -> CheckResult:
 
 
 def check_matrix_dominance(cfg: SweepConfig) -> CheckResult:
+    """A partition whose scan exceeds the budget counts as a failed instance."""
     res = CheckResult("matrix-dominance")
     for p in _all_partitions(cfg.max_n):
-        report = oracle.scan_max_type(p, p=cfg.field)
+        repro = f"burgebox scan-max --partition {_pstr(p)} --field {cfg.scan_field}"
+        try:
+            report = oracle.scan_max_type(p, p=cfg.scan_field)
+        except BudgetError as exc:
+            res.record(False, f"{repro}  # infeasible configuration: {exc}")
+            continue
         ok = report.ok and all(
             dominates(report.max_type, t) for t in report.types
         )
-        res.record(
-            ok, f"burgebox scan-max --partition {_pstr(p)} --field {cfg.field}"
-        )
+        res.record(ok, repro)
     return res
 
 
@@ -250,25 +253,11 @@ CHECKS = {
 
 
 def run_sweep(cfg: SweepConfig) -> list:
-    """Run the selected checks; results come back in registry order.
-
-    A check whose configuration is infeasible (e.g. a dominance scan over
-    a large field) is reported as failed with the reason, rather than
-    aborting the other checks.
-    """
-    names = list(cfg.checks) if cfg.checks else list(CHECKS)
-
-    def timed(name: str) -> CheckResult:
+    """Run the selected checks (all of them if none are named) one after another, in order."""
+    results = []
+    for name in cfg.checks or CHECKS:
         start = time.perf_counter()
-        try:
-            result = CHECKS[name](cfg)
-        except BudgetError as exc:
-            result = CheckResult(name)
-            result.record(False, f"infeasible configuration: {exc}")
+        result = CHECKS[name](cfg)
         result.elapsed = time.perf_counter() - start
-        return result
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(timed, names))
-    return [timed(name) for name in names]
+        results.append(result)
+    return results

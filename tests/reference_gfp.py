@@ -1,0 +1,63 @@
+"""Reference dense GF(p) products and restriction type.
+
+These are the products that the sparse-row kernels in ``burgebox.gfp``
+replaced: ``dense_matmul`` takes the dot product of every row with every
+column, ``dense_power`` multiplies the identity by repeated squares,
+``dense_mat_vec`` dots every row with the whole vector, and
+``dense_restriction_type`` maps each basis vector through all of B with
+``dense_mat_vec``.  Every result goes through the validating ``MatrixGFp``
+constructor.  They are slow and exist only as test oracles for
+``test_gfp_reference.py``.
+"""
+
+from burgebox.gfp import MatrixGFp, row_echelon_basis
+from burgebox.partitions import to_partition
+
+
+def dense_matmul(x, y):
+    if x.p != y.p:
+        raise ValueError(f"mixed moduli {x.p} and {y.p}")
+    if x.ncols != y.nrows:
+        raise ValueError(f"shape mismatch: {x.ncols} != {y.nrows}")
+    cols = list(zip(*y.rows)) if y.rows else []
+    return MatrixGFp(
+        [[sum(a * b for a, b in zip(row, col)) % x.p for col in cols] for row in x.rows],
+        x.p,
+    )
+
+
+def dense_power(m, k):
+    if m.nrows != m.ncols:
+        raise ValueError("power of a non-square matrix")
+    result = MatrixGFp.identity(m.nrows, m.p)
+    base = m
+    while k:
+        if k & 1:
+            result = dense_matmul(result, base)
+        base = dense_matmul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def dense_mat_vec(m, vec):
+    if len(vec) != m.ncols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(a * b for a, b in zip(row, vec)) % m.p for row in m.rows)
+
+
+def dense_restriction_type(b, a):
+    if dense_matmul(a, b) != dense_matmul(b, a):
+        raise ValueError("matrices do not commute")
+    if b.nrows != b.ncols or not dense_power(b, b.nrows).is_zero():
+        raise ValueError("restriction requires a nilpotent base matrix")
+    basis = row_echelon_basis(a.columns(), a.p)
+    dims = [len(basis)]
+    while dims[-1] > 0:
+        basis = row_echelon_basis([dense_mat_vec(b, v) for v in basis], b.p)
+        dims.append(len(basis))
+    at_least = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
+    freq = [
+        at_least[k] - (at_least[k + 1] if k + 1 < len(at_least) else 0)
+        for k in range(len(at_least))
+    ]
+    return to_partition(freq)

@@ -155,14 +155,36 @@ def test_sweep_matrix_dominance(capsys):
     assert code == 0 and "0 failures" in out
 
 
-def test_sweep_threads_deterministic(capsys):
-    argv = ["sweep", "--max-n", "6", "--checks", "prop-stats,prop-khatami", "--json"]
-    _, out1, _ = run(capsys, *argv)
-    _, out2, _ = run(capsys, *argv, "--threads", "4")
-    strip = lambda rows: [
-        {k: v for k, v in r.items() if k != "elapsed"} for r in json.loads(rows)
-    ]
-    assert strip(out1) == strip(out2)
+def test_sweep_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--max-n", "6", "--checks", "prop-stats", "--threads", "4"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_default_checks_pass(capsys):
+    # matrix-dominance scans over GF(2) unless --field is given
+    code, out, err = run(capsys, "sweep", "--max-n", "4")
+    assert code == 0 and "FAIL" not in out and "Traceback" not in err
+    code, out, _ = run(capsys, "sweep", "--max-n", "4", "--checks", "matrix-dominance", "--json")
+    assert code == 0 and json.loads(out)[0]["instances"] == 12
+
+
+def test_sweep_keeps_passing_instances_past_the_scan_budget():
+    (res,) = run_sweep(SweepConfig(max_n=3, checks=("matrix-dominance",), scan_field=10007))
+    # (), (1), (2) and (1,1) fit the budget; (3), (2,1) and (1,1,1) do not
+    assert (res.instances, res.failures) == (7, 3)
+    assert res.first_counterexample.startswith(
+        "burgebox scan-max --partition 3 --field 10007  # infeasible configuration"
+    )
+
+
+@pytest.mark.parametrize("text", ["[1^100000000000]", "f:(100000000000)", "1," * 99999 + "2"])
+def test_oversized_partition_is_a_usage_error(capsys, text):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "encode", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "size cap" in err and "Traceback" not in err
 
 
 def test_usage_errors(capsys):

@@ -1,0 +1,91 @@
+"""The sparse-row GF(p) kernels against the dense reference in ``reference_gfp``."""
+
+import random
+
+import pytest
+
+from burgebox.gfp import MatrixGFp
+from burgebox.oracle import jordan_matrix, random_commuting, restriction_type, witness_matrix
+from burgebox.partitions import partitions_of
+from reference_gfp import dense_mat_vec, dense_matmul, dense_power, dense_restriction_type
+
+FIELDS = (2, 3, 10007)
+
+
+def sparse_rows(rng, m, n, p):
+    """An m x n matrix, mostly zeros, with some rows all zero and unreduced entries."""
+    density = rng.choice((0.1, 0.3, 0.7))
+    rows = [
+        [rng.randrange(-2 * p, 2 * p) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+    for r in rng.sample(range(m), m // 3):
+        rows[r] = [0] * n
+    return rows
+
+
+def assert_same(got, want):
+    assert type(got) is MatrixGFp
+    assert got == want and hash(got) == hash(want)
+    assert (got.p, got.nrows, got.ncols) == (want.p, want.nrows, want.ncols)
+    assert all(0 <= x < got.p for row in got.rows for x in row)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_products_match_dense_reference(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        m, k, n = (rng.randrange(0, 7) for _ in range(3))
+        x = MatrixGFp(sparse_rows(rng, m, k, p), p)
+        y = MatrixGFp(sparse_rows(rng, k, n, p), p)
+        if x.ncols != y.nrows:  # a matrix with no rows has no columns either
+            continue
+        assert_same(x @ y, dense_matmul(x, y))
+        vec = [rng.randrange(-p, 2 * p) if rng.random() < 0.4 else 0 for _ in range(k)]
+        assert x.mat_vec(vec) == dense_mat_vec(x, vec)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_power_matches_dense_reference(p):
+    rng = random.Random(100 + p)
+    cases = [MatrixGFp(sparse_rows(rng, n, n, p), p) for n in range(7) for _ in range(3)]
+    cases += [jordan_matrix(pt, p) for pt in ((4, 2, 1), (3, 3), (5,))]
+    cases += [random_commuting(pt, p, rng) for pt in ((4, 2, 1), (3, 3), (2, 2, 1, 1))]
+    for m in cases:
+        for k in range(m.nrows + 2):
+            assert_same(m.power(k), dense_power(m, k))
+        assert m.is_nilpotent() == dense_power(m, m.nrows).is_zero()
+
+
+@pytest.mark.parametrize("p,max_n", [(10007, 9), (3, 6)])
+def test_restriction_type_matches_dense_reference(p, max_n):
+    rng = random.Random(7)
+    for n in range(max_n + 1):
+        for pt in partitions_of(n):
+            b = jordan_matrix(pt, p)
+            for a in [witness_matrix(pt, p)] + [random_commuting(pt, p, rng) for _ in range(5)]:
+                assert restriction_type(b, a) == dense_restriction_type(b, a)
+
+
+def test_checks_still_raise():
+    p = 7
+    a = MatrixGFp([[1, 2], [3, 4]], p)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        a @ MatrixGFp([[1, 2], [3, 4]], 5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        MatrixGFp([[1, 2, 3]], p) @ MatrixGFp([[1, 2, 3]], p)
+    with pytest.raises(ValueError, match="non-square"):
+        MatrixGFp([[1, 2, 3]], p).power(2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        a.power(-1)
+
+    b = jordan_matrix((3, 2), p)
+    for restrict in (restriction_type, dense_restriction_type):
+        with pytest.raises(ValueError, match="mixed moduli"):
+            restrict(b, MatrixGFp.identity(5, 5))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            restrict(b, MatrixGFp.identity(4, p))
+        with pytest.raises(ValueError, match="do not commute"):
+            restrict(b, jordan_matrix((5,), p))
+        with pytest.raises(ValueError, match="nilpotent base matrix"):
+            restrict(MatrixGFp.identity(3, p), MatrixGFp.identity(3, p))

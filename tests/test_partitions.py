@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from burgebox.partitions import (
+    SIZE_CAP,
     Spread,
     as_frequency,
     as_partition,
@@ -207,6 +208,21 @@ def test_parse_partition(text, expected):
 def test_parse_partition_rejects(text):
     with pytest.raises(ValueError):
         parse_partition(text)
+
+
+def test_parse_partition_size_cap():
+    assert parse_partition(f"[1^{SIZE_CAP}]") == (1,) * SIZE_CAP
+    assert parse_partition(f"f:({SIZE_CAP})") == (1,) * SIZE_CAP
+    assert parse_partition(f"f:(0,{SIZE_CAP // 2})") == (2,) * (SIZE_CAP // 2)
+    for text in (
+        "[1^100000000000]",
+        f"[1^{SIZE_CAP},1]",
+        "f:(100000000000)",
+        f"f:(0,{SIZE_CAP // 2 + 1})",
+        "f:(" + "0," * SIZE_CAP + "1)",
+    ):
+        with pytest.raises(ValueError, match="size cap"):
+            parse_partition(text)
 
 
 def test_format_partition():
