@@ -129,28 +129,9 @@ class MatrixGFp:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"MatrixGFp[{self.nrows}x{self.ncols} mod {self.p}]({body})"
 
-    def __add__(self, other: "MatrixGFp") -> "MatrixGFp":
-        self._check_compat(other, same_shape=True)
-        return MatrixGFp(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.p,
-        )
-
-    def __sub__(self, other: "MatrixGFp") -> "MatrixGFp":
-        self._check_compat(other, same_shape=True)
-        return MatrixGFp(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.p,
-        )
-
     def __matmul__(self, other: "MatrixGFp") -> "MatrixGFp":
-        self._check_compat(other)
+        if self.p != other.p:
+            raise ValueError(f"mixed moduli {self.p} and {other.p}")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} != {other.nrows}")
         p = self.p
@@ -173,12 +154,6 @@ class MatrixGFp:
         m.nrows = len(rows)
         m.ncols = len(rows[0]) if rows else 0
         return m
-
-    def _check_compat(self, other: "MatrixGFp", same_shape: bool = False) -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-        if same_shape and (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
 
     def power(self, k: int) -> "MatrixGFp":
         if self.nrows != self.ncols:
@@ -250,6 +225,3 @@ def row_echelon_basis(vectors: Iterable[Sequence[int]], p: int) -> list:
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [tuple(basis[i]) for i in order]
 
-
-def rank_of(vectors: Iterable[Sequence[int]], p: int) -> int:
-    return len(row_echelon_basis(vectors, p))

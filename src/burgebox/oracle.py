@@ -22,6 +22,7 @@ A chain is addressed as (i, k): length i, k-th chain of that length
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -271,42 +272,42 @@ def jordan_type(m: MatrixGFp) -> Partition:
     """
     if m.nrows != m.ncols:
         raise ValueError("Jordan type of a non-square matrix")
-    n = m.nrows
-    ranks = [n]
-    power = m
-    while ranks[-1] > 0:
-        if len(ranks) > n:
-            raise ValueError("matrix is not nilpotent")
-        ranks.append(power.rank())
-        power = power @ m
+    ranks = _rank_sequence(m, m.nrows, MatrixGFp.rank, operator.matmul)
+    if ranks is None:
+        raise ValueError("matrix is not nilpotent")
     return _type_of_ranks(ranks)
 
 
-def _type_of_ranks(ranks) -> Partition:
-    """Jordan type from r_0 = n, r_1, ..., a rank sequence ending at 0."""
-    ranks = [*ranks, 0]
-    return to_partition(
-        ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)
-    )
+def _rank_sequence(m, n: int, rank, mul) -> tuple | None:
+    """(n, rank(M), rank(M^2), ..., 0) for an n x n matrix M, or None if M is not nilpotent.
 
-
-def _gf2_ranks(rows: list) -> tuple | None:
-    """rank(A), rank(A^2), ... while non-zero, for A on GF(2) int rows.
-
-    None once rank(A^k) = rank(A^(k-1)) > 0, with r_0 = n: the ranks stay
-    there, so A^n != 0 and A is not nilpotent.
+    ``rank`` and ``mul`` act on whatever M is: a ``MatrixGFp``, or GF(2)
+    int rows.  Once rank(M^k) = rank(M^(k-1)) > 0 the ranks stay there, so
+    a repeated rank means M^n != 0.
     """
-    ranks = []
-    last = len(rows)
-    power = rows
-    while any(power):
-        r = gf2_rank(power)
+    ranks = [n]
+    last, power = n, m
+    while last:
+        r = rank(power)
         if r == last:
             return None
         ranks.append(r)
         last = r
-        power = gf2_matmul(power, rows)
+        if r:
+            power = mul(power, m)
     return tuple(ranks)
+
+
+def _type_of_ranks(ranks) -> Partition:
+    """Jordan type from r_0 = n, r_1, ..., a rank sequence ending at 0.
+
+    r_k is the rank of the k-th power of a nilpotent map on an
+    n-dimensional space, or dim(B^k W) for B restricted to W.
+    """
+    ranks = [*ranks, 0]
+    return to_partition(
+        ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)
+    )
 
 
 def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
@@ -330,12 +331,7 @@ def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
         images = [[sum(x * v[c] for c, x in row) for row in nonzero] for v in basis]
         basis = row_echelon_basis(images, p)
         dims.append(len(basis))
-    at_least = [dims[k - 1] - dims[k] for k in range(1, len(dims))]
-    freq = [
-        at_least[k] - (at_least[k + 1] if k + 1 < len(at_least) else 0)
-        for k in range(len(at_least))
-    ]
-    return to_partition(freq)
+    return _type_of_ranks(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +465,23 @@ def scan_max_type(
     non-nilpotent leading block has its whole inner walk counted as
     ``rejected`` without building it; a matrix that is built and is not
     nilpotent raises AssertionError.  ``scanned`` counts the whole space.
-    Over GF(2) a matrix is kept as int rows and typed by the GF(2) kernels;
-    over odd p each one goes through ``MatrixGFp`` and ``jordan_type``.
+    Every matrix is typed by its rank sequence: over GF(2) it is kept as
+    int rows and its ranks come from the GF(2) kernels, over odd p from
+    ``MatrixGFp``.
     """
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
     expected = descent_map(pt)
 
-    full_count = len(param_slots(pt, reduced=False))
-    reduced_count = len(param_slots(pt, reduced=True))
+    slots = param_slots(pt, reduced=False)
     if mode == "auto":
-        mode = "full" if p**full_count <= budget else "reduced"
+        mode = "full" if p ** len(slots) <= budget else "reduced"
     if mode not in ("full", "reduced"):
         raise ValueError(f"unknown scan mode {mode!r}")
-    slots = param_slots(pt, reduced=(mode == "reduced"))
-    count = reduced_count if mode == "reduced" else full_count
+    if mode == "reduced":
+        slots = [s for s in slots if not s.forced_zero]
+    count = len(slots)
     if p**count > budget:
         raise BudgetError(
             f"scan of {pt} needs {p}^{count} matrices, over budget {budget}"
@@ -532,13 +529,10 @@ def scan_max_type(
                 t[r][c] = v
 
     def key_of(m: list):
-        """Rank sequence over GF(2), Jordan type otherwise; None if m is not nilpotent."""
+        """The rank sequence of m, None if m is not nilpotent."""
         if binary:
-            return _gf2_ranks(m)
-        try:
-            return jordan_type(MatrixGFp(m, p))
-        except ValueError:
-            return None
+            return _rank_sequence(m, len(m), gf2_rank, gf2_matmul)
+        return _rank_sequence(MatrixGFp(m, p), len(m), MatrixGFp.rank, operator.matmul)
 
     keys = set()
     rejected = 0
@@ -558,8 +552,7 @@ def scan_max_type(
                 )
             keys.add(key)
 
-    types = {_type_of_ranks((n, *k, 0)) for k in keys} if binary else keys
-    ordered = sorted(types, reverse=True)
+    ordered = sorted({_type_of_ranks(k) for k in keys}, reverse=True)
     max_type = None
     for t in ordered:
         if all(dominates(t, s) for s in ordered):

@@ -39,11 +39,11 @@ class Spread(NamedTuple):
         return self.lo == self.hi
 
 
-def as_partition(parts: Iterable[int], cap: int = PART_CAP) -> Partition:
+def as_partition(parts: Iterable[int]) -> Partition:
     """Validate and return a partition as a tuple.
 
     Raises ValueError unless the parts are weakly decreasing positive
-    integers no greater than ``cap``.
+    integers no greater than ``PART_CAP``.
     """
     p = tuple(parts)
     for i, x in enumerate(p):
@@ -51,10 +51,10 @@ def as_partition(parts: Iterable[int], cap: int = PART_CAP) -> Partition:
             raise ValueError(f"part {x!r} is not an integer")
         if x < 1:
             raise ValueError(f"part {x} is not positive")
-        if x > cap:
-            raise ValueError(f"part {x} exceeds the part cap {cap}")
         if i and p[i - 1] < x:
             raise ValueError(f"parts not weakly decreasing at index {i}: {p}")
+    if p and p[0] > PART_CAP:
+        raise ValueError(f"part {p[0]} exceeds the part cap {PART_CAP}")
     return p
 
 
@@ -211,7 +211,7 @@ def partitions_of(n: int) -> Iterator[tuple]:
 _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def parse_partition(text: str, cap: int = PART_CAP) -> Partition:
+def parse_partition(text: str) -> Partition:
     """Parse one of the accepted partition text forms.
 
     Raises ValueError with the offending position on malformed input, and
@@ -259,7 +259,7 @@ def parse_partition(text: str, cap: int = PART_CAP) -> Partition:
                 f"size exceeds the size cap {SIZE_CAP} at position {col + 1} of {text!r}"
             )
         parts.extend([part] * mult)
-    return as_partition(sorted(parts, reverse=True), cap=cap)
+    return as_partition(sorted(parts, reverse=True))
 
 
 def format_partition(parts: Iterable[int]) -> str:

@@ -187,9 +187,10 @@ def check_foata_hooks(cfg: SweepConfig) -> CheckResult:
         for q in partitions_of(n):
             if not is_super_distinct(q):
                 continue
+            box = boxes.fiber(q)
             images = set()
             ok = True
-            for coords, part in boxes.fiber(q):
+            for coords, part in box:
                 w = words.foata_fiber(q, coords)
                 image = words.path_to_partition(w)
                 ok = (
@@ -201,7 +202,7 @@ def check_foata_hooks(cfg: SweepConfig) -> CheckResult:
                     and words.durfee(image) == len(q)
                 )
                 images.add(image)
-            ok = ok and images == by_hooks.get(q, set())
+            ok = ok and len(images) == len(box) and images == by_hooks.get(q, set())
             coords_str = ",".join("1" for _ in q) or "e"
             res.record(ok, f"burgebox foata {_pstr(q)} --coords {coords_str}")
     return res

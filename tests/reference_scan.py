@@ -2,15 +2,35 @@
 
 This is the scan that the Gray-code walk in ``oracle.scan_max_type``
 replaced: a recursive assignment of every slot value, one ``MatrixGFp``
-per matrix, nilpotency by ``A^n == 0`` and the type by ``jordan_type``.
+per matrix, nilpotency by ``A^n == 0`` and the type from the ranks of
+successive powers, computed here rather than by ``oracle.jordan_type``.
 It also counts the matrices that fail ``A^n == 0``, the brute-force value
 of ``ScanReport.rejected``.  It is slow (a matrix product per power per
 matrix) and exists only as a test oracle for ``test_oracle.py``.
 """
 
 from burgebox.gfp import MatrixGFp
-from burgebox.oracle import _slot_entries, chain_layout, jordan_type, param_slots
-from burgebox.partitions import as_partition, dominates
+from burgebox.oracle import _slot_entries, chain_layout, param_slots
+from burgebox.partitions import as_partition, dominates, to_partition
+
+
+def jordan_type(m):
+    """Jordan type of a nilpotent MatrixGFp from the ranks r_k of its powers.
+
+    Block size k occurs r_{k-1} - 2 r_k + r_{k+1} times, with r_0 = n.
+    """
+    n = m.nrows
+    ranks = [n]
+    power = m
+    while ranks[-1] > 0:
+        if len(ranks) > n:
+            raise ValueError("matrix is not nilpotent")
+        ranks.append(power.rank())
+        power = power @ m
+    ranks.append(0)
+    return to_partition(
+        ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)
+    )
 
 
 def reference_scan(parts, p=2, budget=2**24, mode="auto"):

@@ -1,8 +1,11 @@
 """End-to-end acceptance suite.
 
-Every check here runs an exhaustive or tabulated verification at zero
-tolerance and prints one PASS line (visible with ``pytest -s``) including
-its elapsed time.  Run with::
+Every exhaustive criterion runs the matching ``burgebox.sweep`` check at
+its acceptance bound, at zero tolerance; a failure reports the check's
+ready-to-paste ``burgebox ...`` reproducer.  The frozen tables, the grid
+and the worked example are checked here directly.  Each test prints one
+PASS line (visible with ``pytest -s``) including its elapsed time.  Run
+with::
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -11,29 +14,11 @@ import time
 from contextlib import contextmanager
 
 from burgebox.boxes import delta, fiber, fiber_code
-from burgebox.burge import (
-    apply_del,
-    burge_chain,
-    descent_map,
-    des,
-    encode,
-    in_class_b,
-    maj,
-)
-from burgebox.oblak import del_chain, is_valid_chain, oblak, oblak_all_chains, oblak_chain
-from burgebox.oracle import scan_max_type, verify_restriction
-from burgebox.partitions import (
-    dominates,
-    is_super_distinct,
-    length,
-    partitions_of,
-    reduced,
-    size,
-    to_frequency,
-    to_partition,
-    two_measure,
-)
-from burgebox.words import diagonal_hooks, durfee, foata_fiber, inversions, path_to_partition
+from burgebox.burge import apply_del, burge_chain, descent_map, encode
+from burgebox.oblak import del_chain, oblak, oblak_all_chains, oblak_chain
+from burgebox.oracle import verify_restriction
+from burgebox.partitions import partitions_of, to_frequency, to_partition
+from burgebox.sweep import SweepConfig, run_sweep
 
 
 @contextmanager
@@ -41,6 +26,13 @@ def report(label):
     start = time.perf_counter()
     yield
     print(f"PASS {label} [{time.perf_counter() - start:.2f}s]")
+
+
+def sweep_checks(*names, max_n, **options):
+    """Run the named sweep checks over every partition of size <= max_n."""
+    for result in run_sweep(SweepConfig(max_n=max_n, checks=names, **options)):
+        assert result.ok, result.first_counterexample
+        assert result.instances > 0, result.name
 
 
 # The 18 fiber elements over (10, 7, 3): coords -> (code, partition, #parts).
@@ -145,66 +137,31 @@ def test_intro_example_and_both_chain_tables():
 
 def test_statistic_laws_exhaustive_to_25():
     with report("letter-count, major-index and descent statistics, all n <= 25"):
-        for n in range(26):
-            for p in partitions_of(n):
-                f = to_frequency(p)
-                df = apply_del(f)
-                assert length(df) == length(f) - (1 if in_class_b(f) else 0)
-                assert size(df) == size(f) - two_measure(f)
-                drop = 1 if in_class_b(f) and not in_class_b(df) else 0
-                assert two_measure(df) == two_measure(f) - drop
-                w = encode(f)
-                assert length(f) == w.count("b")
-                assert size(f) == maj(w)
-                assert two_measure(f) == des(w)
+        sweep_checks("lem-stats", "prop-stats", max_n=25)
 
 
 def test_descent_map_equals_oblak_to_22():
     with report("descent map == greedy process output, all n <= 22"):
-        for n in range(23):
-            for p in partitions_of(n):
-                assert descent_map(p) == oblak(to_frequency(p))
+        sweep_checks("thm-main-vs-oblak", max_n=22)
 
 
 def test_box_fibers_partition_everything_to_22():
     with report("fibers = coordinate boxes with exact sizes and part counts, n <= 22"):
-        for n in range(23):
-            grouped = {}
-            for p in partitions_of(n):
-                grouped.setdefault(descent_map(p), set()).add(p)
-            supers = {q for q in partitions_of(n) if is_super_distinct(q)}
-            assert set(grouped) == supers
-            for q in supers:
-                rows = fiber(q)
-                expected = 1
-                for dj in delta(q):
-                    expected *= dj
-                assert len(rows) == expected
-                assert {part for _, part in rows} == grouped[q]
-                for coords, part in rows:
-                    assert len(part) == sum(coords)
+        sweep_checks("cor-box", max_n=22)
 
 
 def test_choice_independence_to_18():
     with report("all maximal-index branchings give one valuation, |f| <= 18"):
+        sweep_checks("prop-khatami", max_n=18)
         for n in range(19):
             for p in partitions_of(n):
                 f = to_frequency(p)
-                chains = oblak_all_chains(f)
-                assert len({c.valuation for c in chains}) == 1
-                assert chains[0].valuation == oblak(f)
+                assert oblak_all_chains(f)[0].valuation == oblak(f), p
 
 
 def test_chain_map_shadowing_to_16_and_grid():
     with report("chain map valid with valuation decrement, |f| <= 16, plus grid"):
-        for n in range(17):
-            for p in partitions_of(n):
-                f = to_frequency(p)
-                for chain in oblak_all_chains(f):
-                    image = del_chain(chain)
-                    assert is_valid_chain(image)
-                    assert image.states[0] == apply_del(f)
-                    assert image.valuation == reduced(chain.valuation)
+        sweep_checks("thm-oblakburge", max_n=16)
         chain = oblak_chain(to_frequency((14, 10, 5, 2, 2, 2, 1)))
         grid = []
         while True:
@@ -217,11 +174,7 @@ def test_chain_map_shadowing_to_16_and_grid():
 
 def test_witness_restriction_to_9_over_big_field():
     with report("witness and 5/5 random images realize the demoted type, |P| <= 9, GF(10007)"):
-        for n in range(10):
-            for p in partitions_of(n):
-                rep = verify_restriction(p, p=10007, trials=5, seed=0)
-                assert rep.witness_ok, (p, rep.witness_observed, rep.expected)
-                assert rep.misses == [], (p, rep.misses)
+        sweep_checks("matrix-restriction", max_n=9, field=10007, trials=5, seed=0)
         worked = verify_restriction((4, 4, 3, 2, 2), p=10007, trials=5, seed=0)
         assert to_frequency(worked.witness_observed) == (1, 1, 2, 1)
         assert worked.ok
@@ -229,44 +182,14 @@ def test_witness_restriction_to_9_over_big_field():
 
 def test_dominance_maximum_exhaustive_over_gf2():
     with report("scanned commutators have dominance maximum = descent map, |P| <= 5, GF(2)"):
-        for n in range(6):
-            for p in partitions_of(n):
-                rep = scan_max_type(p, p=2, budget=2**24)
-                assert rep.scanned <= 2**24
-                assert rep.max_type is not None
-                assert rep.max_type == descent_map(p) == rep.expected
-                for t in rep.types:
-                    assert dominates(rep.max_type, t)
+        sweep_checks("matrix-dominance", max_n=5, scan_field=2)
 
 
 def test_dominance_maximum_exhaustive_over_gf2_n6():
-    with report("scanned commutators have dominance maximum = descent map, |P| = 6, GF(2)"):
-        for p in partitions_of(6):
-            rep = scan_max_type(p, p=2, budget=2**24)
-            assert rep.scanned <= 2**24
-            assert rep.max_type is not None
-            assert rep.max_type == descent_map(p) == rep.expected
-            for t in rep.types:
-                assert dominates(rep.max_type, t)
+    with report("scanned commutators have dominance maximum = descent map, |P| <= 6, GF(2)"):
+        sweep_checks("matrix-dominance", max_n=6, scan_field=2)
 
 
 def test_hook_correspondence_to_18():
     with report("fibers biject onto diagonal-hook classes via the path composite, |Q| <= 18"):
-        for n in range(19):
-            by_hooks = {}
-            for p in partitions_of(n):
-                by_hooks.setdefault(diagonal_hooks(p), set()).add(p)
-            for q in partitions_of(n):
-                if not is_super_distinct(q):
-                    continue
-                images = set()
-                for coords, part in fiber(q):
-                    w = foata_fiber(q, coords)
-                    img = path_to_partition(w)
-                    assert inversions(w) == sum(part) == sum(img)
-                    assert len(img) == sum(coords)
-                    assert diagonal_hooks(img) == q
-                    assert durfee(img) == len(q)
-                    images.add(img)
-                assert len(images) == len(fiber(q))
-                assert images == by_hooks.get(q, set())
+        sweep_checks("foata-hooks", max_n=18)
