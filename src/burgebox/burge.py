@@ -34,6 +34,7 @@ from typing import Iterable
 
 from . import kernels
 from .partitions import (
+    SIZE_CAP,
     Partition,
     FreqSeq,
     as_frequency,
@@ -135,11 +136,15 @@ def decode(word: str) -> FreqSeq:
     """Inverse of encode: rebuild f by applying the letters right to left.
 
     Rejects words outside (a*b)*a; a leading run of a's is fine ("aaba"),
-    but a trailing "aa" is not.
+    but a trailing "aa" is not.  The partition has size maj(w), so a word
+    whose maj exceeds ``SIZE_CAP`` is rejected before the first letter.
     """
     w = check_word(word)
     if not _CODE_RE.match(w):
         raise ValueError(f"word {word!r} does not end with a single trailing 'a'")
+    n = maj(w)
+    if n > SIZE_CAP:
+        raise ValueError(f"code word of size {n} exceeds the size cap {SIZE_CAP}")
     f: list = []
     for ch in reversed(w):
         kernels.promote(f, ch == "b")

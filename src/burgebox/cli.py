@@ -180,7 +180,6 @@ def cmd_verify(args):
         p=_field(args, oracle.GENERIC_PRIME),
         trials=args.trials,
         seed=args.seed,
-        witness_only=args.witness_only,
     )
     text = (
         f"{'ok' if report.ok else 'FAIL'}: expected {format_partition(report.expected)}, "
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", type=int)
     sp.add_argument("--trials", type=nonnegative_int, default=5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--witness-only", action="store_true")
 
     sp = add("scan-max", cmd_scan_max, "exhaustive dominance-maximum scan over a small field", None)
     sp.add_argument("--partition", required=True)

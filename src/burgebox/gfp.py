@@ -8,9 +8,9 @@ modular inverses via ``pow(x, -1, p)``.
 The constructor validates: it checks that p is prime, reduces every entry
 and rejects ragged rows.  Products do work only for nonzero entries: row r
 of XY adds x * (row k of Y) into an unreduced accumulator for each nonzero
-entry x = X[r][k], then reduces each entry once, and ``mat_vec`` skips the
-zero entries of the vector.  A product's rows are reduced and its modulus
-already checked, so it is built by ``_trusted``, which validates nothing.
+entry x = X[r][k], then reduces each entry once.  A product's rows are
+reduced and its modulus already checked, so it is built by ``_trusted``,
+which validates nothing.
 The oracle's matrices (shift matrices and Toeplitz blocks) are mostly
 zeros; on a dense matrix the product does the same multiplications as a
 row-by-column one.
@@ -108,10 +108,6 @@ class MatrixGFp:
             raise ValueError("ragged rows")
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int, p: int) -> "MatrixGFp":
-        return cls([[0] * ncols for _ in range(nrows)], p)
-
-    @classmethod
     def identity(cls, n: int, p: int) -> "MatrixGFp":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
 
@@ -171,13 +167,6 @@ class MatrixGFp:
             if not k:
                 return result
             base = base @ base
-
-    def mat_vec(self, vec: Sequence[int]) -> tuple:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        p = self.p
-        nonzero = [(c, x) for c, x in enumerate(vec) if x]
-        return tuple(sum(row[c] * x for c, x in nonzero) % p for row in self.rows)
 
     def columns(self) -> list:
         return [tuple(col) for col in zip(*self.rows)] if self.rows else []

@@ -34,6 +34,7 @@ from .partitions import (
     Partition,
     as_partition,
     dominates,
+    format_partition,
     to_frequency,
     to_partition,
 )
@@ -118,6 +119,19 @@ def param_slots(parts: Iterable[int], reduced: bool = True) -> list:
     return slots
 
 
+def _slot_count(f, reduced: bool) -> int:
+    """``len(param_slots(P, reduced))`` from the frequencies f of P, without listing slots.
+
+    Chains of lengths i and j are coupled by min(i, j) slots; reduced mode
+    drops the f_i (f_i + 1) / 2 forced-zero slots of each part size i.
+    """
+    supp = [(i, m) for i, m in enumerate(f, 1) if m]
+    count = sum(m * mj * min(i, j) for i, m in supp for j, mj in supp)
+    if reduced:
+        count -= sum(m * (m + 1) // 2 for _, m in supp)
+    return count
+
+
 def _slot_entries(slot: ParamSlot, layout: dict) -> list:
     """Matrix positions carrying the coefficient a_h of a block.
 
@@ -147,20 +161,6 @@ def build_commuting(parts: Iterable[int], p: int, values: dict) -> MatrixGFp:
         for r, c in _slot_entries(slot, layout):
             rows[r][c] = v % p
     return MatrixGFp(rows, p)
-
-
-def leading_coefficient_block(a: MatrixGFp, parts: Iterable[int], i: int) -> MatrixGFp:
-    """The f_i x f_i matrix of a_1 coefficients of the same-size blocks for size i."""
-    pt = as_partition(parts)
-    f = to_frequency(pt)
-    if not (1 <= i <= len(f)) or f[i - 1] == 0:
-        raise ValueError(f"{i} is not a part size of {pt}")
-    layout = chain_layout(pt)
-    m = f[i - 1]
-    return MatrixGFp(
-        [[a.rows[layout[(i, k)]][layout[(i, l)]] for l in range(1, m + 1)] for k in range(1, m + 1)],
-        a.p,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,6 @@ def verify_restriction(
     p: int = GENERIC_PRIME,
     trials: int = 5,
     seed: int = 0,
-    witness_only: bool = False,
 ) -> RestrictionReport:
     """Check that images of commuting nilpotent matrices realize the demoted type.
 
@@ -388,14 +387,13 @@ def verify_restriction(
         expected=expected,
         witness_observed=observed,
         witness_ok=observed == expected,
-        trials=0 if witness_only else trials,
+        trials=trials,
     )
-    if not witness_only:
-        rng = random.Random(seed)
-        for t in range(trials):
-            got = restriction_type(b, random_commuting(pt, p, rng))
-            if got != expected:
-                report.misses.append((t, got))
+    rng = random.Random(seed)
+    for t in range(trials):
+        got = restriction_type(b, random_commuting(pt, p, rng))
+        if got != expected:
+            report.misses.append((t, got))
     return report
 
 
@@ -457,7 +455,8 @@ def scan_max_type(
     types since every nilpotent commuting matrix is similar to one of its
     members.  ``auto`` picks ``full`` when it fits the budget and falls
     back to ``reduced``; if even that exceeds the budget, BudgetError is
-    raised.
+    raised.  Both choices use slot counts by formula, so an over-budget
+    partition is refused before any slot is listed.
 
     The slots are walked in Gray-code order, one slot change per step, with
     the leading-coefficient slots as the outer walk.  A commuting matrix is
@@ -472,20 +471,23 @@ def scan_max_type(
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
-    expected = descent_map(pt)
+    f = to_frequency(pt)
 
-    slots = param_slots(pt, reduced=False)
+    def fits(count: int) -> bool:
+        # p**count <= budget; p >= 2, so past budget's bit length it is over
+        return count <= budget.bit_length() and p**count <= budget
+
     if mode == "auto":
-        mode = "full" if p ** len(slots) <= budget else "reduced"
+        mode = "full" if fits(_slot_count(f, reduced=False)) else "reduced"
     if mode not in ("full", "reduced"):
         raise ValueError(f"unknown scan mode {mode!r}")
-    if mode == "reduced":
-        slots = [s for s in slots if not s.forced_zero]
-    count = len(slots)
-    if p**count > budget:
+    count = _slot_count(f, reduced=mode == "reduced")
+    if not fits(count):
         raise BudgetError(
-            f"scan of {pt} needs {p}^{count} matrices, over budget {budget}"
+            f"scan of {format_partition(pt)} needs {p}^{count} matrices, over budget {budget}"
         )
+    expected = descent_map(pt)
+    slots = param_slots(pt, reduced=mode == "reduced")
 
     layout = chain_layout(pt)
     b = jordan_matrix(pt, p)
@@ -508,7 +510,6 @@ def scan_max_type(
 
     # A slot writes its value into the matrix and, if leading, into its block.
     rows = zero(n)
-    f = to_frequency(pt)
     blocks = {i: zero(m) for i, m in enumerate(f, 1) if m}
     targets = [
         [(rows, r, c) for r, c in _slot_entries(s, layout)]

@@ -1,12 +1,14 @@
 """Named exhaustive property suites, runnable from the command line.
 
-Each check walks every instance up to the configured size bound and
-reports pass/fail counts plus a reproducer command for the first failing
-instance.  All checks are deterministic given the configuration.
+``run_sweep`` calls each check as ``check(n, cfg, record)`` for n = 0 ..
+max_n; the check calls ``record(ok, repro)`` once per instance of size n.
+Each result keeps pass/fail counts plus the reproducer command of the
+first failing instance.  All checks are deterministic given the configuration.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -71,18 +73,12 @@ class CheckResult:
         }
 
 
-def _all_partitions(max_n: int):
-    for n in range(max_n + 1):
-        yield from partitions_of(n)
-
-
 def _pstr(p) -> str:
     return ",".join(str(x) for x in p) if p else "e"
 
 
-def check_lem_stats(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("lem-stats")
-    for p in _all_partitions(cfg.max_n):
+def check_lem_stats(n: int, cfg: SweepConfig, record) -> None:
+    for p in partitions_of(n):
         f = to_frequency(p)
         df = burge.apply_del(f)
         in_b = burge.in_class_b(f)
@@ -92,13 +88,11 @@ def check_lem_stats(cfg: SweepConfig) -> CheckResult:
             and two_measure(df)
             == two_measure(f) - (1 if in_b and not burge.in_class_b(df) else 0)
         )
-        res.record(ok, f"burgebox chain {_pstr(p)}")
-    return res
+        record(ok, f"burgebox chain {_pstr(p)}")
 
 
-def check_prop_stats(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("prop-stats")
-    for p in _all_partitions(cfg.max_n):
+def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
+    for p in partitions_of(n):
         f = to_frequency(p)
         w = burge.encode(f)
         ok = (
@@ -106,55 +100,44 @@ def check_prop_stats(cfg: SweepConfig) -> CheckResult:
             and size(f) == burge.maj(w)
             and two_measure(f) == burge.des(w)
         )
-        res.record(ok, f"burgebox encode {_pstr(p)}")
-    return res
+        record(ok, f"burgebox encode {_pstr(p)}")
 
 
-def check_prop_characterization(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("prop-characterization")
-    for p in _all_partitions(cfg.max_n):
+def check_prop_characterization(n: int, cfg: SweepConfig, record) -> None:
+    for p in partitions_of(n):
         report = burge.characterize_superdistinct(p)
-        res.record(report.consistent, f"burgebox encode {_pstr(p)}")
-    return res
+        record(report.consistent, f"burgebox encode {_pstr(p)}")
 
 
-def check_main_vs_oblak(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("thm-main-vs-oblak")
-    for p in _all_partitions(cfg.max_n):
+def check_main_vs_oblak(n: int, cfg: SweepConfig, record) -> None:
+    for p in partitions_of(n):
         ok = burge.descent_map(p) == oblak(to_frequency(p))
-        res.record(ok, f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
-    return res
+        record(ok, f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
 
 
-def check_cor_box(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("cor-box")
-    for n in range(cfg.max_n + 1):
-        fibers: dict = {}
-        for p in partitions_of(n):
-            fibers.setdefault(burge.descent_map(p), set()).add(p)
-        supers = [q for q in partitions_of(n) if is_super_distinct(q)]
-        res.record(
-            set(fibers) == set(supers),
-            f"burgebox sweep --max-n {n} --checks cor-box",
+def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
+    fibers: dict = {}
+    for p in partitions_of(n):
+        fibers.setdefault(burge.descent_map(p), set()).add(p)
+    supers = [q for q in partitions_of(n) if is_super_distinct(q)]
+    record(
+        set(fibers) == set(supers),
+        f"burgebox sweep --max-n {n} --checks cor-box",
+    )
+    for q in supers:
+        box = boxes.fiber(q)
+        expect_size = math.prod(boxes.delta(q))
+        members = {part for _, part in box}
+        ok = (
+            len(box) == expect_size
+            and members == fibers.get(q, set())
+            and all(len(part) == sum(c) for c, part in box)
         )
-        for q in supers:
-            box = boxes.fiber(q)
-            expect_size = 1
-            for dj in boxes.delta(q):
-                expect_size *= dj
-            members = {part for _, part in box}
-            ok = (
-                len(box) == expect_size
-                and members == fibers.get(q, set())
-                and all(len(part) == sum(c) for c, part in box)
-            )
-            res.record(ok, f"burgebox fiber {_pstr(q)} --json")
-    return res
+        record(ok, f"burgebox fiber {_pstr(q)} --json")
 
 
-def check_oblakburge(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("thm-oblakburge")
-    for p in _all_partitions(cfg.max_n):
+def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
+    for p in partitions_of(n):
         f = to_frequency(p)
         ok = True
         for chain in oblak_all_chains(f):
@@ -165,78 +148,68 @@ def check_oblakburge(cfg: SweepConfig) -> CheckResult:
                 and image.states[0] == burge.apply_del(f)
                 and image.valuation == reduced(chain.valuation)
             )
-        res.record(ok, f"burgebox oblak-chains {_pstr(p)}")
-    return res
+        record(ok, f"burgebox oblak-chains {_pstr(p)}")
 
 
-def check_khatami(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("prop-khatami")
-    for p in _all_partitions(cfg.max_n):
+def check_khatami(n: int, cfg: SweepConfig, record) -> None:
+    for p in partitions_of(n):
         f = to_frequency(p)
         valuations = {c.valuation for c in oblak_all_chains(f)}
-        res.record(len(valuations) == 1, f"burgebox oblak-chains {_pstr(p)}")
-    return res
+        record(len(valuations) == 1, f"burgebox oblak-chains {_pstr(p)}")
 
 
-def check_foata_hooks(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("foata-hooks")
-    for n in range(cfg.max_n + 1):
-        by_hooks: dict = {}
-        for p in partitions_of(n):
-            by_hooks.setdefault(words.diagonal_hooks(p), set()).add(p)
-        for q in partitions_of(n):
-            if not is_super_distinct(q):
-                continue
-            box = boxes.fiber(q)
-            images = set()
-            ok = True
-            for coords, part in box:
-                w = words.foata_fiber(q, coords)
-                image = words.path_to_partition(w)
-                ok = (
-                    ok
-                    and words.inversions(w) == sum(part)
-                    and sum(image) == sum(part)
-                    and len(image) == sum(coords)
-                    and words.diagonal_hooks(image) == q
-                    and words.durfee(image) == len(q)
-                )
-                images.add(image)
-            ok = ok and len(images) == len(box) and images == by_hooks.get(q, set())
-            coords_str = ",".join("1" for _ in q) or "e"
-            res.record(ok, f"burgebox foata {_pstr(q)} --coords {coords_str}")
-    return res
+def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
+    by_hooks: dict = {}
+    for p in partitions_of(n):
+        by_hooks.setdefault(words.diagonal_hooks(p), set()).add(p)
+    for q in partitions_of(n):
+        if not is_super_distinct(q):
+            continue
+        box = boxes.fiber(q)
+        images = set()
+        ok = True
+        for coords, part in box:
+            w = words.foata_fiber(q, coords)
+            image = words.path_to_partition(w)
+            ok = (
+                ok
+                and words.inversions(w) == sum(part)
+                and sum(image) == sum(part)
+                and len(image) == sum(coords)
+                and words.diagonal_hooks(image) == q
+                and words.durfee(image) == len(q)
+            )
+            images.add(image)
+        ok = ok and len(images) == len(box) and images == by_hooks.get(q, set())
+        coords_str = ",".join("1" for _ in q) or "e"
+        record(ok, f"burgebox foata {_pstr(q)} --coords {coords_str}")
 
 
-def check_matrix_restriction(cfg: SweepConfig) -> CheckResult:
-    res = CheckResult("matrix-restriction")
-    for p in _all_partitions(cfg.max_n):
+def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
+    for p in partitions_of(n):
         report = oracle.verify_restriction(
             p, p=cfg.field, trials=cfg.trials, seed=cfg.seed
         )
-        res.record(
+        record(
             report.ok,
             f"burgebox verify --partition {_pstr(p)} --field {cfg.field}"
             f" --trials {cfg.trials} --seed {cfg.seed}",
         )
-    return res
 
 
-def check_matrix_dominance(cfg: SweepConfig) -> CheckResult:
+def check_matrix_dominance(n: int, cfg: SweepConfig, record) -> None:
     """A partition whose scan exceeds the budget counts as a failed instance."""
-    res = CheckResult("matrix-dominance")
-    for p in _all_partitions(cfg.max_n):
+    for p in partitions_of(n):
         repro = f"burgebox scan-max --partition {_pstr(p)} --field {cfg.scan_field}"
         try:
             report = oracle.scan_max_type(p, p=cfg.scan_field)
         except BudgetError as exc:
-            res.record(False, f"{repro}  # infeasible configuration: {exc}")
+            record(False, f"{repro}  # infeasible configuration: {exc}")
             continue
         ok = report.ok and all(
             dominates(report.max_type, t) for t in report.types
         )
-        res.record(ok, repro)
-    return res
+        record(ok, repro)
 
 
 CHECKS = {
@@ -257,8 +230,11 @@ def run_sweep(cfg: SweepConfig) -> list:
     """Run the selected checks (all of them if none are named) one after another, in order."""
     results = []
     for name in cfg.checks or CHECKS:
+        check = CHECKS[name]
+        result = CheckResult(name)
         start = time.perf_counter()
-        result = CHECKS[name](cfg)
+        for n in range(cfg.max_n + 1):
+            check(n, cfg, result.record)
         result.elapsed = time.perf_counter() - start
         results.append(result)
     return results

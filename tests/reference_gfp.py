@@ -2,10 +2,9 @@
 
 These are the products that the sparse-row kernels in ``burgebox.gfp``
 replaced: ``dense_matmul`` takes the dot product of every row with every
-column, ``dense_power`` multiplies the identity by repeated squares,
-``dense_mat_vec`` dots every row with the whole vector, and
+column, ``dense_power`` multiplies the identity by repeated squares, and
 ``dense_restriction_type`` maps each basis vector through all of B with
-``dense_mat_vec``.  Every result goes through the validating ``MatrixGFp``
+``dense_mat_vec``, which dots every row with the whole vector.  Every result goes through the validating ``MatrixGFp``
 constructor.  They are slow and exist only as test oracles for
 ``test_gfp_reference.py``.
 """

@@ -162,6 +162,14 @@ def test_sweep_has_no_threads_flag(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_verify_has_no_witness_only_flag(capsys):
+    # --trials 0 checks the witness alone
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--partition", "3,1", "--witness-only"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_sweep_default_checks_pass(capsys):
     # matrix-dominance scans over GF(2) unless --field is given
     code, out, err = run(capsys, "sweep", "--max-n", "4")
@@ -185,6 +193,24 @@ def test_oversized_partition_is_a_usage_error(capsys, text):
     code, _, err = run(capsys, "encode", text)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and "size cap" in err and "Traceback" not in err
+
+
+def test_decode_is_bounded_by_the_size_cap(capsys):
+    # decode(w) has size maj(w); one past the cap is refused before any letter
+    start = time.perf_counter()
+    code, _, err = run(capsys, "decode", "a" * 100000 + "ba")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "size cap" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "decode", "b" * 100000 + "a")
+    assert code == 0 and out.strip() == "[1^100000]"
+
+
+@pytest.mark.parametrize("text", ["[1^1500]", "[1^100000]"])
+def test_scan_max_over_budget_exits_at_once(capsys, text):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "scan-max", "--partition", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and f"scan of {text} needs" in err and "Traceback" not in err
 
 
 def test_usage_errors(capsys):
@@ -264,11 +290,15 @@ def test_sweep_config_validation():
 
 def test_run_sweep_all_checks_tiny():
     # matrix-dominance needs a tiny field (its scan budget is p^slots);
-    # everything else runs on a generic-sized one
+    # everything else runs on a generic-sized one.  There are 12 partitions
+    # with n <= 4; cor-box records one instance per n plus one per
+    # super-distinct Q (6 of them), foata-hooks one per super-distinct Q.
     combinatorial = tuple(c for c in CHECKS if c != "matrix-dominance")
     results = run_sweep(SweepConfig(max_n=4, checks=combinatorial, field=101, trials=1))
-    assert [r.name for r in results] == list(combinatorial)
-    assert all(r.ok for r in results)
-    assert all(r.instances > 0 for r in results)
-    results = run_sweep(SweepConfig(max_n=4, checks=("matrix-dominance",), field=2))
-    assert results[0].ok and results[0].instances == 12
+    results += run_sweep(SweepConfig(max_n=4, checks=("matrix-dominance",), scan_field=2))
+    assert [r.name for r in results] == list(CHECKS)
+    counts = {r.name: (r.instances, r.failures) for r in results}
+    assert counts == {
+        name: {"cor-box": (11, 0), "foata-hooks": (6, 0)}.get(name, (12, 0))
+        for name in CHECKS
+    }

@@ -7,7 +7,7 @@ import pytest
 from burgebox.gfp import MatrixGFp
 from burgebox.oracle import jordan_matrix, random_commuting, restriction_type, witness_matrix
 from burgebox.partitions import partitions_of
-from reference_gfp import dense_mat_vec, dense_matmul, dense_power, dense_restriction_type
+from reference_gfp import dense_matmul, dense_power, dense_restriction_type
 
 FIELDS = (2, 3, 10007)
 
@@ -41,8 +41,6 @@ def test_products_match_dense_reference(p):
         if x.ncols != y.nrows:  # a matrix with no rows has no columns either
             continue
         assert_same(x @ y, dense_matmul(x, y))
-        vec = [rng.randrange(-p, 2 * p) if rng.random() < 0.4 else 0 for _ in range(k)]
-        assert x.mat_vec(vec) == dense_mat_vec(x, vec)
 
 
 @pytest.mark.parametrize("p", FIELDS)

@@ -7,11 +7,11 @@ from burgebox.errors import BudgetError
 from burgebox.gfp import MatrixGFp
 from burgebox.oracle import (
     ParamSlot,
+    _slot_count,
     build_commuting,
     chain_layout,
     jordan_matrix,
     jordan_type,
-    leading_coefficient_block,
     param_slots,
     pivots,
     random_commuting,
@@ -78,7 +78,7 @@ def test_jordan_type_round_trip():
 
 
 def test_jordan_type_simple():
-    assert jordan_type(MatrixGFp.zero(4, 4, 3)) == (1, 1, 1, 1)
+    assert jordan_type(MatrixGFp([[0] * 4 for _ in range(4)], 3)) == (1, 1, 1, 1)
     assert jordan_type(jordan_matrix((6,), 2)) == (6,)
     with pytest.raises(ValueError):
         jordan_type(MatrixGFp.identity(3, 5))
@@ -172,6 +172,13 @@ def test_commuting_structure():
             assert a @ b == b @ a
 
 
+def leading_block(a, parts, i):
+    """The f_i x f_i matrix of a_1 coefficients of the same-size blocks for size i."""
+    layout = chain_layout(parts)
+    offsets = [off for (j, _k), off in sorted(layout.items()) if j == i]
+    return MatrixGFp([[a.rows[r][c] for c in offsets] for r in offsets], a.p)
+
+
 def test_nilpotency_tracks_leading_blocks():
     # a commuting matrix is nilpotent iff every same-size leading-coefficient
     # block is nilpotent
@@ -185,7 +192,7 @@ def test_nilpotency_tracks_leading_blocks():
             a = build_commuting(p, 3, values)
             assert a @ b == b @ a
             blocks_nilpotent = all(
-                leading_coefficient_block(a, p, i).is_nilpotent() for i in supp
+                leading_block(a, p, i).is_nilpotent() for i in supp
             )
             assert a.is_nilpotent() == blocks_nilpotent
             f_checked_both += blocks_nilpotent
@@ -216,7 +223,7 @@ def test_witness_is_structural():
 def test_restriction_type_extremes():
     b = jordan_matrix((3, 2), 7)
     assert restriction_type(b, MatrixGFp.identity(5, 7)) == (3, 2)
-    assert restriction_type(b, MatrixGFp.zero(5, 5, 7)) == ()
+    assert restriction_type(b, MatrixGFp([[0] * 5 for _ in range(5)], 7)) == ()
     with pytest.raises(ValueError):
         restriction_type(b, jordan_matrix((5,), 7))  # does not commute
     with pytest.raises(ValueError):
@@ -240,7 +247,7 @@ def test_verify_restriction_report():
     assert rep.expected == (4, 3, 3, 2, 1)
     d = rep.to_dict()
     assert d["status"] == "ok" and d["expected"] == [4, 3, 3, 2, 1]
-    rep2 = verify_restriction((6, 3), witness_only=True)
+    rep2 = verify_restriction((6, 3), trials=0)
     assert rep2.trials == 0 and rep2.ok
 
 
@@ -282,6 +289,13 @@ def test_scan_budget():
     # would blow the default budget
     r = scan_max_type((1, 1, 1, 1, 1), p=2)
     assert r.mode == "reduced" and r.scanned == 2**10 and r.ok
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_slot_count_formula_matches_slot_list(reduced):
+    for n in range(11):
+        for p in partitions_of(n):
+            assert _slot_count(to_frequency(p), reduced) == len(param_slots(p, reduced=reduced))
 
 
 def test_scan_reduced_matches_full():
