@@ -15,6 +15,7 @@ one-element fiber {empty}.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterable
 
@@ -28,6 +29,7 @@ from .partitions import (
 )
 
 _B_RUN_RE = re.compile(r"b+")
+FIBER_CAP = 10**6  # cells that fiber may list: box size (elements) times |Q| (cells each)
 
 
 def delta(q: Iterable[int]) -> tuple:
@@ -70,9 +72,14 @@ def fiber(q: Iterable[int]) -> list:
     """Complete fiber of the descent map over Q.
 
     Returns (coords, partition) pairs in lexicographic coordinate order;
-    coordinates (1, ..., 1) always map to Q itself.
+    coordinates (1, ..., 1) always map to Q itself.  Raises ValueError,
+    before listing any element, when the box size times |Q| exceeds
+    ``FIBER_CAP``.
     """
     d = delta(q)
+    count, n = math.prod(d), sum(q)  # delta has validated q
+    if count * n > FIBER_CAP:
+        raise ValueError(f"fiber of {count} partitions of {n} exceeds the fiber cap {FIBER_CAP}")
     out = []
     for coords in itertools.product(*(range(1, dj + 1) for dj in d)):
         out.append((coords, to_partition(decode(fiber_code(q, coords)))))

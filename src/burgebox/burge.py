@@ -60,8 +60,13 @@ def check_word(word: str) -> str:
     """
     w = word.strip().lower().replace("0", "a").replace("1", "b")
     if not _WORD_OK_RE.match(w):
-        raise ValueError(f"word {word!r} contains letters outside {{a, b}}")
+        raise ValueError(f"word {_quoted(word)} contains letters outside {{a, b}}")
     return w
+
+
+def _quoted(word: str) -> str:
+    """At most the first 30 letters of a word, and its length, for an error message."""
+    return f"{word[:30]!r}{'...' if len(word) > 30 else ''} (length {len(word)})"
 
 
 def is_code_word(word: str) -> bool:
@@ -141,7 +146,7 @@ def decode(word: str) -> FreqSeq:
     """
     w = check_word(word)
     if not _CODE_RE.match(w):
-        raise ValueError(f"word {word!r} does not end with a single trailing 'a'")
+        raise ValueError(f"word {_quoted(word)} does not end with a single trailing 'a'")
     n = maj(w)
     if n > SIZE_CAP:
         raise ValueError(f"code word of size {n} exceeds the size cap {SIZE_CAP}")

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when a verification command finds a failure,
-2 on usage errors (bad arguments, malformed partitions or words).
+Exit codes: 0 on success, 1 when a verification command finds a failure
+or an internal self-check fails, 2 on usage errors (bad arguments,
+malformed partitions or words, inputs over a size bound).
 
 Partitions are accepted as comma lists (10,7,3), bracket multiset form
 ([4^2,3,2^2]), 'e' or '[]' for the empty partition, and frequency form
@@ -295,9 +296,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         data, text, *ok = args.fn(args)
-    except (ValueError, BudgetError) as exc:
+    except (ValueError, BudgetError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a failed internal self-check is a verification failure, not a usage error
+        return 1 if isinstance(exc, AssertionError) else 2
     print(json.dumps(data) if args.json else text)
     return 0 if all(ok) else 1
 

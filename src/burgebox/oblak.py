@@ -27,7 +27,7 @@ from typing import Iterable
 from . import kernels
 from .burge import apply_del
 from .errors import BudgetError
-from .partitions import FreqSeq, Partition, as_frequency, size
+from .partitions import FreqSeq, Partition, as_frequency, size, spreads
 
 DEFAULT_CHAIN_LIMIT = 10**5
 
@@ -46,11 +46,16 @@ def evaluate(freq: Iterable[int], i: int) -> int:
 
 def annihilate(freq: Iterable[int], i: int) -> FreqSeq:
     """Annihilation of f at index i >= 0: entries i and i+1 spliced out."""
-    f = list(as_frequency(freq))
+    f = as_frequency(freq)
     if i < 0:
         raise ValueError("annihilation index must be nonnegative")
-    kernels.annihilate(f, i)
-    return tuple(f)
+    return _annihilated(f, i)
+
+
+def _annihilated(f: FreqSeq, i: int) -> FreqSeq:
+    g = list(f)
+    kernels.annihilate(g, i)
+    return tuple(g)
 
 
 def maximal_indices(freq: Iterable[int]) -> tuple:
@@ -64,30 +69,12 @@ def maximal_indices(freq: Iterable[int]) -> tuple:
 
 def right_admissible(freq: Iterable[int]) -> frozenset:
     """Indices i >= 1 with f_i > 0 that are not the right end of a nontrivial spread."""
-    f = as_frequency(freq)
-
-    def at(i):
-        return f[i - 1] if 1 <= i <= len(f) else 0
-
-    return frozenset(
-        i
-        for i in range(1, len(f) + 1)
-        if at(i) > 0 and (at(i + 1) > 0 or (at(i - 1) == 0 and at(i + 1) == 0))
-    )
+    return frozenset(i for s in spreads(freq) for i in range(s.lo, s.hi + s.trivial))
 
 
 def left_admissible(freq: Iterable[int]) -> frozenset:
     """Indices i >= 0 with f_{i+1} > 0 such that i+1 is not the left end of a nontrivial spread."""
-    f = as_frequency(freq)
-
-    def at(i):
-        return f[i - 1] if 1 <= i <= len(f) else 0
-
-    return frozenset(
-        i
-        for i in range(0, len(f))
-        if at(i + 1) > 0 and (at(i) > 0 or (at(i) == 0 and at(i + 2) == 0))
-    )
+    return frozenset(i for s in spreads(freq) for i in range(s.lo - s.trivial, s.hi))
 
 
 def equivalent_indices(freq: Iterable[int]) -> list:
@@ -101,18 +88,19 @@ def equivalent_indices(freq: Iterable[int]) -> list:
     f = as_frequency(freq)
     groups: dict = {}
     for i in range(0, len(f) + 2):
-        groups.setdefault(annihilate(f, i), []).append(i)
+        groups.setdefault(_annihilated(f, i), []).append(i)
     return sorted(groups.values())
 
 
-def _maximal_class_representatives(f: FreqSeq) -> list:
-    """Smallest member of each annihilation-equivalence class of maximal indices."""
-    reps: dict = {}
-    for i in maximal_indices(f):
-        key = annihilate(f, i)
-        if key not in reps:
-            reps[key] = i
-    return sorted(reps.values())
+def _successors(f: FreqSeq) -> dict:
+    """Successor states of a validated f -> the smallest maximal index annihilating to each.
+
+    The items come in ascending index order.
+    """
+    out: dict = {}
+    for i in kernels.max_evaluation(f)[1]:
+        out.setdefault(_annihilated(f, i), i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,10 +136,10 @@ def is_valid_chain(chain: OblakChain) -> bool:
     if not chain.states or chain.states[-1] != ():
         return False
     for r, i in enumerate(chain.indices):
-        state = chain.states[r]
-        if i not in maximal_indices(state):
+        state = as_frequency(chain.states[r])
+        if i not in kernels.max_evaluation(state)[1]:
             return False
-        if annihilate(state, i) != chain.states[r + 1]:
+        if _annihilated(state, i) != chain.states[r + 1]:
             return False
     return True
 
@@ -160,9 +148,9 @@ def is_valid_index_sequence(freq: Iterable[int], indices: Iterable[int]) -> bool
     """True when the given indices drive f to empty via maximal choices."""
     state = as_frequency(freq)
     for i in indices:
-        if i not in maximal_indices(state):
+        if i not in kernels.max_evaluation(state)[1]:
             return False
-        state = annihilate(state, i)
+        state = _annihilated(state, i)
     return state == ()
 
 
@@ -215,8 +203,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
                 )
             out.append(OblakChain(tuple(states), tuple(indices)))
             return
-        for i in _maximal_class_representatives(state):
-            nxt = annihilate(state, i)
+        for nxt, i in _successors(state).items():
             rec(nxt, states + [nxt], indices + [i])
 
     rec(f, [f], [])
@@ -241,16 +228,11 @@ def del_chain(chain: OblakChain) -> OblakChain:
 
 def _indices_for_states(states: tuple) -> tuple:
     indices = []
-    for r in range(len(states) - 1):
-        here, nxt = states[r], states[r + 1]
-        for i in maximal_indices(here):
-            if annihilate(here, i) == nxt:
-                indices.append(i)
-                break
-        else:
-            raise ValueError(
-                f"no maximal index carries {here} to {nxt}; not a chain"
-            )
+    for here, nxt in zip(states, states[1:]):
+        i = _successors(here).get(nxt)
+        if i is None:
+            raise ValueError(f"no maximal index carries {here} to {nxt}; not a chain")
+        indices.append(i)
     return tuple(indices)
 
 

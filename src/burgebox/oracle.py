@@ -241,22 +241,16 @@ def witness_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
     return build_commuting(pt, p, values)
 
 
-def random_commuting(
-    parts: Iterable[int],
-    p: int,
-    rng: random.Random | int,
-    reduced: bool = True,
-) -> MatrixGFp:
-    """Uniformly random coefficients on every free slot.
+def random_commuting(parts: Iterable[int], p: int, rng: random.Random | int) -> MatrixGFp:
+    """Uniformly random element of the maximal nilpotent subalgebra.
 
-    ``reduced=True`` samples the maximal nilpotent subalgebra (always a
-    nilpotent commuting matrix); ``reduced=False`` samples the full
-    commutator algebra.  ``rng`` may be a Random instance or a bare seed;
-    there is no hidden global randomness.
+    Every free slot of the subalgebra gets a uniform coefficient, so the
+    result is always a nilpotent matrix commuting with B.  ``rng`` may be
+    a Random instance or a bare seed; there is no hidden global randomness.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    values = {slot: rng.randrange(p) for slot in param_slots(parts, reduced=reduced)}
+    values = {slot: rng.randrange(p) for slot in param_slots(parts)}
     return build_commuting(parts, p, values)
 
 

@@ -227,14 +227,21 @@ CHECKS = {
 
 
 def run_sweep(cfg: SweepConfig) -> list:
-    """Run the selected checks (all of them if none are named) one after another, in order."""
+    """Run the selected checks (all of them if none are named) one after another, in order.
+
+    A check that raises for some n is one failed instance; the sweep goes on with n + 1.
+    """
     results = []
     for name in cfg.checks or CHECKS:
         check = CHECKS[name]
         result = CheckResult(name)
         start = time.perf_counter()
         for n in range(cfg.max_n + 1):
-            check(n, cfg, result.record)
+            try:
+                check(n, cfg, result.record)
+            except (ValueError, AssertionError, BudgetError) as exc:
+                repro = f"burgebox sweep --max-n {n} --checks {name}  # raised: {exc}"
+                result.record(False, repro)
         result.elapsed = time.perf_counter() - start
         results.append(result)
     return results

@@ -1,8 +1,10 @@
 import json
+import sys
 import time
 
 import pytest
 
+from burgebox import oracle
 from burgebox.cli import main
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
 
@@ -205,6 +207,20 @@ def test_decode_is_bounded_by_the_size_cap(capsys):
     assert code == 0 and out.strip() == "[1^100000]"
 
 
+def test_bad_word_error_quotes_a_bounded_prefix(capsys):
+    code, _, err = run(capsys, "decode", "a" * 100000 + "aa")
+    assert code == 2 and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert len(line) < 200 and "length 100002" in line
+
+
+def test_fiber_is_bounded_before_enumerating(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "fiber", "2000,1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "fiber cap" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["[1^1500]", "[1^100000]"])
 def test_scan_max_over_budget_exits_at_once(capsys, text):
     start = time.perf_counter()
@@ -302,3 +318,25 @@ def test_run_sweep_all_checks_tiny():
         name: {"cor-box": (11, 0), "foata-hooks": (6, 0)}.get(name, (12, 0))
         for name in CHECKS
     }
+
+
+def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
+    # apply_del planted to send (1,0,1) to (3,0,1) breaks del_chain on (3,1)
+    oblak_module = sys.modules["burgebox.oblak"]  # burgebox.oblak names the function
+    real = oblak_module.apply_del
+    monkeypatch.setattr(
+        oblak_module, "apply_del", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
+    )
+    code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "thm-oblakburge")
+    assert code == 1 and err == ""
+    assert "repro: burgebox sweep --max-n 4 --checks thm-oblakburge  # raised: " in out
+
+
+def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
+    # with no slot marked leading, full mode prunes nothing and meets a
+    # non-nilpotent matrix whose leading blocks look nilpotent
+    monkeypatch.setattr(oracle.ParamSlot, "leading", property(lambda slot: False))
+    code, _, err = run(capsys, "scan-max", "--partition", "2,1", "--mode", "full")
+    assert code == 1 and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: full-mode matrix is not nilpotent")

@@ -6,6 +6,8 @@ that is wrong on the partition (3, 1) alone, and expects the check to
 record a failure whose reproducer names that partition.
 """
 
+import sys
+
 import pytest
 
 from burgebox import boxes, burge, oracle, sweep, words
@@ -74,3 +76,20 @@ def test_planted_fault_is_reported(name, monkeypatch):
     (result,) = run_sweep(SweepConfig(max_n=4, checks=(name,), trials=1))
     assert result.failures >= 1
     assert result.first_counterexample == repro
+
+
+def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
+    # apply_del planted to send (1,0,1) to (3,0,1): del_chain of a chain of
+    # (3,1) no longer forms a chain, and del_chain raises on it
+    oblak_module = sys.modules["burgebox.oblak"]  # burgebox.oblak names the function
+    real = oblak_module.apply_del
+    monkeypatch.setattr(
+        oblak_module, "apply_del", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
+    )
+    (result,) = run_sweep(SweepConfig(max_n=5, checks=("thm-oblakburge",)))
+    assert result.failures == 1
+    assert result.first_counterexample == (
+        "burgebox sweep --max-n 4 --checks thm-oblakburge"
+        "  # raised: no maximal index carries (3, 0, 1) to (); not a chain"
+    )
+    assert result.instances > 12  # n = 5 still ran after n = 4 raised
