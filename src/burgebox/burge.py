@@ -37,6 +37,7 @@ from .partitions import (
     SIZE_CAP,
     Partition,
     FreqSeq,
+    _quoted,
     as_frequency,
     as_partition,
     is_super_distinct,
@@ -62,11 +63,6 @@ def check_word(word: str) -> str:
     if not _WORD_OK_RE.match(w):
         raise ValueError(f"word {_quoted(word)} contains letters outside {{a, b}}")
     return w
-
-
-def _quoted(word: str) -> str:
-    """At most the first 30 letters of a word, and its length, for an error message."""
-    return f"{word[:30]!r}{'...' if len(word) > 30 else ''} (length {len(word)})"
 
 
 def is_code_word(word: str) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable
 
 from .burge import apply_del, descent_map
@@ -41,6 +42,9 @@ from .partitions import (
 
 DEFAULT_SCAN_BUDGET = 2**24
 GENERIC_PRIME = 10007
+# verify_restriction refuses more work than this, counted as (trials + 1) max(n, 16)^3.
+# Below n = 16 a draw's fixed costs outweigh n^3: one of size 1 costs 1/200 of one of size 16.
+RESTRICTION_WORK_CAP = 5 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +160,29 @@ def build_commuting(parts: Iterable[int], p: int, values: dict) -> MatrixGFp:
     layout = chain_layout(pt)
     rows = [[0] * n for _ in range(n)]
     for slot, v in values.items():
-        if v % p == 0:
-            continue
         for r, c in _slot_entries(slot, layout):
-            rows[r][c] = v % p
+            rows[r][c] = v  # reduced mod p by MatrixGFp
     return MatrixGFp(rows, p)
+
+
+def _proved_entries(pt: Partition, slots) -> tuple:
+    """Each slot's entries, and B of type P as its chain successor map nxt.
+
+    (Bv)[r] = v[nxt[r]], where nxt[r] = n ends a chain.  The entries are proved
+    disjoint, and each slot's 0/1 pattern E to commute with B: EB has its ones at
+    (r, nxt[c]) and BE at (prv[r], c).  Commuting is linear, so this covers every draw.
+    """
+    n, ends = sum(pt), set(accumulate(pt))
+    nxt = [n if r + 1 in ends else r + 1 for r in range(n)]
+    prv = {c: r for r, c in enumerate(nxt)}  # a chain start is no key
+    layout = chain_layout(pt)
+    entries = {s: _slot_entries(s, layout) for s in slots}
+    if sum(map(len, entries.values())) != len(set().union(*entries.values())) or any(
+        {(r, nxt[c]) for r, c in es if nxt[c] < n} != {(prv[r], c) for r, c in es if r in prv}
+        for es in entries.values()
+    ):
+        raise AssertionError("slot placement does not commute with the base matrix")
+    return entries, nxt
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +223,12 @@ def pivots(parts: Iterable[int]) -> list:
 
 
 def witness_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
+    """The witness: ``_witness_values`` placed by ``build_commuting``."""
+    pt = as_partition(parts)
+    return build_commuting(pt, p, _witness_values(pt))
+
+
+def _witness_values(pt: Partition) -> dict:
     """One pivot block per row of blocks, set to ones on its leading diagonal.
 
     Pivots are selected recursively, two sizes per window, so that every
@@ -214,11 +242,10 @@ def witness_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
       * otherwise row (z, 1) couples to (z, f_z) with a_2 = 1, the
         nilpotent Jordan form of the block (a 1 x 1 block stays zero);
 
-    then the window drops to sizes <= z-2.  The result lies in the maximal
+    then the window drops to sizes <= z-2.  The witness lies in the maximal
     nilpotent subalgebra and its image realizes the restriction type given
     by one demotion step of P, over any field.
     """
-    pt = as_partition(parts)
     f = to_frequency(pt)
     values = {}
     z = len(f)
@@ -238,7 +265,7 @@ def witness_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
         elif z >= 2:
             values[ParamSlot(z, 1, z, fz, 2)] = 1
         z -= 2
-    return build_commuting(pt, p, values)
+    return values
 
 
 def random_commuting(parts: Iterable[int], p: int, rng: random.Random | int) -> MatrixGFp:
@@ -307,25 +334,31 @@ def _type_of_ranks(ranks) -> Partition:
 def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
     """Jordan type of B restricted to the column space W of A.
 
-    Works from the dimension sequence d_k = dim(B^k W): the number of
-    blocks of size >= k is d_{k-1} - d_k.  Requires AB = BA (so W is
-    B-invariant) and B nilpotent.  B is applied through the (column,
-    value) pairs of its nonzero entries, listed once per row; the images
-    are left unreduced, since ``row_echelon_basis`` reduces its input.
+    Requires AB = BA (so W is B-invariant) and B nilpotent.  B is applied
+    through the (column, value) pairs of its nonzero entries, listed once
+    per row; the images are left unreduced, since ``row_echelon_basis``
+    reduces its input.
     """
     if a @ b != b @ a:
         raise ValueError("matrices do not commute")
     if not b.is_nilpotent():
         raise ValueError("restriction requires a nilpotent base matrix")
-    p = b.p
     nonzero = [[(c, x) for c, x in enumerate(row) if x] for row in b.rows]
-    basis = row_echelon_basis(a.columns(), p)
+    image = lambda v: [sum(x * v[c] for c, x in row) for row in nonzero]  # noqa: E731
+    return _type_of_ranks(_dims(a.columns(), image, b.p))
+
+
+def _dims(vectors, image, p: int) -> list:
+    """dim(B^k W) for k = 0, 1, ... down to 0, with W the span of ``vectors``.
+
+    ``image`` applies B, which must be nilpotent on W.
+    """
+    basis = row_echelon_basis(vectors, p)
     dims = [len(basis)]
-    while dims[-1] > 0:
-        images = [[sum(x * v[c] for c, x in row) for row in nonzero] for v in basis]
-        basis = row_echelon_basis(images, p)
+    while dims[-1]:
+        basis = row_echelon_basis([image(v) for v in basis], p)
         dims.append(len(basis))
-    return _type_of_ranks(dims)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +402,34 @@ def verify_restriction(
 
     The witness must match exactly; random draws from the maximal
     nilpotent subalgebra miss only on a thin non-generic locus, so misses
-    are recorded rather than raised.
+    are recorded rather than raised.  The draws are those of
+    ``witness_matrix`` and ``random_commuting``, placed from per-partition
+    tables, with B applied as its chain successor map.
     """
     pt = as_partition(parts)
+    check_prime(p)
+    n = sum(pt)
+    if (work := (trials + 1) * max(n, 16) ** 3) > RESTRICTION_WORK_CAP:
+        raise ValueError(
+            f"{trials} trials of size {n}: (trials + 1) max(n, 16)^3 = {work} is over the cap"
+            f" {RESTRICTION_WORK_CAP}"
+        )
     expected = to_partition(apply_del(to_frequency(pt)))
-    b = jordan_matrix(pt, p)
-    observed = restriction_type(b, witness_matrix(pt, p))
-    report = RestrictionReport(
-        partition=pt,
-        field=p,
-        expected=expected,
-        witness_observed=observed,
-        witness_ok=observed == expected,
-        trials=trials,
-    )
+    entries, nxt = _proved_entries(pt, param_slots(pt))
+    image = lambda v: [v[j] if j < n else 0 for j in nxt]  # noqa: E731
+
+    def type_of(placed) -> Partition:  # placed: (entries, value) pairs
+        columns = [[0] * n for _ in range(n)]
+        for es, v in placed:
+            for r, c in es:
+                columns[c][r] = v
+        return _type_of_ranks(_dims(columns, image, p))
+
+    observed = type_of((entries[s], v) for s, v in _witness_values(pt).items())
     rng = random.Random(seed)
-    for t in range(trials):
-        got = restriction_type(b, random_commuting(pt, p, rng))
-        if got != expected:
-            report.misses.append((t, got))
-    return report
+    draws = [type_of([(es, rng.randrange(p)) for es in entries.values()]) for _ in range(trials)]
+    misses = [(t, got) for t, got in enumerate(draws) if got != expected]
+    return RestrictionReport(pt, p, expected, observed, observed == expected, trials, misses)
 
 
 @dataclass
@@ -482,13 +523,7 @@ def scan_max_type(
         )
     expected = descent_map(pt)
     slots = param_slots(pt, reduced=mode == "reduced")
-
-    layout = chain_layout(pt)
-    b = jordan_matrix(pt, p)
-    if n:
-        probe = build_commuting(pt, p, {s: 1 for s in slots})
-        if probe @ b != b @ probe:
-            raise AssertionError("slot placement does not commute with the base matrix")
+    entries, _ = _proved_entries(pt, slots)
 
     # The leading slots come first and form the outer walk.  In reduced mode
     # every leading block is strictly lower triangular: nothing to prune.
@@ -506,7 +541,7 @@ def scan_max_type(
     rows = zero(n)
     blocks = {i: zero(m) for i, m in enumerate(f, 1) if m}
     targets = [
-        [(rows, r, c) for r, c in _slot_entries(s, layout)]
+        [(rows, r, c) for r, c in entries[s]]
         + ([(blocks[s.i], s.k - 1, s.l - 1)] if x < outer else [])
         for x, s in enumerate(slots)
     ]

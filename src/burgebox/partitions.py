@@ -211,6 +211,11 @@ def partitions_of(n: int) -> Iterator[tuple]:
 _ENTRY_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
+def _quoted(text: str) -> str:
+    """At most the first 30 characters of a text, and its length, for an error message."""
+    return f"{text[:30]!r}{'...' if len(text) > 30 else ''} (length {len(text)})"
+
+
 def parse_partition(text: str) -> Partition:
     """Parse one of the accepted partition text forms.
 
@@ -233,11 +238,13 @@ def parse_partition(text: str) -> Partition:
         for col, entry in enumerate(body.split(",")):
             e = entry.strip()
             if not e.isdigit():
-                raise ValueError(f"bad frequency entry {entry!r} at position {col + 1} of {text!r}")
+                raise ValueError(
+                    f"bad frequency entry {_quoted(entry)} at position {col + 1} of {_quoted(text)}"
+                )
             freq.append(int(e))
         total = sum(i * m for i, m in enumerate(freq, 1))
         if total > SIZE_CAP:
-            raise ValueError(f"size {total} of {text!r} exceeds the size cap {SIZE_CAP}")
+            raise ValueError(f"size {total} of {_quoted(text)} exceeds the size cap {SIZE_CAP}")
         return to_partition(freq)
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1].strip()
@@ -248,15 +255,17 @@ def parse_partition(text: str) -> Partition:
     for col, entry in enumerate(s.split(",")):
         m = _ENTRY_RE.match(entry.strip())
         if not m:
-            raise ValueError(f"bad part entry {entry!r} at position {col + 1} of {text!r}")
+            raise ValueError(
+                f"bad part entry {_quoted(entry)} at position {col + 1} of {_quoted(text)}"
+            )
         part = int(m.group(1))
         mult = int(m.group(2)) if m.group(2) else 1
         if part < 1:
-            raise ValueError(f"part must be positive, got {entry!r} in {text!r}")
+            raise ValueError(f"part must be positive, got {_quoted(entry)} in {_quoted(text)}")
         total += part * mult
         if total > SIZE_CAP:
             raise ValueError(
-                f"size exceeds the size cap {SIZE_CAP} at position {col + 1} of {text!r}"
+                f"size exceeds the size cap {SIZE_CAP} at position {col + 1} of {_quoted(text)}"
             )
         parts.extend([part] * mult)
     return as_partition(sorted(parts, reverse=True))

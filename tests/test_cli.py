@@ -214,6 +214,41 @@ def test_bad_word_error_quotes_a_bounded_prefix(capsys):
     assert len(line) < 200 and "length 100002" in line
 
 
+def test_bad_partition_error_quotes_a_bounded_prefix(capsys):
+    code, _, err = run(capsys, "encode", "1," * 40000 + "x")
+    assert code == 2 and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert len(line) < 200 and "length 80001" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--partition", "[1^400]"], ["--partition", "3000"], ["--partition", "3", "--trials", "1000000000"]],
+)
+def test_verify_is_bounded_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "over the cap" in err and "Traceback" not in err
+
+
+def test_planted_slot_fault_fails_the_restriction_sweep(capsys, monkeypatch):
+    real = oracle._slot_entries
+    bad = oracle.ParamSlot(3, 1, 1, 1, 1)  # a_1 of (3,1) -> (1,1): only (3,1) has it at n <= 4
+    monkeypatch.setattr(
+        oracle, "_slot_entries",
+        lambda slot, layout: (
+            [(r + 1, c) for r, c in real(slot, layout)] if slot == bad else real(slot, layout)
+        ),
+    )
+    code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "matrix-restriction")
+    assert code == 1 and err == ""
+    assert (
+        "repro: burgebox sweep --max-n 4 --checks matrix-restriction"
+        "  # raised: slot placement does not commute with the base matrix"
+    ) in out
+
+
 def test_fiber_is_bounded_before_enumerating(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "fiber", "2000,1000")

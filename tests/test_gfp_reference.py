@@ -4,9 +4,17 @@ import random
 
 import pytest
 
+from burgebox.burge import apply_del
 from burgebox.gfp import MatrixGFp
-from burgebox.oracle import jordan_matrix, random_commuting, restriction_type, witness_matrix
-from burgebox.partitions import partitions_of
+from burgebox.oracle import (
+    RestrictionReport,
+    jordan_matrix,
+    random_commuting,
+    restriction_type,
+    verify_restriction,
+    witness_matrix,
+)
+from burgebox.partitions import partitions_of, to_frequency, to_partition
 from reference_gfp import dense_matmul, dense_power, dense_restriction_type
 
 FIELDS = (2, 3, 10007)
@@ -63,6 +71,30 @@ def test_restriction_type_matches_dense_reference(p, max_n):
             b = jordan_matrix(pt, p)
             for a in [witness_matrix(pt, p)] + [random_commuting(pt, p, rng) for _ in range(5)]:
                 assert restriction_type(b, a) == dense_restriction_type(b, a)
+
+
+def composed_report(pt, p, seed, restrict, trials=5):
+    """``verify_restriction``'s report, from the public matrices typed by ``restrict``."""
+    b = jordan_matrix(pt, p)
+    expected = to_partition(apply_del(to_frequency(pt)))
+    observed = restrict(b, witness_matrix(pt, p))
+    rng = random.Random(seed)
+    draws = [restrict(b, random_commuting(pt, p, rng)) for _ in range(trials)]
+    misses = [(t, got) for t, got in enumerate(draws) if got != expected]
+    return RestrictionReport(pt, p, expected, observed, observed == expected, trials, misses)
+
+
+@pytest.mark.parametrize("p", [10007, 3])
+def test_verify_restriction_matches_its_composition(p):
+    misses = 0
+    for n in range(10):
+        for pt in partitions_of(n):
+            for seed in (0, 1):
+                got = verify_restriction(pt, p=p, trials=5, seed=seed).to_dict()
+                assert got == composed_report(pt, p, seed, restriction_type).to_dict()
+                assert got == composed_report(pt, p, seed, dense_restriction_type).to_dict()
+                misses += len(got["misses"])
+    assert misses > 0 if p == 3 else misses == 0  # GF(3) is small enough to miss
 
 
 def test_checks_still_raise():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from burgebox import oracle
 from burgebox.burge import apply_del
 from burgebox.errors import BudgetError
 from burgebox.gfp import MatrixGFp
@@ -336,6 +337,45 @@ def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p, attr, mode):
 def test_scan_rejects_bad_mode():
     with pytest.raises(ValueError):
         scan_max_type((2, 1), p=2, mode="banana")
+
+
+@pytest.mark.parametrize(
+    "bad,wrong",
+    [
+        # a_1 of (3,1) -> (1,1) one row down: it no longer commutes with B
+        (ParamSlot(3, 1, 1, 1, 1), lambda entries: [(r + 1, c) for r, c in entries]),
+        # a_3 of (3,1) -> (3,1) on the a_2 diagonal: it commutes, but overlaps a_2
+        (ParamSlot(3, 1, 3, 1, 3), lambda entries: [(0, 1), (1, 2)]),
+    ],
+)
+def test_slot_fault_is_caught_on_both_oracle_paths(monkeypatch, bad, wrong):
+    real = oracle._slot_entries
+    monkeypatch.setattr(
+        oracle, "_slot_entries",
+        lambda slot, layout: wrong(real(slot, layout)) if slot == bad else real(slot, layout),
+    )
+    with pytest.raises(AssertionError, match="slot placement does not commute"):
+        verify_restriction((3, 1), p=10007, trials=1)
+    with pytest.raises(AssertionError, match="slot placement does not commute"):
+        scan_max_type((3, 1), p=2)
+    verify_restriction((2, 2), p=10007, trials=1)  # a partition without that slot still passes
+
+
+def test_slot_proof_is_per_slot(monkeypatch):
+    # the single chain of (3,), with (0, 1) moved from the a_2 diagonal to
+    # the a_1 pattern: neither pattern commutes with B, but their sum, the
+    # all-ones upper triangle, does, so a probe with every slot set to 1
+    # would pass
+    real = oracle._slot_entries
+    moved = {
+        ParamSlot(3, 1, 3, 1, 1): [(0, 0), (1, 1), (2, 2), (0, 1)],
+        ParamSlot(3, 1, 3, 1, 2): [(1, 2)],
+    }
+    monkeypatch.setattr(
+        oracle, "_slot_entries", lambda slot, layout: moved.get(slot) or real(slot, layout)
+    )
+    with pytest.raises(AssertionError, match="does not commute"):
+        scan_max_type((3,), p=2, mode="full")
 
 
 def test_build_commuting_slot_placement():
