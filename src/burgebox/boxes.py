@@ -59,7 +59,11 @@ def check_coords(d: tuple, coords: Iterable[int]) -> tuple:
 def fiber_code(q: Iterable[int], coords: Iterable[int]) -> str:
     """Code word of the fiber element of Q at the given box coordinates."""
     d = delta(q)
-    c = check_coords(d, coords)
+    return _fiber_word(d, check_coords(d, coords))
+
+
+def _fiber_word(d: tuple, c: tuple) -> str:
+    """``fiber_code`` for box dimensions d and coordinates c already checked against them."""
     pieces = []
     for j, (dj, cj) in enumerate(zip(d, c), 1):
         pad = dj - cj if j == 1 else dj - cj + 1
@@ -82,7 +86,7 @@ def fiber(q: Iterable[int]) -> list:
         raise ValueError(f"fiber of {count} partitions of {n} exceeds the fiber cap {FIBER_CAP}")
     out = []
     for coords in itertools.product(*(range(1, dj + 1) for dj in d)):
-        out.append((coords, to_partition(decode(fiber_code(q, coords)))))
+        out.append((coords, to_partition(decode(_fiber_word(d, coords)))))
     return out
 
 
@@ -157,6 +161,6 @@ def fiber_bijection(q: Iterable[int], r: Iterable[int], sigma: Iterable[int]) ->
     pairs = []
     for coords_q, part_q in sorted(q_fiber.items()):
         coords_r = tuple(coords_q[s[j] - 1] for j in range(len(s)))
-        part_r = to_partition(decode(fiber_code(r, coords_r)))
+        part_r = to_partition(decode(_fiber_word(dr, coords_r)))
         pairs.append(((coords_q, part_q), (coords_r, part_r)))
     return pairs

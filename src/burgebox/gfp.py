@@ -3,7 +3,8 @@
 ``MatrixGFp`` is the general matrix: immutable, rows stored as a tuple of
 tuples with entries already reduced mod p.  Everything is plain integer
 arithmetic, so results are exact for any prime modulus; pivoting uses
-modular inverses via ``pow(x, -1, p)``.
+modular inverses via ``pow(x, -1, p)``.  The one elimination is the forward
+``rank_profile``; ``row_echelon_basis`` adds a back-substitution to it.
 
 The constructor validates: it checks that p is prime, reduces every entry
 and rejects ragged rows.  Products do work only for nonzero entries: row r
@@ -175,7 +176,7 @@ class MatrixGFp:
         return all(x == 0 for row in self.rows for x in row)
 
     def rank(self) -> int:
-        return len(row_echelon_basis(self.rows, self.p))
+        return (rank_profile(self.rows, self.p) or [0])[-1]
 
     def is_nilpotent(self) -> bool:
         if self.nrows != self.ncols:
@@ -183,34 +184,44 @@ class MatrixGFp:
         return self.power(self.nrows).is_zero()
 
 
+def rank_profile(vectors: Iterable[Sequence[int]], p: int, basis: dict | None = None) -> list:
+    """The rank of each prefix of ``vectors``: entry t is the rank of the first t + 1.
+
+    Forward elimination only: a vector is reduced left to right by the kept rows,
+    unreduced mod p until it is kept with pivot 1.  ``basis``, when given,
+    receives the kept rows keyed by pivot column; each is zero left of its pivot.
+    """
+    check_prime(p)
+    basis = {} if basis is None else basis
+    ranks = []
+    for v in vectors:
+        for c in range(len(v)):
+            x = v[c] % p
+            if not x:
+                continue
+            row = basis.get(c)
+            if row is None:
+                inv = pow(x, -1, p)
+                basis[c] = [y * inv % p for y in v]
+                break
+            v = [a - x * b for a, b in zip(v, row)]
+        ranks.append(len(basis))
+    return ranks
+
+
 def row_echelon_basis(vectors: Iterable[Sequence[int]], p: int) -> list:
     """Reduced row-echelon basis of the span of the given vectors.
 
     Returns a list of tuples (possibly empty); its length is the rank.
     The output is canonical for the span, so two spans are equal iff their
-    bases compare equal.
+    bases compare equal.  Each of ``rank_profile``'s rows is cleared at the
+    later pivots, left to right; a kept row is zero left of its pivot.
     """
-    check_prime(p)
-    basis: list = []  # rows in echelon order, paired with pivot column
-    pivots: list = []
-    for vec in vectors:
-        v = [x % p for x in vec]
-        for row, col in zip(basis, pivots):
-            if v[col]:
-                c = v[col]
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], -1, p)
-        v = [(x * inv) % p for x in v]
-        # back-substitute to keep earlier rows reduced
-        for idx, (row, col) in enumerate(zip(basis, pivots)):
-            if row[lead]:
-                c = row[lead]
-                basis[idx] = [(a - c * b) % p for a, b in zip(row, v)]
-        basis.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]
-
+    basis: dict = {}
+    rank_profile(vectors, p, basis)
+    cols = sorted(basis)
+    for i, lead in enumerate(cols):
+        for c in cols[i + 1:]:
+            if x := basis[lead][c]:
+                basis[lead] = [(a - x * b) % p for a, b in zip(basis[lead], basis[c])]
+    return [tuple(basis[c]) for c in cols]

@@ -85,6 +85,14 @@ def max_evaluation(f) -> tuple:
     return best, tuple(reversed(at))
 
 
+def evaluate(f, i: int) -> int:
+    """Evaluation of f at index i (1-based; 0 means 1)."""
+    i = max(i, 1)
+    fi = f[i - 1] if i <= len(f) else 0
+    fi1 = f[i] if i < len(f) else 0
+    return i * fi + (i + 1) * fi1 + 2 * sum(f[i + 1:])
+
+
 def annihilate(f: list, i: int) -> None:
     """Splice entries i and i + 1 (1-based; 0 means 1) out of f."""
     i = max(i, 1)

@@ -37,11 +37,7 @@ def evaluate(freq: Iterable[int], i: int) -> int:
     f = as_frequency(freq)
     if i < 0:
         raise ValueError("evaluation index must be nonnegative")
-    if i == 0:
-        i = 1
-    fi = f[i - 1] if i <= len(f) else 0
-    fi1 = f[i] if i + 1 <= len(f) else 0
-    return i * fi + (i + 1) * fi1 + 2 * sum(f[i + 1:])
+    return kernels.evaluate(f, i)
 
 
 def annihilate(freq: Iterable[int], i: int) -> FreqSeq:
@@ -116,11 +112,14 @@ class OblakChain:
 
     @property
     def valuation(self) -> Partition:
-        """Recorded evaluations, recomputed from size drops as a self-check."""
+        """Recorded evaluations, recomputed by the kernels from size drops as a self-check."""
+        states = [as_frequency(s) for s in self.states]
+        if min(self.indices, default=0) < 0:
+            raise ValueError("evaluation index must be nonnegative")
         vals = []
         for r, i in enumerate(self.indices):
-            drop = size(self.states[r]) - size(self.states[r + 1])
-            ev = evaluate(self.states[r], i)
+            drop = kernels.size(states[r]) - kernels.size(states[r + 1])
+            ev = kernels.evaluate(states[r], i)
             if drop != ev:
                 raise ValueError(
                     f"corrupt chain: size drop {drop} != evaluation {ev} at step {r}"

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .burge import apply_del, descent_map
 from .errors import BudgetError
-from .gfp import MatrixGFp, check_prime, gf2_matmul, gf2_rank, row_echelon_basis
+from .gfp import MatrixGFp, check_prime, gf2_matmul, gf2_rank, rank_profile, row_echelon_basis
 from .partitions import (
     Partition,
     as_partition,
@@ -165,12 +165,12 @@ def build_commuting(parts: Iterable[int], p: int, values: dict) -> MatrixGFp:
     return MatrixGFp(rows, p)
 
 
-def _proved_entries(pt: Partition, slots) -> tuple:
-    """Each slot's entries, and B of type P as its chain successor map nxt.
+def _proved_entries(pt: Partition, slots) -> dict:
+    """Each slot's entries, proved disjoint and to commute with B of type P.
 
-    (Bv)[r] = v[nxt[r]], where nxt[r] = n ends a chain.  The entries are proved
-    disjoint, and each slot's 0/1 pattern E to commute with B: EB has its ones at
-    (r, nxt[c]) and BE at (prv[r], c).  Commuting is linear, so this covers every draw.
+    B is its chain successor map: (Bv)[r] = v[nxt[r]], where nxt[r] = n ends a
+    chain.  A slot's 0/1 pattern E commutes with B when EB, with its ones at
+    (r, nxt[c]), equals BE, at (prv[r], c).  Commuting is linear, so this covers every draw.
     """
     n, ends = sum(pt), set(accumulate(pt))
     nxt = [n if r + 1 in ends else r + 1 for r in range(n)]
@@ -182,7 +182,7 @@ def _proved_entries(pt: Partition, slots) -> tuple:
         for es in entries.values()
     ):
         raise AssertionError("slot placement does not commute with the base matrix")
-    return entries, nxt
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +365,15 @@ def _dims(vectors, image, p: int) -> list:
 # Verification reports
 # ---------------------------------------------------------------------------
 
+def check_restriction_work(n: int, trials: int) -> None:
+    """Refuse ``verify_restriction`` work over ``RESTRICTION_WORK_CAP`` for size n."""
+    if (work := (trials + 1) * max(n, 16) ** 3) > RESTRICTION_WORK_CAP:
+        raise ValueError(
+            f"{trials} trials of size {n}: (trials + 1) max(n, 16)^3 = {work} is over the cap"
+            f" {RESTRICTION_WORK_CAP}"
+        )
+
+
 @dataclass
 class RestrictionReport:
     partition: Partition
@@ -404,26 +413,26 @@ def verify_restriction(
     nilpotent subalgebra miss only on a thin non-generic locus, so misses
     are recorded rather than raised.  The draws are those of
     ``witness_matrix`` and ``random_commuting``, placed from per-partition
-    tables, with B applied as its chain successor map.
+    tables.  B shifts each chain, so row r of B^k A is row r + k of A or zero,
+    and dim B^k W is the rank of A's rows at chain offset >= k: with the rows
+    by decreasing offset, one elimination per draw gives each as a prefix rank.
     """
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
-    if (work := (trials + 1) * max(n, 16) ** 3) > RESTRICTION_WORK_CAP:
-        raise ValueError(
-            f"{trials} trials of size {n}: (trials + 1) max(n, 16)^3 = {work} is over the cap"
-            f" {RESTRICTION_WORK_CAP}"
-        )
+    check_restriction_work(n, trials)
     expected = to_partition(apply_del(to_frequency(pt)))
-    entries, nxt = _proved_entries(pt, param_slots(pt))
-    image = lambda v: [v[j] if j < n else 0 for j in nxt]  # noqa: E731
+    entries = _proved_entries(pt, param_slots(pt))
+    order = sorted(range(n), key=[-o for i in pt for o in range(i)].__getitem__)
+    cuts = [sum(max(i - k, 0) for i in pt) for k in range(pt[0] if pt else 0)]
 
     def type_of(placed) -> Partition:  # placed: (entries, value) pairs
-        columns = [[0] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for es, v in placed:
             for r, c in es:
-                columns[c][r] = v
-        return _type_of_ranks(_dims(columns, image, p))
+                rows[r][c] = v
+        ranks = rank_profile(map(rows.__getitem__, order), p)
+        return _type_of_ranks([*(ranks[m - 1] for m in cuts), 0])
 
     observed = type_of((entries[s], v) for s, v in _witness_values(pt).items())
     rng = random.Random(seed)
@@ -523,7 +532,7 @@ def scan_max_type(
         )
     expected = descent_map(pt)
     slots = param_slots(pt, reduced=mode == "reduced")
-    entries, _ = _proved_entries(pt, slots)
+    entries = _proved_entries(pt, slots)
 
     # The leading slots come first and form the outer walk.  In reduced mode
     # every leading block is strictly lower triangular: nothing to prune.

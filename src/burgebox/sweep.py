@@ -42,6 +42,8 @@ class SweepConfig:
         unknown = set(self.checks) - set(CHECKS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+        if "matrix-restriction" in (self.checks or CHECKS):  # its work grows with n
+            oracle.check_restriction_work(self.max_n, self.trials)
 
 
 @dataclass

@@ -232,6 +232,16 @@ def test_verify_is_bounded_before_building(capsys, argv):
     assert code == 2 and "over the cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("checks", [["--checks", "matrix-restriction"], []])
+def test_sweep_trials_are_bounded_before_any_check(capsys, checks):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--max-n", "3", *checks, "--trials", "10000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "over the cap" in line
+
+
 def test_planted_slot_fault_fails_the_restriction_sweep(capsys, monkeypatch):
     real = oracle._slot_entries
     bad = oracle.ParamSlot(3, 1, 1, 1, 1)  # a_1 of (3,1) -> (1,1): only (3,1) has it at n <= 4
@@ -332,6 +342,9 @@ def test_sweep_config_validation():
         SweepConfig(max_n=-1)
     with pytest.raises(ValueError):
         SweepConfig(max_n=3, checks=("bogus",))
+    with pytest.raises(ValueError, match="over the cap"):
+        SweepConfig(max_n=3, checks=("prop-stats", "matrix-restriction"), trials=10000)
+    SweepConfig(max_n=3, checks=("prop-stats",), trials=10000)  # the cap is matrix-restriction's
     assert set(CHECKS) == {
         "lem-stats", "prop-stats", "prop-characterization", "thm-main-vs-oblak",
         "cor-box", "thm-oblakburge", "prop-khatami", "foata-hooks",

@@ -9,6 +9,7 @@ from burgebox.gfp import (
     gf2_matmul,
     gf2_rank,
     is_prime,
+    rank_profile,
     row_echelon_basis,
 )
 
@@ -118,6 +119,24 @@ def test_row_echelon_basis_canonical():
     assert len(row_echelon_basis(vecs, p)) == 2
     assert row_echelon_basis([], p) == []
     assert row_echelon_basis([(0, 0)], p) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_rank_profile_is_the_rank_of_each_prefix(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        rows = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(rng.randrange(1, 7))]
+        for _ in range(rng.randrange(3)):  # zero rows and repeated rows, anywhere
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+        ranks = rank_profile(rows, p)
+        assert ranks == [brute_rank(rows[: t + 1], p) for t in range(len(rows))]
+        assert ranks[-1] == MatrixGFp(rows, p).rank() == len(row_echelon_basis(rows, p))
+        assert row_echelon_basis(rng.sample(rows, len(rows)), p) == row_echelon_basis(rows, p)
+    assert rank_profile([], p) == [] and rank_profile([(0, 0)], p) == [0]
+    with pytest.raises(ValueError, match="not prime"):
+        rank_profile([(1,)], 6)
 
 
 def test_empty_matrix():

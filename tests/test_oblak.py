@@ -228,3 +228,13 @@ def test_corrupt_chain_detected():
     with pytest.raises(ValueError):
         bad.valuation
     assert not is_valid_chain(OblakChain(c.states[:-1], c.indices[:-1]))
+
+
+def test_chain_valuation_validates_states_and_indices():
+    c = oblak_chain((2, 1))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        OblakChain(((2, -1),) + c.states[1:], c.indices).valuation
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        OblakChain(c.states, (-1,) + c.indices[1:]).valuation
+    assert c.indices == (0,)  # index 0 evaluates as index 1, as in ``evaluate``
+    assert c.valuation == OblakChain(c.states, (1,)).valuation == oblak((2, 1)) == (4,)
