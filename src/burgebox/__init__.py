@@ -54,7 +54,6 @@ from .oblak import (
 from .oracle import (
     jordan_matrix,
     jordan_type,
-    pivots,
     random_commuting,
     restriction_type,
     scan_max_type,

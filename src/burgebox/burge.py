@@ -51,6 +51,7 @@ from .partitions import (
 
 _WORD_OK_RE = re.compile(r"^[ab]*$")
 _CODE_RE = re.compile(r"^(a*b)*a$")
+CHAIN_CAP = 10**7  # cells that burge_chain may list: (|f| + 1) states, each at most len(f) long
 
 
 def check_word(word: str) -> str:
@@ -106,7 +107,19 @@ class BurgeChain:
 
 
 def burge_chain(freq: Iterable[int]) -> BurgeChain:
+    """The iterated demotion states of f and their class letters.
+
+    Raises ValueError, before listing any state, when (|f| + 1) len(f) exceeds
+    ``CHAIN_CAP``: each demotion lowers the size by the two-measure, which is at
+    least 1, so there are at most |f| + 1 states, and none is longer than f.
+    """
     f = list(as_frequency(freq))
+    n = kernels.size(f)
+    if (cells := (n + 1) * len(f)) > CHAIN_CAP:
+        raise ValueError(
+            f"chain of size {n} and largest part {len(f)}: (n + 1) len(f) = {cells}"
+            f" exceeds the chain cap {CHAIN_CAP}"
+        )
     states = [tuple(f)]
     letters = []
     while f:

@@ -124,10 +124,11 @@ def cmd_check_square(args):
 
 def cmd_fiber(args):
     q = parse_partition(args.partition)
+    d = boxes.delta(q)
     rows = [
         {
             "coords": list(coords),
-            "code": boxes.fiber_code(q, coords),
+            "code": boxes._fiber_word(d, coords),
             "partition": list(part),
             "parts": len(part),
         }

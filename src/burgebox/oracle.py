@@ -26,7 +26,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .burge import apply_del, descent_map
 from .errors import BudgetError
@@ -64,19 +64,20 @@ def chain_layout(parts: Iterable[int]) -> dict:
     return layout
 
 
+def _successors(pt: Partition) -> list:
+    """B of type P as its successor map: (Bv)[r] = v[nxt[r]], where nxt[r] = n ends a chain."""
+    n, ends = sum(pt), set(accumulate(pt))
+    return [n if r + 1 in ends else r + 1 for r in range(n)]
+
+
 def jordan_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
     """Block-diagonal nilpotent matrix with superdiagonal ones, sizes descending."""
-    pt = as_partition(parts)
-    n = sum(pt)
-    rows = [[0] * n for _ in range(n)]
-    for (i, _k), off in chain_layout(pt).items():
-        for h in range(i - 1):
-            rows[off + h][off + h + 1] = 1
-    return MatrixGFp(rows, p)
+    nxt = _successors(as_partition(parts))
+    superdiagonal = [(r, c) for r, c in enumerate(nxt) if c < len(nxt)]
+    return MatrixGFp(_placed(len(nxt), [(superdiagonal, 1)]), p)
 
 
-@dataclass(frozen=True, order=True)
-class ParamSlot:
+class ParamSlot(NamedTuple):
     """One free Toeplitz coefficient a_h of the block coupling chains (i,k) -> (j,l)."""
 
     i: int
@@ -152,75 +153,58 @@ def _slot_entries(slot: ParamSlot, layout: dict) -> list:
     ]
 
 
-def build_commuting(parts: Iterable[int], p: int, values: dict) -> MatrixGFp:
-    """Assemble a commuting matrix from slot -> coefficient assignments."""
-    pt = as_partition(parts)
-    check_prime(p)
-    n = sum(pt)
-    layout = chain_layout(pt)
-    rows = [[0] * n for _ in range(n)]
-    for slot, v in values.items():
-        for r, c in _slot_entries(slot, layout):
-            rows[r][c] = v  # reduced mod p by MatrixGFp
-    return MatrixGFp(rows, p)
+def _slot_table(pt: Partition, reduced: bool = True) -> dict:
+    """The slots of ``param_slots(P, reduced)``, in order, mapped to their entries.
 
-
-def _proved_entries(pt: Partition, slots) -> dict:
-    """Each slot's entries, proved disjoint and to commute with B of type P.
-
-    B is its chain successor map: (Bv)[r] = v[nxt[r]], where nxt[r] = n ends a
-    chain.  A slot's 0/1 pattern E commutes with B when EB, with its ones at
-    (r, nxt[c]), equals BE, at (prv[r], c).  Commuting is linear, so this covers every draw.
+    The entries are proved disjoint and to commute with B of type P.  A slot's
+    0/1 pattern E commutes with B when EB, with its ones at (r, nxt[c]), equals
+    BE, at (prv[r], c).  Commuting is linear, so this covers every matrix placed
+    from the table.
     """
-    n, ends = sum(pt), set(accumulate(pt))
-    nxt = [n if r + 1 in ends else r + 1 for r in range(n)]
+    nxt = _successors(pt)
+    n = len(nxt)
     prv = {c: r for r, c in enumerate(nxt)}  # a chain start is no key
     layout = chain_layout(pt)
-    entries = {s: _slot_entries(s, layout) for s in slots}
-    if sum(map(len, entries.values())) != len(set().union(*entries.values())) or any(
+    table = {s: _slot_entries(s, layout) for s in param_slots(pt, reduced)}
+    if sum(map(len, table.values())) != len(set().union(*table.values())) or any(
         {(r, nxt[c]) for r, c in es if nxt[c] < n} != {(prv[r], c) for r, c in es if r in prv}
-        for es in entries.values()
+        for es in table.values()
     ):
         raise AssertionError("slot placement does not commute with the base matrix")
-    return entries
+    return table
 
 
-# ---------------------------------------------------------------------------
-# Pivots and the witness matrix
-# ---------------------------------------------------------------------------
+def _placed(n: int, pairs) -> list:
+    """n x n rows carrying each value of the (entries, value) pairs at its entries."""
+    rows = [[0] * n for _ in range(n)]
+    for es, v in pairs:
+        for r, c in es:
+            rows[r][c] = v
+    return rows
 
-def pivots(parts: Iterable[int]) -> list:
-    """Blocks (i, j, k, l) of generically maximal rank in their row of blocks.
 
-    With z the largest part size:
-      (a) same-size blocks one step below the diagonal, (i, i, k, k-1);
-      (b) the (z, z-1) blocks of the first z-chain, if z-1 occurs;
-      (c) the (z, z) block coupling the first z-chain to the last;
-      (d) every block coupling a shorter chain to a strictly longer one.
+def _draw(table: dict, p: int, rng: random.Random) -> list:
+    """(entries, value) pairs giving every slot of the table a uniform coefficient, in order."""
+    return [(es, rng.randrange(p)) for es in table.values()]
+
+
+def build_commuting(parts: Iterable[int], p: int, values: dict) -> MatrixGFp:
+    """Assemble a commuting matrix from slot -> coefficient assignments.
+
+    Raises ValueError for a key that is not a slot of P.
     """
     pt = as_partition(parts)
-    f = to_frequency(pt)
-    if not pt:
-        return []
-    supp = [i for i in range(1, len(f) + 1) if f[i - 1]]
-    z = supp[-1]
-    out = []
-    for i in supp:
-        if f[i - 1] >= 2:
-            out.extend((i, i, k, k - 1) for k in range(2, f[i - 1] + 1))
-    if z >= 2 and f[z - 2]:
-        out.extend((z, z - 1, 1, l) for l in range(1, f[z - 2] + 1))
-    out.append((z, z, 1, f[z - 1]))
-    for i in supp:
-        for j in supp:
-            if j > i:
-                out.extend(
-                    (i, j, k, l)
-                    for k in range(1, f[i - 1] + 1)
-                    for l in range(1, f[j - 1] + 1)
-                )
-    return out
+    check_prime(p)
+    table = _slot_table(pt, reduced=False)
+    if bad := [s for s in values if s not in table]:
+        raise ValueError(f"{bad[0]} is not a slot of {format_partition(pt)}")
+    # values are reduced mod p by MatrixGFp
+    return MatrixGFp(_placed(sum(pt), [(table[s], v) for s, v in values.items()]), p)
 
+
+# ---------------------------------------------------------------------------
+# The witness matrix
+# ---------------------------------------------------------------------------
 
 def witness_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
     """The witness: ``_witness_values`` placed by ``build_commuting``."""
@@ -277,8 +261,9 @@ def random_commuting(parts: Iterable[int], p: int, rng: random.Random | int) -> 
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    values = {slot: rng.randrange(p) for slot in param_slots(parts)}
-    return build_commuting(parts, p, values)
+    pt = as_partition(parts)
+    check_prime(p)
+    return MatrixGFp(_placed(sum(pt), _draw(_slot_table(pt), p, rng)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -411,32 +396,30 @@ def verify_restriction(
 
     The witness must match exactly; random draws from the maximal
     nilpotent subalgebra miss only on a thin non-generic locus, so misses
-    are recorded rather than raised.  The draws are those of
-    ``witness_matrix`` and ``random_commuting``, placed from per-partition
-    tables.  B shifts each chain, so row r of B^k A is row r + k of A or zero,
-    and dim B^k W is the rank of A's rows at chain offset >= k: with the rows
-    by decreasing offset, one elimination per draw gives each as a prefix rank.
+    are recorded rather than raised.  The witness and the draws are placed
+    from the proved slot table by the routines that serve ``witness_matrix``
+    and ``random_commuting``.  B shifts each chain, so row r of B^k A is row
+    r + k of A or zero, and dim B^k W is the rank of A's rows at chain offset
+    >= k: with the rows by decreasing offset, one elimination per draw gives
+    each as a prefix rank.
     """
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
     check_restriction_work(n, trials)
     expected = to_partition(apply_del(to_frequency(pt)))
-    entries = _proved_entries(pt, param_slots(pt))
+    table = _slot_table(pt)
     order = sorted(range(n), key=[-o for i in pt for o in range(i)].__getitem__)
     cuts = [sum(max(i - k, 0) for i in pt) for k in range(pt[0] if pt else 0)]
 
-    def type_of(placed) -> Partition:  # placed: (entries, value) pairs
-        rows = [[0] * n for _ in range(n)]
-        for es, v in placed:
-            for r, c in es:
-                rows[r][c] = v
+    def type_of(pairs) -> Partition:  # pairs: (entries, value)
+        rows = _placed(n, pairs)
         ranks = rank_profile(map(rows.__getitem__, order), p)
         return _type_of_ranks([*(ranks[m - 1] for m in cuts), 0])
 
-    observed = type_of((entries[s], v) for s, v in _witness_values(pt).items())
+    observed = type_of((table[s], v) for s, v in _witness_values(pt).items())
     rng = random.Random(seed)
-    draws = [type_of([(es, rng.randrange(p)) for es in entries.values()]) for _ in range(trials)]
+    draws = [type_of(_draw(table, p, rng)) for _ in range(trials)]
     misses = [(t, got) for t, got in enumerate(draws) if got != expected]
     return RestrictionReport(pt, p, expected, observed, observed == expected, trials, misses)
 
@@ -531,8 +514,8 @@ def scan_max_type(
             f"scan of {format_partition(pt)} needs {p}^{count} matrices, over budget {budget}"
         )
     expected = descent_map(pt)
-    slots = param_slots(pt, reduced=mode == "reduced")
-    entries = _proved_entries(pt, slots)
+    entries = _slot_table(pt, reduced=mode == "reduced")
+    slots = list(entries)
 
     # The leading slots come first and form the outer walk.  In reduced mode
     # every leading block is strictly lower triangular: nothing to prune.

@@ -150,18 +150,18 @@ def test_box_fibers_partition_everything_to_22():
         sweep_checks("cor-box", max_n=22)
 
 
-def test_choice_independence_to_18():
-    with report("all maximal-index branchings give one valuation, |f| <= 18"):
-        sweep_checks("prop-khatami", max_n=18)
-        for n in range(19):
+def test_choice_independence_to_24():
+    with report("all maximal-index branchings give one valuation, |f| <= 24"):
+        sweep_checks("prop-khatami", max_n=24)
+        for n in range(25):
             for p in partitions_of(n):
                 f = to_frequency(p)
                 assert oblak_all_chains(f)[0].valuation == oblak(f), p
 
 
-def test_chain_map_shadowing_to_16_and_grid():
-    with report("chain map valid with valuation decrement, |f| <= 16, plus grid"):
-        sweep_checks("thm-oblakburge", max_n=16)
+def test_chain_map_shadowing_to_22_and_grid():
+    with report("chain map valid with valuation decrement, |f| <= 22, plus grid"):
+        sweep_checks("thm-oblakburge", max_n=22)
         chain = oblak_chain(to_frequency((14, 10, 5, 2, 2, 2, 1)))
         grid = []
         while True:
@@ -190,6 +190,6 @@ def test_dominance_maximum_exhaustive_over_gf2_n6():
         sweep_checks("matrix-dominance", max_n=6, scan_field=2)
 
 
-def test_hook_correspondence_to_18():
-    with report("fibers biject onto diagonal-hook classes via the path composite, |Q| <= 18"):
-        sweep_checks("foata-hooks", max_n=18)
+def test_hook_correspondence_to_24():
+    with report("fibers biject onto diagonal-hook classes via the path composite, |Q| <= 24"):
+        sweep_checks("foata-hooks", max_n=24)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from burgebox import oracle
+from burgebox import boxes, oracle
 from burgebox.cli import main
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
 
@@ -41,6 +41,8 @@ def test_chain(capsys):
     code, out, _ = run(capsys, "chain", "5,3,2,2,1", "--json")
     data = json.loads(out)
     assert data["states"][0] == [1, 2, 1, 0, 1] and data["states"][-1] == []
+    code, out, _ = run(capsys, "chain", "2000")  # (n + 1) len(f) = 4,002,000 cells, under the cap
+    assert code == 0 and out.splitlines()[-1].startswith("word: ")
 
 
 def test_oblak_and_chains(capsys):
@@ -69,6 +71,15 @@ def test_fiber_json(capsys):
     assert by_coords[(3, 3, 2)]["partition"] == [9, 5, 1, 1, 1, 1, 1, 1]
     assert by_coords[(3, 3, 2)]["parts"] == 8
     assert by_coords[(2, 1, 2)]["code"] == "abbaaababba"
+
+
+def test_fiber_validates_q_once_per_command(capsys, monkeypatch):
+    calls = []
+    real = boxes.delta
+    monkeypatch.setattr(boxes, "delta", lambda q: calls.append(q) or real(q))
+    code, out, _ = run(capsys, "fiber", "40,20", "--json")
+    assert code == 0 and len(json.loads(out)) == 380
+    assert len(calls) <= 2
 
 
 def test_coords_maxparts_symmetry(capsys):
@@ -257,6 +268,16 @@ def test_planted_slot_fault_fails_the_restriction_sweep(capsys, monkeypatch):
         "repro: burgebox sweep --max-n 4 --checks matrix-restriction"
         "  # raised: slot placement does not commute with the base matrix"
     ) in out
+
+
+@pytest.mark.parametrize("text", ["100000", "30000"])
+def test_chain_is_bounded_before_listing(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chain", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "chain cap" in line
 
 
 def test_fiber_is_bounded_before_enumerating(capsys):

@@ -14,7 +14,6 @@ from burgebox.oracle import (
     jordan_matrix,
     jordan_type,
     param_slots,
-    pivots,
     random_commuting,
     restriction_type,
     scan_max_type,
@@ -122,17 +121,6 @@ def test_param_slot_counts():
     assert len(param_slots(P_BIG, reduced=False)) == expected
     forced = sum(f[i - 1] * (f[i - 1] + 1) // 2 for i in supp)
     assert len(param_slots(P_BIG, reduced=True)) == expected - forced
-
-
-def test_pivots_examples():
-    got = set(pivots(P_BIG))
-    assert (4, 4, 2, 1) in got      # same-size subdiagonal
-    assert (4, 3, 1, 1) in got      # largest into next size
-    assert (3, 4, 1, 2) in got      # shorter chain into a longer one
-    assert (4, 4, 1, 2) in got      # first chain into the last same-size one
-    assert pivots((5,)) == [(5, 5, 1, 1)]
-    assert set(pivots((2, 2))) == {(2, 2, 2, 1), (2, 2, 1, 2)}
-    assert pivots(()) == []
 
 
 GENERIC_MASK_44322 = [
@@ -348,16 +336,21 @@ def test_scan_rejects_bad_mode():
         (ParamSlot(3, 1, 3, 1, 3), lambda entries: [(0, 1), (1, 2)]),
     ],
 )
-def test_slot_fault_is_caught_on_both_oracle_paths(monkeypatch, bad, wrong):
+def test_slot_fault_is_caught_on_every_oracle_path(monkeypatch, bad, wrong):
     real = oracle._slot_entries
     monkeypatch.setattr(
         oracle, "_slot_entries",
         lambda slot, layout: wrong(real(slot, layout)) if slot == bad else real(slot, layout),
     )
-    with pytest.raises(AssertionError, match="slot placement does not commute"):
-        verify_restriction((3, 1), p=10007, trials=1)
-    with pytest.raises(AssertionError, match="slot placement does not commute"):
-        scan_max_type((3, 1), p=2)
+    for path in (
+        lambda: verify_restriction((3, 1), p=10007, trials=1),
+        lambda: scan_max_type((3, 1), p=2),
+        lambda: witness_matrix((3, 1), 5),
+        lambda: random_commuting((3, 1), 5, 0),
+        lambda: build_commuting((3, 1), 5, {ParamSlot(3, 1, 3, 1, 1): 1}),
+    ):
+        with pytest.raises(AssertionError, match="slot placement does not commute"):
+            path()
     verify_restriction((2, 2), p=10007, trials=1)  # a partition without that slot still passes
 
 
@@ -387,3 +380,16 @@ def test_build_commuting_slot_placement():
     a = build_commuting((3, 2), 5, {ParamSlot(2, 1, 3, 1, 1): 2})
     off = chain_layout((3, 2))[(2, 1)]
     assert a.rows[off][1] == 2 and a.rows[off + 1][2] == 2
+
+
+@pytest.mark.parametrize(
+    "slot",
+    [
+        ParamSlot(3, 1, 3, 1, 0),  # h = 0 would write column -1
+        ParamSlot(3, 1, 3, 1, 4),  # h > min(i, j) has no entries
+        ParamSlot(2, 1, 2, 1, 1),  # (3,) has no chain of length 2
+    ],
+)
+def test_build_commuting_refuses_what_is_not_a_slot(slot):
+    with pytest.raises(ValueError, match="is not a slot of"):
+        build_commuting((3,), 5, {slot: 1})
