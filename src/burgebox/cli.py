@@ -196,12 +196,11 @@ def cmd_scan_max(args):
         parse_partition(args.partition),
         p=_field(args, 2),
         budget=args.budget,
-        mode=args.mode,
     )
     got = "(no maximum)" if report.max_type is None else format_partition(report.max_type)
     text = (
-        f"{'ok' if report.ok else 'FAIL'}: scanned {report.scanned} ({report.mode}), "
-        f"{report.rejected} rejected, {len(report.types)} types, max {got}, "
+        f"{'ok' if report.ok else 'FAIL'}: scanned {report.scanned}, "
+        f"{len(report.types)} types, max {got}, "
         f"expected {format_partition(report.expected)}"
     )
     return report.to_dict(), text, report.ok
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--partition", required=True)
     sp.add_argument("--field", type=int)
     sp.add_argument("--budget", type=nonnegative_int, default=oracle.DEFAULT_SCAN_BUDGET)
-    sp.add_argument("--mode", choices=("auto", "full", "reduced"), default="auto")
 
     sp = add("sweep", cmd_sweep, "run named exhaustive property suites", None)
     sp.add_argument("--max-n", type=int, required=True)

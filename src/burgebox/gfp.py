@@ -9,7 +9,8 @@ modular inverses via ``pow(x, -1, p)``.  The one elimination is the forward
 The constructor validates: it checks that p is prime, reduces every entry
 and rejects ragged rows.  Products do work only for nonzero entries: row r
 of XY adds x * (row k of Y) into an unreduced accumulator for each nonzero
-entry x = X[r][k], then reduces each entry once.  A product's rows are
+entry x = X[r][k], then reduces each entry once (``matmul_rows``, which
+also serves callers holding plain row lists).  A product's rows are
 reduced and its modulus already checked, so it is built by ``_trusted``,
 which validates nothing.
 The oracle's matrices (shift matrices and Toeplitz blocks) are mostly
@@ -95,6 +96,19 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return len(basis)
 
 
+def matmul_rows(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], p: int) -> tuple:
+    """XY mod p on row lists, as a tuple of tuples; the caller checks the shapes."""
+    width = len(y[0]) if y else 0
+    out = []
+    for row in x:
+        acc = [0] * width
+        for a, yrow in zip(row, y):
+            if a:
+                acc = [s + a * t for s, t in zip(acc, yrow)]
+        out.append(tuple([s % p for s in acc]))
+    return tuple(out)
+
+
 class MatrixGFp:
     """A matrix over GF(p)."""
 
@@ -131,16 +145,7 @@ class MatrixGFp:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} != {other.nrows}")
-        p = self.p
-        width = other.ncols
-        out = []
-        for row in self.rows:
-            acc = [0] * width
-            for a, brow in zip(row, other.rows):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, brow)]
-            out.append(tuple([x % p for x in acc]))
-        return MatrixGFp._trusted(tuple(out), p)
+        return MatrixGFp._trusted(matmul_rows(self.rows, other.rows, self.p), self.p)
 
     @classmethod
     def _trusted(cls, rows: tuple, p: int) -> "MatrixGFp":

@@ -6,10 +6,13 @@ length i to a chain of length j is upper-triangular Toeplitz with
 min(i, j) free coefficients a_1, a_2, ..., right-aligned when i < j
 (leading zero columns) and top-aligned when i > j (trailing zero rows).
 ``a_1`` of each square same-size block sits in the leading-coefficient
-matrix of that size; a commuting matrix is nilpotent exactly when every
-leading-coefficient matrix is nilpotent, and forcing them strictly lower
-triangular carves out a maximal nilpotent subalgebra in which every
-nilpotent commuting Jordan type is realized up to similarity.
+matrix A_i of that size; a commuting matrix is nilpotent exactly when every
+A_i is, and forcing them strictly lower triangular carves out a maximal
+nilpotent subalgebra, where the random draws live.  The Levi group
+L = prod GL(f_i), mixing the chains of each length, commutes with B, keeps
+Jordan types, acts on each A_i by similarity and leaves the other slots
+free; so every nilpotent commuting Jordan type is realized with each A_i a
+lower nilpotent Jordan form, one representative per partition of f_i.
 
 This module builds those matrices explicitly over GF(p), constructs the
 all-ones-on-pivots witness whose image certifies the restriction type, and
@@ -24,18 +27,28 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable, NamedTuple
 
 from .burge import apply_del, descent_map
 from .errors import BudgetError
-from .gfp import MatrixGFp, check_prime, gf2_matmul, gf2_rank, rank_profile, row_echelon_basis
+from .gfp import (
+    MatrixGFp,
+    check_prime,
+    gf2_matmul,
+    gf2_rank,
+    matmul_rows,
+    rank_profile,
+    row_echelon_basis,
+)
 from .partitions import (
     Partition,
     as_partition,
     dominates,
     format_partition,
+    partitions_of,
     to_frequency,
     to_partition,
 )
@@ -287,9 +300,9 @@ def jordan_type(m: MatrixGFp) -> Partition:
 def _rank_sequence(m, n: int, rank, mul) -> tuple | None:
     """(n, rank(M), rank(M^2), ..., 0) for an n x n matrix M, or None if M is not nilpotent.
 
-    ``rank`` and ``mul`` act on whatever M is: a ``MatrixGFp``, or GF(2)
-    int rows.  Once rank(M^k) = rank(M^(k-1)) > 0 the ranks stay there, so
-    a repeated rank means M^n != 0.
+    ``rank`` and ``mul`` act on whatever M is: a ``MatrixGFp``, GF(2) int
+    rows, or GF(p) row lists.  Once rank(M^k) = rank(M^(k-1)) > 0 the ranks
+    stay there, so a repeated rank means M^n != 0.
     """
     ranks = [n]
     last, power = n, m
@@ -428,12 +441,15 @@ def verify_restriction(
 class ScanReport:
     partition: Partition
     field: int
-    mode: str                      # "full" or "reduced"
     scanned: int                   # size of the space the walk covers
-    rejected: int                  # non-nilpotent matrices in it; 0 in reduced mode
-    types: list                    # every occurring Jordan type, sorted
+    histogram: dict                # Jordan type -> matrices of that type, types descending
     max_type: Partition | None     # dominance maximum, when one exists
     expected: Partition
+
+    @property
+    def types(self) -> list:
+        """Every occurring Jordan type, sorted descending."""
+        return list(self.histogram)
 
     @property
     def ok(self) -> bool:
@@ -443,10 +459,9 @@ class ScanReport:
         return {
             "partition": list(self.partition),
             "field": self.field,
-            "mode": self.mode,
             "scanned": self.scanned,
-            "rejected": self.rejected,
             "types": [list(t) for t in self.types],
+            "histogram": {format_partition(t): c for t, c in self.histogram.items()},
             "max_type": list(self.max_type) if self.max_type is not None else None,
             "expected": list(self.expected),
             "status": "ok" if self.ok else "fail",
@@ -469,124 +484,98 @@ def _gray_walk(count: int, p: int):
         yield x
 
 
+def _leading_choices(f, cap: int) -> int:
+    """prod p(f_i) over the multiplicities f_i of P, or cap + 1 when that is over cap.
+
+    p(m), the number of partitions of m, comes from Euler's pentagonal
+    recurrence, stopped once it passes cap, so a huge f_i costs a few steps.
+    """
+    counts = [1]
+    while len(counts) <= max(f, default=0) and counts[-1] <= cap:
+        k, total, j = len(counts), 0, 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            total += (-1) ** (j + 1) * (counts[k - g] + (counts[k - g - j] if g + j <= k else 0))
+            j += 1
+        counts.append(total)
+    choices = 1
+    for m in f:
+        choices *= counts[m] if m < len(counts) else cap + 1
+        if choices > cap:
+            return cap + 1
+    return choices
+
+
+def _jordan_form(i: int, lam: Partition) -> list:
+    """The a_1 slots that, set to 1, make the chains of length i a lower Jordan form of type lam."""
+    starts = accumulate(lam, initial=0)
+    return [ParamSlot(i, k + 1, i, k, 1) for s, b in zip(starts, lam) for k in range(s + 1, s + b)]
+
+
 def scan_max_type(
     parts: Iterable[int],
     p: int = 2,
     budget: int = DEFAULT_SCAN_BUDGET,
-    mode: str = "auto",
 ) -> ScanReport:
-    """Enumerate nilpotent commuting matrices and find the dominant Jordan type.
+    """Enumerate commuting nilpotent matrices up to Levi conjugacy; find the dominant Jordan type.
 
-    ``full`` walks the whole commutator algebra; ``reduced`` walks the
-    maximal nilpotent subalgebra, which realizes the same set of Jordan
-    types since every nilpotent commuting matrix is similar to one of its
-    members.  ``auto`` picks ``full`` when it fits the budget and falls
-    back to ``reduced``; if even that exceeds the budget, BudgetError is
-    raised.  Both choices use slot counts by formula, so an over-budget
-    partition is refused before any slot is listed.
-
-    The slots are walked in Gray-code order, one slot change per step, with
-    the leading-coefficient slots as the outer walk.  A commuting matrix is
-    nilpotent iff its leading blocks are, so an outer assignment with a
-    non-nilpotent leading block has its whole inner walk counted as
-    ``rejected`` without building it; a matrix that is built and is not
-    nilpotent raises AssertionError.  ``scanned`` counts the whole space.
-    Every matrix is typed by its rank sequence: over GF(2) it is kept as
-    int rows and its ranks come from the GF(2) kernels, over odd p from
-    ``MatrixGFp``.
+    L = prod GL(f_i), mixing the chains of each length, commutes with B and
+    keeps Jordan types; conjugating by it moves each leading block A_i by a
+    similarity and leaves the other slots free.  So the walk gives each A_i
+    one lower nilpotent Jordan form per partition of f_i, and walks every
+    non-leading slot of the slot table through GF(p) in Gray-code order, one
+    slot change per step.  ``scanned`` is the size of that space,
+    prod p(f_i) p^free; it is checked against ``budget`` before any slot is
+    listed, and BudgetError is raised when it is over.  Every matrix built
+    is nilpotent: one that is not raises AssertionError.  Each is typed by
+    its rank sequence, over GF(2) on int rows with the GF(2) kernels, over
+    odd p on row lists with ``rank_profile`` and ``matmul_rows``.
     """
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
     f = to_frequency(pt)
-
-    def fits(count: int) -> bool:
-        # p**count <= budget; p >= 2, so past budget's bit length it is over
-        return count <= budget.bit_length() and p**count <= budget
-
-    if mode == "auto":
-        mode = "full" if fits(_slot_count(f, reduced=False)) else "reduced"
-    if mode not in ("full", "reduced"):
-        raise ValueError(f"unknown scan mode {mode!r}")
-    count = _slot_count(f, reduced=mode == "reduced")
-    if not fits(count):
+    free = _slot_count(f, reduced=False) - sum(m * m for m in f)
+    # p**free <= budget; p >= 2, so past budget's bit length it is over
+    cap = budget // p**free if free <= budget.bit_length() else 0
+    leading = _leading_choices(f, cap)
+    if leading > cap:
         raise BudgetError(
-            f"scan of {format_partition(pt)} needs {p}^{count} matrices, over budget {budget}"
+            f"scan of {format_partition(pt)} needs more matrices than the budget {budget}"
         )
-    expected = descent_map(pt)
-    entries = _slot_table(pt, reduced=mode == "reduced")
-    slots = list(entries)
-
-    # The leading slots come first and form the outer walk.  In reduced mode
-    # every leading block is strictly lower triangular: nothing to prune.
-    outer = 0
-    if mode == "full":
-        slots.sort(key=lambda s: not s.leading)
-        outer = sum(s.leading for s in slots)
-    inner = len(slots) - outer
-    binary = p == 2
-
-    def zero(m: int) -> list:
-        return [0] * m if binary else [[0] * m for _ in range(m)]
-
-    # A slot writes its value into the matrix and, if leading, into its block.
-    rows = zero(n)
-    blocks = {i: zero(m) for i, m in enumerate(f, 1) if m}
-    targets = [
-        [(rows, r, c) for r, c in entries[s]]
-        + ([(blocks[s.i], s.k - 1, s.l - 1)] if x < outer else [])
-        for x, s in enumerate(slots)
+    table = _slot_table(pt)
+    forms = [
+        [[rc for s in _jordan_form(i, lam) for rc in table[s]] for lam in partitions_of(m)]
+        for i, m in enumerate(f, 1)
+        if m
     ]
+    walked = [es for s, es in table.items() if not s.leading]
+    binary = p == 2
     if binary:
-        targets = [[(t, r, 1 << c) for t, r, c in ts] for ts in targets]
-    values = [0] * len(slots)
+        walked = [[(r, 1 << c) for r, c in es] for es in walked]
+        rank, mul = gf2_rank, gf2_matmul
+    else:
+        rank, mul = (lambda m: rank_profile(m, p)[-1]), (lambda x, y: matmul_rows(x, y, p))
 
-    def bump(x: int) -> None:
-        v = values[x] = (values[x] + 1) % p
+    keys = Counter()  # rank sequence -> matrices
+    for lead in product(*forms):
+        rows = _placed(n, [(es, 1) for es in lead])
         if binary:
-            for t, r, bit in targets[x]:
-                t[r] ^= bit
-        else:
-            for t, r, c in targets[x]:
-                t[r][c] = v
-
-    def key_of(m: list):
-        """The rank sequence of m, None if m is not nilpotent."""
-        if binary:
-            return _rank_sequence(m, len(m), gf2_rank, gf2_matmul)
-        return _rank_sequence(MatrixGFp(m, p), len(m), MatrixGFp.rank, operator.matmul)
-
-    keys = set()
-    rejected = 0
-    for x in _gray_walk(outer, p):
-        if x is not None:
-            bump(x)
-        if any(key_of(block) is None for block in blocks.values()):
-            rejected += p**inner
-            continue
-        for y in _gray_walk(inner, p):
+            rows = [sum(x << c for c, x in enumerate(row)) for row in rows]
+        values = [0] * len(walked)
+        for y in _gray_walk(len(walked), p):
             if y is not None:
-                bump(outer + y)
-            key = key_of(rows)
+                v = values[y] = (values[y] + 1) % p
+                if binary:
+                    for r, bit in walked[y]:
+                        rows[r] ^= bit
+                else:
+                    for r, c in walked[y]:
+                        rows[r][c] = v
+            key = _rank_sequence(rows, n, rank, mul)
             if key is None:
-                raise AssertionError(
-                    f"{mode}-mode matrix is not nilpotent, but its leading blocks are"
-                )
-            keys.add(key)
+                raise AssertionError("scanned matrix is not nilpotent, but its leading blocks are")
+            keys[key] += 1
 
-    ordered = sorted({_type_of_ranks(k) for k in keys}, reverse=True)
-    max_type = None
-    for t in ordered:
-        if all(dominates(t, s) for s in ordered):
-            max_type = t
-            break
-    return ScanReport(
-        partition=pt,
-        field=p,
-        mode=mode,
-        scanned=p**count,
-        rejected=rejected,
-        types=ordered,
-        max_type=max_type,
-        expected=expected,
-    )
+    histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
+    max_type = next((t for t in histogram if all(dominates(t, s) for s in histogram)), None)
+    return ScanReport(pt, p, leading * p**free, histogram, max_type, descent_map(pt))

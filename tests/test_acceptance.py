@@ -140,6 +140,11 @@ def test_statistic_laws_exhaustive_to_25():
         sweep_checks("lem-stats", "prop-stats", max_n=25)
 
 
+def test_prop_characterization_exhaustive():
+    with report("super-distinct iff length = two-measure, no bb, del a shift, Q(P) = P; n <= 22"):
+        sweep_checks("prop-characterization", max_n=22)
+
+
 def test_descent_map_equals_oblak_to_22():
     with report("descent map == greedy process output, all n <= 22"):
         sweep_checks("thm-main-vs-oblak", max_n=22)
@@ -188,6 +193,11 @@ def test_dominance_maximum_exhaustive_over_gf2():
 def test_dominance_maximum_exhaustive_over_gf2_n6():
     with report("scanned commutators have dominance maximum = descent map, |P| <= 6, GF(2)"):
         sweep_checks("matrix-dominance", max_n=6, scan_field=2)
+
+
+def test_dominance_maximum_exhaustive_over_gf3():
+    with report("scanned commutators have dominance maximum = descent map, |P| <= 5, GF(3)"):
+        sweep_checks("matrix-dominance", max_n=5, scan_field=3)
 
 
 def test_hook_correspondence_to_24():

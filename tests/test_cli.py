@@ -119,9 +119,9 @@ def test_scan_max(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["max_type"] == [3] and data["status"] == "ok"
-    assert data["mode"] == "full" and data["scanned"] == 32 and data["rejected"] == 24
+    assert data["scanned"] == 8 and data["histogram"] == {"[3]": 2, "[2,1]": 5, "[1^3]": 1}
     code, out, _ = run(capsys, "scan-max", "--partition", "2,1", "--field", "2")
-    assert code == 0 and "scanned 32 (full), 24 rejected," in out
+    assert code == 0 and "scanned 8, 3 types, max [3]," in out
 
 
 def test_verify_large_prime_field(capsys):
@@ -193,8 +193,8 @@ def test_sweep_default_checks_pass(capsys):
 
 def test_sweep_keeps_passing_instances_past_the_scan_budget():
     (res,) = run_sweep(SweepConfig(max_n=3, checks=("matrix-dominance",), scan_field=10007))
-    # (), (1), (2) and (1,1) fit the budget; (3), (2,1) and (1,1,1) do not
-    assert (res.instances, res.failures) == (7, 3)
+    # (), (1), (2), (1,1) and (1,1,1) fit the budget; (3) and (2,1) do not
+    assert (res.instances, res.failures) == (7, 2)
     assert res.first_counterexample.startswith(
         "burgebox scan-max --partition 3 --field 10007  # infeasible configuration"
     )
@@ -402,10 +402,10 @@ def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
 
 
 def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
-    # with no slot marked leading, full mode prunes nothing and meets a
-    # non-nilpotent matrix whose leading blocks look nilpotent
+    # with no slot marked leading, the diagonal a_1 slots join the free walk
+    # and the scan meets a non-nilpotent matrix
     monkeypatch.setattr(oracle.ParamSlot, "leading", property(lambda slot: False))
-    code, _, err = run(capsys, "scan-max", "--partition", "2,1", "--mode", "full")
+    code, _, err = run(capsys, "scan-max", "--partition", "2,1")
     assert code == 1 and "Traceback" not in err
     (line,) = err.splitlines()
-    assert line.startswith("error: full-mode matrix is not nilpotent")
+    assert line.startswith("error: scanned matrix is not nilpotent")

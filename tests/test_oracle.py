@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from burgebox.oracle import (
     verify_restriction,
     witness_matrix,
 )
-from burgebox.partitions import partitions_of, to_frequency, to_partition
+from burgebox.partitions import format_partition, partitions_of, to_frequency, to_partition
 from reference_scan import reference_scan
 
 P_BIG = (4, 4, 3, 2, 2)
@@ -272,12 +273,16 @@ def test_scan_max_small():
 
 
 def test_scan_budget():
+    # (2,2,1): p(2) p(1) = 2 leading Jordan forms times 2^8 free slots
+    with pytest.raises(BudgetError, match="needs more matrices than the budget 511"):
+        scan_max_type((2, 2, 1), p=2, budget=511)
+    assert scan_max_type((2, 2, 1), p=2, budget=512).scanned == 512
+    # (1^7) has no free slot: its space is the p(7) = 15 Jordan forms of one 7 x 7 block
+    assert scan_max_type((1,) * 7, p=2, budget=15).scanned == 15
     with pytest.raises(BudgetError):
-        scan_max_type((1, 1, 1, 1, 1), p=2, budget=512)
-    # auto falls back to the reduced subalgebra when full enumeration
-    # would blow the default budget
+        scan_max_type((1,) * 7, p=2, budget=14)
     r = scan_max_type((1, 1, 1, 1, 1), p=2)
-    assert r.mode == "reduced" and r.scanned == 2**10 and r.ok
+    assert r.scanned == 7 and r.ok
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -287,44 +292,37 @@ def test_slot_count_formula_matches_slot_list(reduced):
             assert _slot_count(to_frequency(p), reduced) == len(param_slots(p, reduced=reduced))
 
 
-def test_scan_reduced_matches_full():
-    for p in [(1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]:
-        full = scan_max_type(p, p=2, mode="full")
-        red = scan_max_type(p, p=2, mode="reduced")
-        assert full.types == red.types
-        assert full.max_type == red.max_type
-
-
 def test_scan_matches_reference_scan():
-    # the Gray-code walk against the dense recursive scan it replaced; in
-    # full mode the pruned count must equal the brute-force count of A^n != 0
+    # the Levi walk against the dense recursive scan of the full or reduced
+    # space, and ``scanned`` against prod p(f_i) p^free counted by listing
     cases = [(q, 2, 2**12) for n in range(6) for q in partitions_of(n)]
     cases += [(q, 3, 3**7) for n in range(5) for q in partitions_of(n)]
-    modes = set()
     for q, p, budget in cases:
         rep = scan_max_type(q, p=p, budget=budget)
-        mode, scanned, rejected, types, max_type = reference_scan(q, p=p, budget=budget)
-        got = (rep.mode, rep.scanned, rep.types, rep.max_type)
-        assert got == (mode, scanned, types, max_type), (q, p)
-        assert rep.rejected == rejected, (q, p)
-        assert rep.to_dict()["rejected"] == rejected
-        modes.add((p, mode))
-    assert modes == {(p, mode) for p in (2, 3) for mode in ("full", "reduced")}
+        _, _, _, types, max_type = reference_scan(q, p=p, budget=budget)
+        assert (rep.types, rep.max_type) == (types, max_type), (q, p)
+        f = to_frequency(q)
+        forms = math.prod(len(list(partitions_of(m))) for m in f)
+        free = _slot_count(f, reduced=False) - sum(m * m for m in f)
+        assert rep.scanned == forms * p**free, (q, p)
+
+
+@pytest.mark.parametrize("p,max_n", [(2, 5), (3, 4)])
+def test_scan_histogram_sums_to_scanned(p, max_n):
+    for n in range(max_n + 1):
+        for q in partitions_of(n):
+            d = scan_max_type(q, p=p).to_dict()
+            assert sum(d["histogram"].values()) == d["scanned"], q
+            assert list(d["histogram"]) == [format_partition(t) for t in d["types"]], q
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("attr,mode", [("leading", "full"), ("forced_zero", "reduced")])
-def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p, attr, mode):
-    # break the premise (no slot leading, or nothing forced to zero): the
-    # walk then builds non-nilpotent matrices and must raise, not miscount
-    monkeypatch.setattr(ParamSlot, attr, property(lambda slot: False))
-    with pytest.raises(AssertionError, match=f"{mode}-mode matrix is not nilpotent"):
-        scan_max_type((2, 1), p=p, mode=mode)
-
-
-def test_scan_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        scan_max_type((2, 1), p=2, mode="banana")
+def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p):
+    # with no slot leading, the diagonal a_1 slots join the free walk, which
+    # then builds non-nilpotent matrices and must raise, not miscount
+    monkeypatch.setattr(ParamSlot, "leading", property(lambda slot: False))
+    with pytest.raises(AssertionError, match="scanned matrix is not nilpotent"):
+        scan_max_type((2, 1), p=p)
 
 
 @pytest.mark.parametrize(
@@ -368,7 +366,7 @@ def test_slot_proof_is_per_slot(monkeypatch):
         oracle, "_slot_entries", lambda slot, layout: moved.get(slot) or real(slot, layout)
     )
     with pytest.raises(AssertionError, match="does not commute"):
-        scan_max_type((3,), p=2, mode="full")
+        scan_max_type((3,), p=2)
 
 
 def test_build_commuting_slot_placement():
