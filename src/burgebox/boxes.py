@@ -19,14 +19,8 @@ import math
 import re
 from typing import Iterable
 
-from .burge import decode, descent_map, encode
-from .partitions import (
-    Partition,
-    as_partition,
-    is_super_distinct,
-    to_frequency,
-    to_partition,
-)
+from .burge import _promoted, descent_map, encode
+from .partitions import Partition, _frequency, _partition, _super_distinct, as_partition
 
 _B_RUN_RE = re.compile(r"b+")
 FIBER_CAP = 10**6  # cells that fiber may list: box size (elements) times |Q| (cells each)
@@ -35,15 +29,10 @@ FIBER_CAP = 10**6  # cells that fiber may list: box size (elements) times |Q| (c
 def delta(q: Iterable[int]) -> tuple:
     """Box dimensions of a super-distinct partition; rejects any other."""
     qt = as_partition(q)
-    if not is_super_distinct(qt):
+    if not _super_distinct(qt):
         raise ValueError(f"{qt} is not super-distinct (some gap is < 2)")
-    k = len(qt)
-    if k == 0:
-        return ()
-    d = [qt[-1]]
-    for i in range(2, k + 1):
-        d.append(qt[k - i] - qt[k - i + 1] - 1)
-    return tuple(d)
+    r = qt[::-1]  # q_k, ..., q_1
+    return r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
 
 
 def check_coords(d: tuple, coords: Iterable[int]) -> tuple:
@@ -72,6 +61,11 @@ def _fiber_word(d: tuple, c: tuple) -> str:
     return "".join(pieces)
 
 
+def _element(d: tuple, c: tuple) -> Partition:
+    """The fiber element at checked coordinates: its word is in (a*b)*a by construction."""
+    return _partition(_promoted(_fiber_word(d, c)))
+
+
 def fiber(q: Iterable[int]) -> list:
     """Complete fiber of the descent map over Q.
 
@@ -84,10 +78,10 @@ def fiber(q: Iterable[int]) -> list:
     count, n = math.prod(d), sum(q)  # delta has validated q
     if count * n > FIBER_CAP:
         raise ValueError(f"fiber of {count} partitions of {n} exceeds the fiber cap {FIBER_CAP}")
-    out = []
-    for coords in itertools.product(*(range(1, dj + 1) for dj in d)):
-        out.append((coords, to_partition(decode(_fiber_word(d, coords)))))
-    return out
+    return [
+        (coords, _element(d, coords))
+        for coords in itertools.product(*(range(1, dj + 1) for dj in d))
+    ]
 
 
 def coordinates_of(parts: Iterable[int]) -> tuple:
@@ -98,7 +92,7 @@ def coordinates_of(parts: Iterable[int]) -> tuple:
     """
     p = as_partition(parts)
     q = descent_map(p)
-    word = encode(to_frequency(p))
+    word = encode(_frequency(p))
     coords = tuple(len(run.group(0)) for run in _B_RUN_RE.finditer(word))
     if fiber_code(q, coords) != word:
         raise AssertionError(
@@ -113,14 +107,9 @@ def max_parts_partition(q: Iterable[int]) -> Partition:
     Sits at box coordinates (d_1, ..., d_k); super-distinctness guarantees
     q_1 >= 2r - 1 so the count of trailing ones is positive.
     """
-    delta(q)  # validates super-distinctness
     qt = as_partition(q)
-    if not qt:
-        return ()
-    r = len(qt)
-    return as_partition(
-        tuple(x + 2 for x in qt[1:]) + (1,) * (qt[0] - 2 * r + 2)
-    )
+    delta(qt)  # rejects a Q that is not super-distinct
+    return tuple(x + 2 for x in qt[1:]) + (1,) * (qt[0] - 2 * len(qt) + 2) if qt else ()
 
 
 def symmetry_map(q: Iterable[int], coords: Iterable[int], positions: Iterable[int]) -> tuple:
@@ -157,10 +146,9 @@ def fiber_bijection(q: Iterable[int], r: Iterable[int], sigma: Iterable[int]) ->
             raise ValueError(
                 f"box mismatch at position {j + 1}: delta(R)={dr}, permuted delta(Q) wants {dq[s[j] - 1]}"
             )
-    q_fiber = dict(fiber(q))
     pairs = []
-    for coords_q, part_q in sorted(q_fiber.items()):
+    for coords_q, part_q in fiber(q):  # in lexicographic coordinate order
         coords_r = tuple(coords_q[s[j] - 1] for j in range(len(s)))
-        part_r = to_partition(decode(_fiber_word(dr, coords_r)))
+        part_r = _element(dr, coords_r)
         pairs.append(((coords_q, part_q), (coords_r, part_r)))
     return pairs

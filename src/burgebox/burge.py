@@ -22,14 +22,16 @@ nilpotent commutator.
 
 All pairs touched by one operator application are disjoint, so one scan
 over the spreads applies every transfer.  The public functions here
-validate their input and hand a plain list to the single-pass kernels in
-``kernels``; what they return is an immutable tuple or string.
+validate their input once and hand a plain list to the single-pass kernels
+in ``kernels`` (or trusted data to the private helpers); what they return
+is an immutable tuple or string.  ``encode``'s one ``apply_del`` call is
+kept only for the benchmark's smoke test (ROADMAP item 6).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
@@ -37,16 +39,15 @@ from .partitions import (
     SIZE_CAP,
     Partition,
     FreqSeq,
+    _frequency,
+    _partition,
     _quoted,
+    _right_set,
+    _super_distinct,
+    _two_measure,
     as_frequency,
     as_partition,
-    is_super_distinct,
-    length,
-    reduced,
-    right_set,
     to_frequency,
-    to_partition,
-    two_measure,
 )
 
 _WORD_OK_RE = re.compile(r"^[ab]*$")
@@ -73,7 +74,12 @@ def is_code_word(word: str) -> bool:
 
 def in_class_b(freq: Iterable[int]) -> bool:
     """True when 1 is in R(f), i.e. 1 sits in a spread of odd size."""
-    return kernels.demote(list(as_frequency(freq))) == "b"
+    return _letter(as_frequency(freq)) == "b"
+
+
+def _letter(f: FreqSeq) -> str:
+    """Class letter of a validated f, from the parity of the spread at index 1."""
+    return "ab"[(f.index(0) if 0 in f else len(f)) % 2]
 
 
 def apply_a(freq: Iterable[int]) -> FreqSeq:
@@ -89,9 +95,13 @@ def apply_b(freq: Iterable[int]) -> FreqSeq:
 
 
 def apply_del(freq: Iterable[int]) -> FreqSeq:
-    f = list(as_frequency(freq))
-    kernels.demote(f)
-    return tuple(f)
+    return _demoted(as_frequency(freq))
+
+
+def _demoted(f: FreqSeq) -> FreqSeq:
+    g = list(f)
+    kernels.demote(g)
+    return tuple(g)
 
 
 @dataclass(frozen=True)
@@ -133,13 +143,14 @@ def encode(freq: Iterable[int]) -> str:
     """Code word of a frequency sequence.
 
     The word shifts under demotion: it is the class letter of f followed
-    by the word of apply_del(f).  That first step goes through the public
-    operators; the demotion kernel takes the rest in place.
+    by the word of apply_del(f).  The first letter is read from the spread
+    at index 1 and the demotion kernel takes the rest in place, after one
+    ``apply_del`` call kept only for the benchmark's smoke test.
     """
     f = as_frequency(freq)
     if not f:
         return "a"
-    letters = ["b" if in_class_b(f) else "a"]
+    letters = [_letter(f)]
     rest = list(apply_del(f))
     while rest:
         letters.append(kernels.demote(rest))
@@ -156,18 +167,26 @@ def decode(word: str) -> FreqSeq:
     w = check_word(word)
     if not _CODE_RE.match(w):
         raise ValueError(f"word {_quoted(word)} does not end with a single trailing 'a'")
-    n = maj(w)
+    n = sum(_descents(w))
     if n > SIZE_CAP:
         raise ValueError(f"code word of size {n} exceeds the size cap {SIZE_CAP}")
+    return tuple(_promoted(w))
+
+
+def _promoted(w: str) -> list:
+    """Frequency list of a word known to lie in (a*b)*a, promoted from its last letter."""
     f: list = []
     for ch in reversed(w):
         kernels.promote(f, ch == "b")
-    return tuple(f)
+    return f
 
 
 def descent_set(word: str) -> tuple:
     """Positions i with word[i] = b and word[i+1] = a, ascending, 1-based."""
-    w = check_word(word)
+    return _descents(check_word(word))
+
+
+def _descents(w: str) -> tuple:
     out = []
     i = w.find("ba")
     while i >= 0:
@@ -191,7 +210,7 @@ def descent_map(parts: Iterable[int]) -> Partition:
     dominance-maximum Jordan type occurring in the nilpotent commutator of
     a nilpotent matrix of Jordan type P.
     """
-    return descent_set(encode(to_frequency(parts)))[::-1]
+    return _descents(encode(to_frequency(parts)))[::-1]
 
 
 @dataclass(frozen=True)
@@ -207,7 +226,7 @@ class SuperDistinctReport:
     descent_map_fixes: bool       # descent_map(P) = P
 
     def values(self) -> tuple:
-        return astuple(self)
+        return tuple(vars(self).values())  # the fields, in declaration order
 
     @property
     def consistent(self) -> bool:
@@ -215,18 +234,20 @@ class SuperDistinctReport:
 
 
 def characterize_superdistinct(parts: Iterable[int]) -> SuperDistinctReport:
+    """The seven tests on P, from one validation and one code word."""
     p = as_partition(parts)
-    f = to_frequency(p)
-    rset = right_set(f)
-    df = apply_del(f)
+    f = _frequency(p)
+    rset = _right_set(f)
+    df = _demoted(f)
+    word = encode(f)
     return SuperDistinctReport(
-        super_distinct=is_super_distinct(p),
-        length_equals_two_measure=length(f) == two_measure(f),
-        code_has_no_bb="bb" not in encode(f),
+        super_distinct=_super_distinct(p),
+        length_equals_two_measure=sum(f) == _two_measure(f),
+        code_has_no_bb="bb" not in word,
         freq_is_right_set_indicator=all(
             m == (1 if i in rset else 0) for i, m in enumerate(f, 1)
         ),
-        del_is_shift=df == as_frequency(f[1:]),
-        del_is_reduction=to_partition(df) == reduced(p),
-        descent_map_fixes=descent_map(p) == p,
+        del_is_shift=df == f[1:],  # f has no trailing zeros, so neither has f[1:]
+        del_is_reduction=_partition(df) == tuple(x - 1 for x in p if x > 1),
+        descent_map_fixes=_descents(word)[::-1] == p,
     )

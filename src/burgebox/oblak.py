@@ -14,9 +14,9 @@ descent map of the corresponding partition; this module computes it
 without touching the code-word machinery, so the two routes can be checked
 against each other.
 
-The public functions validate their input; the process itself runs in
-``kernels`` on a plain list, with all evaluations of a state taken in one
-backward pass over a running suffix sum.
+The public functions validate their input once; the process itself runs
+in ``kernels`` on a plain list, with all evaluations of a state taken in
+one backward pass over a running suffix sum.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
-from .burge import apply_del
+from .burge import _demoted, apply_del
 from .errors import BudgetError
-from .partitions import FreqSeq, Partition, as_frequency, size, spreads
+from .partitions import FreqSeq, Partition, as_frequency, spreads
 
 DEFAULT_CHAIN_LIMIT = 10**5
 
@@ -169,18 +169,14 @@ def oblak(freq: Iterable[int]) -> Partition:
 
     The successive values decrease by at least two, so no sort is needed;
     choice independence makes the deterministic chain representative.
-    The process recurses on the annihilation at a maximal index: that
-    first step goes through the public functions and the kernel runs the
-    rest.  Each step checks that the size drop equals its evaluation.
+    The kernel runs every step and checks that its size drop equals its
+    evaluation.  The empty test goes through the public
+    ``maximal_indices`` only for the benchmark's counter (ROADMAP item 6).
     """
     f = as_frequency(freq)
-    if not f:
+    if not maximal_indices(f):  # f is empty
         return ()
-    i = maximal_indices(f)[0]
-    ev, rest = evaluate(f, i), annihilate(f, i)
-    if size(f) - size(rest) != ev:
-        raise ValueError(f"corrupt chain: size drop {size(f) - size(rest)} != evaluation {ev}")
-    return (ev,) + tuple(v for _, v in kernels.oblak_steps(list(rest)))
+    return tuple(v for _, v in kernels.oblak_steps(list(f)))
 
 
 def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> list:
@@ -242,8 +238,10 @@ def check_commuting_square(freq: Iterable[int], i: int) -> bool:
     apply_del(f); may hold or fail otherwise.
     """
     f = as_frequency(freq)
-    df = apply_del(f)
+    if i < 0:
+        raise ValueError("evaluation index must be nonnegative")
+    df = _demoted(f)
     return (
-        evaluate(df, i) == evaluate(f, i) - 1
-        and annihilate(df, i) == apply_del(annihilate(f, i))
+        kernels.evaluate(df, i) == kernels.evaluate(f, i) - 1
+        and _annihilated(df, i) == _demoted(_annihilated(f, i))
     )

@@ -15,6 +15,7 @@ safe to share between threads.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, groupby, zip_longest
 from typing import Iterable, Iterator, NamedTuple
 
 from . import kernels
@@ -71,7 +72,10 @@ def as_frequency(freq: Iterable[int]) -> FreqSeq:
 
 def to_frequency(parts: Iterable[int]) -> FreqSeq:
     """Frequency sequence of a partition: f_i = multiplicity of part i."""
-    p = as_partition(parts)
+    return _frequency(as_partition(parts))
+
+
+def _frequency(p: Partition) -> FreqSeq:
     if not p:
         return ()
     f = [0] * p[0]
@@ -82,7 +86,10 @@ def to_frequency(parts: Iterable[int]) -> FreqSeq:
 
 def to_partition(freq: Iterable[int]) -> Partition:
     """Partition corresponding to a frequency sequence (inverse of to_frequency)."""
-    f = as_frequency(freq)
+    return _partition(as_frequency(freq))
+
+
+def _partition(f) -> Partition:
     parts = []
     for i in range(len(f), 0, -1):
         parts.extend([i] * f[i - 1])
@@ -133,9 +140,11 @@ def left_set(freq: Iterable[int]) -> frozenset:
 
 def right_set(freq: Iterable[int]) -> frozenset:
     """R(f): every other support index of each spread, starting at its high end."""
-    return frozenset(
-        j for lo, hi in _runs(as_frequency(freq)) for j in range(hi, lo - 1, -2)
-    )
+    return _right_set(as_frequency(freq))
+
+
+def _right_set(f: FreqSeq) -> frozenset:
+    return frozenset(j for lo, hi in _runs(f) for j in range(hi, lo - 1, -2))
 
 
 def two_measure(freq: Iterable[int]) -> int:
@@ -144,12 +153,19 @@ def two_measure(freq: Iterable[int]) -> int:
     Equals the largest subset of the support with no two consecutive
     indices, which is ceil(len/2) summed over the spreads.
     """
-    return sum((hi - lo + 2) // 2 for lo, hi in _runs(as_frequency(freq)))
+    return _two_measure(as_frequency(freq))
+
+
+def _two_measure(f: FreqSeq) -> int:
+    return sum((hi - lo + 2) // 2 for lo, hi in _runs(f))
 
 
 def is_super_distinct(parts: Iterable[int]) -> bool:
     """True when successive parts differ by at least two."""
-    p = as_partition(parts)
+    return _super_distinct(as_partition(parts))
+
+
+def _super_distinct(p: Partition) -> bool:
     return all(p[i] - p[i + 1] >= 2 for i in range(len(p) - 1))
 
 
@@ -171,32 +187,31 @@ def dominates(parts: Iterable[int], other: Iterable[int]) -> bool:
         raise ValueError(
             f"dominance is defined within a size class: |{p}| != |{r}|"
         )
-    acc_p = acc_r = 0
-    for i in range(max(len(p), len(r))):
-        acc_p += p[i] if i < len(p) else 0
-        acc_r += r[i] if i < len(r) else 0
-        if acc_p < acc_r:
-            return False
-    return True
+    # past its last part, a prefix sum stays at the common size
+    return all(a >= b for a, b in zip_longest(accumulate(p), accumulate(r), fillvalue=sum(p)))
 
 
 def partitions_of(n: int) -> Iterator[tuple]:
-    """All partitions of n, in reverse lexicographic order."""
-    if n < 0:
+    """All partitions of n, in reverse lexicographic order (Zoghbi and Stojmenovic's ZS1)."""
+    if n < 1:
+        yield from [()] * (n == 0)
         return
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+    x, m, h = [n] + [1] * (n - 1), 1, 0  # x[:m] is the partition, x[h] its last part above 1
+    yield (n,)
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h], m, h = 1, m + 1, h - 1
+        else:
+            r = x[h] = x[h] - 1
+            t = m - h  # the ones after x[h] and the unit just taken from it
+            while t >= r:
+                h += 1
+                x[h], t = r, t - r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +288,8 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(parts: Iterable[int]) -> str:
     """Multiset bracket form: (9,5,1,1,1,1,1,1) -> \"[9,5,1^6]\"."""
-    p = as_partition(parts)
-    if not p:
-        return "[]"
-    pieces = []
-    i = 0
-    while i < len(p):
-        j = i
-        while j < len(p) and p[j] == p[i]:
-            j += 1
-        mult = j - i
-        pieces.append(f"{p[i]}^{mult}" if mult > 1 else str(p[i]))
-        i = j
-    return "[" + ",".join(pieces) + "]"
+    runs = ((x, len(list(g))) for x, g in groupby(as_partition(parts)))
+    return "[" + ",".join(f"{x}^{m}" if m > 1 else str(x) for x, m in runs) + "]"
 
 
 def format_frequency(freq: Iterable[int]) -> str:

@@ -2,8 +2,9 @@
 
 ``run_sweep`` calls each check as ``check(n, cfg, record)`` for n = 0 ..
 max_n; the check calls ``record(ok, repro)`` once per instance of size n.
-Each result keeps pass/fail counts plus the reproducer command of the
-first failing instance.  All checks are deterministic given the configuration.
+Each result keeps pass/fail counts, wall and CPU time, and the reproducer
+command of the first failing instance, which ``repro()`` builds only then.
+All checks are deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -53,17 +54,18 @@ class CheckResult:
     failures: int = 0
     first_counterexample: str | None = None
     elapsed: float = 0.0
+    cpu: float = 0.0
 
     @property
     def ok(self) -> bool:
         return self.failures == 0
 
-    def record(self, ok: bool, repro: str) -> None:
+    def record(self, ok: bool, repro) -> None:
         self.instances += 1
         if not ok:
             self.failures += 1
             if self.first_counterexample is None:
-                self.first_counterexample = repro
+                self.first_counterexample = repro()
 
     def to_dict(self) -> dict:
         return {
@@ -72,6 +74,7 @@ class CheckResult:
             "failures": self.failures,
             "first_counterexample": self.first_counterexample,
             "elapsed": round(self.elapsed, 3),
+            "cpu": round(self.cpu, 3),
         }
 
 
@@ -90,7 +93,7 @@ def check_lem_stats(n: int, cfg: SweepConfig, record) -> None:
             and two_measure(df)
             == two_measure(f) - (1 if in_b and not burge.in_class_b(df) else 0)
         )
-        record(ok, f"burgebox chain {_pstr(p)}")
+        record(ok, lambda: f"burgebox chain {_pstr(p)}")
 
 
 def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
@@ -102,19 +105,19 @@ def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
             and size(f) == burge.maj(w)
             and two_measure(f) == burge.des(w)
         )
-        record(ok, f"burgebox encode {_pstr(p)}")
+        record(ok, lambda: f"burgebox encode {_pstr(p)}")
 
 
 def check_prop_characterization(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
         report = burge.characterize_superdistinct(p)
-        record(report.consistent, f"burgebox encode {_pstr(p)}")
+        record(report.consistent, lambda: f"burgebox encode {_pstr(p)}")
 
 
 def check_main_vs_oblak(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
         ok = burge.descent_map(p) == oblak(to_frequency(p))
-        record(ok, f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
+        record(ok, lambda: f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
 
 
 def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
@@ -124,7 +127,7 @@ def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
     supers = [q for q in partitions_of(n) if is_super_distinct(q)]
     record(
         set(fibers) == set(supers),
-        f"burgebox sweep --max-n {n} --checks cor-box",
+        lambda: f"burgebox sweep --max-n {n} --checks cor-box",
     )
     for q in supers:
         box = boxes.fiber(q)
@@ -135,7 +138,7 @@ def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
             and members == fibers.get(q, set())
             and all(len(part) == sum(c) for c, part in box)
         )
-        record(ok, f"burgebox fiber {_pstr(q)} --json")
+        record(ok, lambda: f"burgebox fiber {_pstr(q)} --json")
 
 
 def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
@@ -150,14 +153,14 @@ def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
                 and image.states[0] == burge.apply_del(f)
                 and image.valuation == reduced(chain.valuation)
             )
-        record(ok, f"burgebox oblak-chains {_pstr(p)}")
+        record(ok, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
 def check_khatami(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
         f = to_frequency(p)
         valuations = {c.valuation for c in oblak_all_chains(f)}
-        record(len(valuations) == 1, f"burgebox oblak-chains {_pstr(p)}")
+        record(len(valuations) == 1, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
 def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
@@ -183,8 +186,7 @@ def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
             )
             images.add(image)
         ok = ok and len(images) == len(box) and images == by_hooks.get(q, set())
-        coords_str = ",".join("1" for _ in q) or "e"
-        record(ok, f"burgebox foata {_pstr(q)} --coords {coords_str}")
+        record(ok, lambda: f"burgebox foata {_pstr(q)} --coords {_pstr((1,) * len(q))}")
 
 
 def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
@@ -194,7 +196,7 @@ def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
         )
         record(
             report.ok,
-            f"burgebox verify --partition {_pstr(p)} --field {cfg.field}"
+            lambda: f"burgebox verify --partition {_pstr(p)} --field {cfg.field}"
             f" --trials {cfg.trials} --seed {cfg.seed}",
         )
 
@@ -202,16 +204,13 @@ def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
 def check_matrix_dominance(n: int, cfg: SweepConfig, record) -> None:
     """A partition whose scan exceeds the budget counts as a failed instance."""
     for p in partitions_of(n):
-        repro = f"burgebox scan-max --partition {_pstr(p)} --field {cfg.scan_field}"
         try:
             report = oracle.scan_max_type(p, p=cfg.scan_field)
+            ok, note = report.ok and all(dominates(report.max_type, t) for t in report.types), ""
         except BudgetError as exc:
-            record(False, f"{repro}  # infeasible configuration: {exc}")
-            continue
-        ok = report.ok and all(
-            dominates(report.max_type, t) for t in report.types
-        )
-        record(ok, repro)
+            ok, note = False, f"  # infeasible configuration: {exc}"
+        record(ok, lambda: f"burgebox scan-max --partition {_pstr(p)} --field {cfg.scan_field}"
+               + note)
 
 
 CHECKS = {
@@ -237,13 +236,14 @@ def run_sweep(cfg: SweepConfig) -> list:
     for name in cfg.checks or CHECKS:
         check = CHECKS[name]
         result = CheckResult(name)
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         for n in range(cfg.max_n + 1):
             try:
                 check(n, cfg, result.record)
             except (ValueError, AssertionError, BudgetError) as exc:
                 repro = f"burgebox sweep --max-n {n} --checks {name}  # raised: {exc}"
-                result.record(False, repro)
+                result.record(False, lambda: repro)
         result.elapsed = time.perf_counter() - start
+        result.cpu = time.process_time() - cpu
         results.append(result)
     return results

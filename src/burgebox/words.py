@@ -74,12 +74,7 @@ def path_to_partition(word: str) -> Partition:
 
 def durfee(parts: Iterable[int]) -> int:
     """Largest d with p_d >= d: the side of the Durfee square."""
-    p = as_partition(parts)
-    d = 0
-    for i, x in enumerate(p, 1):
-        if x >= i:
-            d = i
-    return d
+    return sum(x >= i for i, x in enumerate(as_partition(parts), 1))  # the i with p_i >= i
 
 
 def diagonal_hooks(parts: Iterable[int]) -> Partition:
@@ -87,12 +82,16 @@ def diagonal_hooks(parts: Iterable[int]) -> Partition:
 
     Hook i spans the arm p_i - i, the leg (column count of column i) - i,
     and the cell itself.  Successive hooks drop by at least 2, so the
-    result is a super-distinct partition of |P|.
+    result is a super-distinct partition of |P|.  One pointer walks the
+    column counts up from the last part, so the cost is O(len P).
     """
     p = as_partition(parts)
     hooks = []
-    for i in range(1, durfee(p) + 1):
-        arm = p[i - 1] - i
-        leg = sum(1 for x in p if x >= i) - i
-        hooks.append(arm + leg + 1)
+    col = len(p)  # parts >= i, for the current i
+    for i, x in enumerate(p, 1):
+        if x < i:
+            break
+        while p[col - 1] < i:
+            col -= 1
+        hooks.append(x + col - 2 * i + 1)
     return tuple(hooks)

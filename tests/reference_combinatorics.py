@@ -4,10 +4,38 @@ These are the direct, tuple-based transcriptions of the definitions that
 the package's single-pass kernels replaced: every operator recomputes its
 index sets from the spreads and every evaluation sums its suffix afresh.
 They are slow (the maximal-index search is quadratic in the support) and
-exist only as a test oracle for ``test_kernels.py``.
+exist only as a test oracle for ``test_kernels.py``.  The recursive
+partition enumerator and the diagonal hooks with each leg counted afresh
+are the ones the package's iterative and linear versions replaced.
 """
 
-from burgebox.partitions import as_frequency, left_set, right_set, size
+from burgebox.partitions import as_frequency, as_partition, left_set, right_set, size
+
+
+def partitions_of(n):
+    """All partitions of n in reverse lexicographic order, by recursion on the first part."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ()
+        return
+
+    def rec(remaining, largest):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, largest), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    yield from rec(n, n)
+
+
+def diagonal_hooks(parts):
+    """Hooks p_i - i + (parts >= i) - i + 1 at the diagonal cells, each leg a fresh count."""
+    p = as_partition(parts)
+    durfee = max((i for i, x in enumerate(p, 1) if x >= i), default=0)
+    return tuple(p[i - 1] - i + sum(1 for x in p if x >= i) - i + 1 for i in range(1, durfee + 1))
 
 
 def in_class_b(freq):

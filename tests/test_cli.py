@@ -160,6 +160,16 @@ def test_sweep_small(capsys):
     assert all(r["failures"] == 0 for r in results)
 
 
+def test_sweep_json_reports_cpu_time(capsys):
+    code, out, _ = run(capsys, "sweep", "--max-n", "6", "--checks", "prop-stats,cor-box", "--json")
+    assert code == 0
+    results = json.loads(out)
+    assert [r["check"] for r in results] == ["prop-stats", "cor-box"]
+    assert all(isinstance(r["cpu"], float) and r["cpu"] >= 0 for r in results)
+    code, text, _ = run(capsys, "sweep", "--max-n", "6", "--checks", "prop-stats")
+    assert "cpu" not in text  # the text lines keep their form
+
+
 def test_sweep_matrix_dominance(capsys):
     code, out, _ = run(
         capsys,

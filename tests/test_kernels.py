@@ -6,12 +6,13 @@ import random
 import pytest
 
 import reference_combinatorics as ref
-from burgebox.boxes import coordinates_of
+from burgebox.boxes import coordinates_of, fiber
 from burgebox.burge import (
     apply_a,
     apply_b,
     apply_del,
     burge_chain,
+    characterize_superdistinct,
     decode,
     descent_map,
     descent_set,
@@ -19,7 +20,8 @@ from burgebox.burge import (
     in_class_b,
 )
 from burgebox.oblak import maximal_indices, oblak, oblak_chain
-from burgebox.partitions import partitions_of, to_frequency, to_partition
+from burgebox.partitions import is_super_distinct, partitions_of, to_frequency, to_partition
+from burgebox.words import diagonal_hooks, durfee
 
 ACCEPTANCE_BOUND = 25
 
@@ -58,6 +60,20 @@ def test_burge_kernels_match_reference_exhaustive():
 def test_oblak_kernels_match_reference_exhaustive():
     for f in all_freqs(ACCEPTANCE_BOUND):
         assert_oblak_agrees(f)
+
+
+def test_partitions_of_keeps_the_recursive_order():
+    # the gf2-scan Levi walk and every sweep's first counterexample depend on this order
+    for n in range(-1, 21):
+        assert list(partitions_of(n)) == list(ref.partitions_of(n)), n
+    assert list(partitions_of(-1)) == []
+    assert list(partitions_of(0)) == [()]
+
+
+def test_diagonal_hooks_match_reference_exhaustive():
+    for n in range(17):
+        for p in partitions_of(n):
+            assert diagonal_hooks(p) == ref.diagonal_hooks(p), p
 
 
 def test_decode_matches_reference_on_all_short_code_words():
@@ -100,7 +116,7 @@ def test_kernels_match_reference_on_large_partitions(size, largest, small_cap):
     assert sum(coords) == len(p)
 
 
-MALFORMED_FREQS = ((1, -1), (1.5,), ("2",), (True,))
+MALFORMED_FREQS = ((1, -1), (1.5,), ("2",), (True,), (2.0,))
 
 
 @pytest.mark.parametrize("fn", [
@@ -113,8 +129,14 @@ def test_frequency_functions_reject_malformed_input(fn, bad):
         fn(bad)
 
 
-@pytest.mark.parametrize("fn", [descent_map, coordinates_of])
-@pytest.mark.parametrize("bad", [(1, 2), (0,), (3, -1), (2.0,), (10**7,)])
+# every public function validates its own input, also where it no longer
+# calls another public function that would; (1, 2) and (0,) are valid
+# frequency sequences, so oblak is held to MALFORMED_FREQS above
+@pytest.mark.parametrize("fn", [
+    descent_map, coordinates_of, characterize_superdistinct, diagonal_hooks, durfee,
+    fiber, is_super_distinct,
+])
+@pytest.mark.parametrize("bad", [(1, 2), (0,), (3, -1), (2.0,), (10**7,), (True,)])
 def test_partition_functions_reject_malformed_input(fn, bad):
     with pytest.raises(ValueError):
         fn(bad)

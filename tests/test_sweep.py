@@ -32,7 +32,7 @@ PLANTED = {
         burge, "des", burge.encode(F), lambda d: d + 1, "burgebox encode 3,1",
     ),
     "prop-characterization": (
-        burge, "is_super_distinct", TARGET, lambda s: not s, "burgebox encode 3,1",
+        burge, "_super_distinct", TARGET, lambda s: not s, "burgebox encode 3,1",
     ),
     "thm-main-vs-oblak": (
         sweep, "oblak", F, extra_part, "burgebox dmap 3,1  # vs: burgebox oblak 3,1",
