@@ -19,7 +19,8 @@ import math
 import re
 from typing import Iterable
 
-from .burge import _promoted, descent_map, encode
+from . import kernels
+from .burge import descent_map, encode
 from .partitions import Partition, _frequency, _partition, _super_distinct, as_partition
 
 _B_RUN_RE = re.compile(r"b+")
@@ -28,11 +29,16 @@ FIBER_CAP = 10**6  # cells that fiber may list: box size (elements) times |Q| (c
 
 def delta(q: Iterable[int]) -> tuple:
     """Box dimensions of a super-distinct partition; rejects any other."""
+    return _box(q)[1]
+
+
+def _box(q: Iterable[int]) -> tuple:
+    """(Q, delta(Q)) from one check of Q."""
     qt = as_partition(q)
     if not _super_distinct(qt):
         raise ValueError(f"{qt} is not super-distinct (some gap is < 2)")
     r = qt[::-1]  # q_k, ..., q_1
-    return r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
+    return qt, r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
 
 
 def check_coords(d: tuple, coords: Iterable[int]) -> tuple:
@@ -63,7 +69,7 @@ def _fiber_word(d: tuple, c: tuple) -> str:
 
 def _element(d: tuple, c: tuple) -> Partition:
     """The fiber element at checked coordinates: its word is in (a*b)*a by construction."""
-    return _partition(_promoted(_fiber_word(d, c)))
+    return _partition(kernels.promoted(_fiber_word(d, c)))
 
 
 def fiber(q: Iterable[int]) -> list:
@@ -74,14 +80,14 @@ def fiber(q: Iterable[int]) -> list:
     before listing any element, when the box size times |Q| exceeds
     ``FIBER_CAP``.
     """
-    d = delta(q)
-    count, n = math.prod(d), sum(q)  # delta has validated q
-    if count * n > FIBER_CAP:
+    return _fiber(*_box(q))
+
+
+def _fiber(qt: Partition, d: tuple) -> list:
+    """``fiber`` for a checked Q and its box dimensions d."""
+    if (count := math.prod(d)) * (n := sum(qt)) > FIBER_CAP:
         raise ValueError(f"fiber of {count} partitions of {n} exceeds the fiber cap {FIBER_CAP}")
-    return [
-        (coords, _element(d, coords))
-        for coords in itertools.product(*(range(1, dj + 1) for dj in d))
-    ]
+    return [(c, _element(d, c)) for c in itertools.product(*(range(1, dj + 1) for dj in d))]
 
 
 def coordinates_of(parts: Iterable[int]) -> tuple:
@@ -107,8 +113,7 @@ def max_parts_partition(q: Iterable[int]) -> Partition:
     Sits at box coordinates (d_1, ..., d_k); super-distinctness guarantees
     q_1 >= 2r - 1 so the count of trailing ones is positive.
     """
-    qt = as_partition(q)
-    delta(qt)  # rejects a Q that is not super-distinct
+    qt = _box(q)[0]
     return tuple(x + 2 for x in qt[1:]) + (1,) * (qt[0] - 2 * len(qt) + 2) if qt else ()
 
 
@@ -136,7 +141,7 @@ def fiber_bijection(q: Iterable[int], r: Iterable[int], sigma: Iterable[int]) ->
     R-fiber at (i_sigma(j))_j.  Paired partitions have equal part counts.
     Returns ((coords_q, part_q), (coords_r, part_r)) pairs.
     """
-    dq = delta(q)
+    qt, dq = _box(q)
     dr = delta(r)
     s = tuple(sigma)
     if sorted(s) != list(range(1, len(dq) + 1)) or len(dr) != len(dq):
@@ -147,8 +152,7 @@ def fiber_bijection(q: Iterable[int], r: Iterable[int], sigma: Iterable[int]) ->
                 f"box mismatch at position {j + 1}: delta(R)={dr}, permuted delta(Q) wants {dq[s[j] - 1]}"
             )
     pairs = []
-    for coords_q, part_q in fiber(q):  # in lexicographic coordinate order
-        coords_r = tuple(coords_q[s[j] - 1] for j in range(len(s)))
-        part_r = _element(dr, coords_r)
-        pairs.append(((coords_q, part_q), (coords_r, part_r)))
+    for coords_q, part_q in _fiber(qt, dq):  # in lexicographic coordinate order
+        coords_r = tuple(coords_q[i - 1] for i in s)
+        pairs.append(((coords_q, part_q), (coords_r, _element(dr, coords_r))))
     return pairs

@@ -20,12 +20,17 @@ code word (positions of ``ba``) read as a super-distinct partition give the
 descent map, the combinatorial form of the dominant Jordan type in the
 nilpotent commutator.
 
-All pairs touched by one operator application are disjoint, so one scan
-over the spreads applies every transfer.  The public functions here
-validate their input once and hand a plain list to the single-pass kernels
-in ``kernels`` (or trusted data to the private helpers); what they return
-is an immutable tuple or string.  ``encode``'s one ``apply_del`` call is
-kept only for the benchmark's smoke test (ROADMAP item 6).
+All pairs touched by one operator application are disjoint, and the
+transfers of a spread are every second index from one end of it, so one
+operator application is a handful of bitwise operations on the sequence
+packed into one int.  ``encode`` and ``decode`` run their whole chain that
+way (``kernels.letters`` and ``kernels.promoted``); ``apply_del`` and
+``burge_chain``, which return every state, demote a plain list in one scan
+over the spreads.  The public functions here validate their input once and
+hand trusted data to the kernels in ``kernels`` (or to the private
+helpers); what they return is an immutable tuple or string.  ``encode``'s
+one ``apply_del`` call is kept only for the benchmark's smoke test
+(ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -83,15 +88,11 @@ def _letter(f: FreqSeq) -> str:
 
 
 def apply_a(freq: Iterable[int]) -> FreqSeq:
-    f = list(as_frequency(freq))
-    kernels.promote(f)
-    return tuple(f)
+    return kernels.promoted("a", as_frequency(freq))
 
 
 def apply_b(freq: Iterable[int]) -> FreqSeq:
-    f = list(as_frequency(freq))
-    kernels.promote(f, b=True)
-    return tuple(f)
+    return kernels.promoted("b", as_frequency(freq))
 
 
 def apply_del(freq: Iterable[int]) -> FreqSeq:
@@ -144,17 +145,11 @@ def encode(freq: Iterable[int]) -> str:
 
     The word shifts under demotion: it is the class letter of f followed
     by the word of apply_del(f).  The first letter is read from the spread
-    at index 1 and the demotion kernel takes the rest in place, after one
+    at index 1 and the packed demotion kernel takes the rest, after one
     ``apply_del`` call kept only for the benchmark's smoke test.
     """
     f = as_frequency(freq)
-    if not f:
-        return "a"
-    letters = [_letter(f)]
-    rest = list(apply_del(f))
-    while rest:
-        letters.append(kernels.demote(rest))
-    return "".join(letters) + "a"
+    return _letter(f) + kernels.letters(apply_del(f)) + "a" if f else "a"
 
 
 def decode(word: str) -> FreqSeq:
@@ -170,15 +165,7 @@ def decode(word: str) -> FreqSeq:
     n = sum(_descents(w))
     if n > SIZE_CAP:
         raise ValueError(f"code word of size {n} exceeds the size cap {SIZE_CAP}")
-    return tuple(_promoted(w))
-
-
-def _promoted(w: str) -> list:
-    """Frequency list of a word known to lie in (a*b)*a, promoted from its last letter."""
-    f: list = []
-    for ch in reversed(w):
-        kernels.promote(f, ch == "b")
-    return f
+    return kernels.promoted(w)
 
 
 def descent_set(word: str) -> tuple:

@@ -1,13 +1,18 @@
-"""Trusted single-pass kernels for the Burge and Oblak combinatorics.
+"""Trusted kernels for the Burge and Oblak combinatorics.
 
-Each kernel takes a plain list of nonnegative ints without trailing zeros
-(a frequency sequence, 0-indexed in storage) and validates nothing; the
-ones that change the sequence do so in place and keep that form.  The
-public functions in ``burge`` and ``oblak`` validate their input and return
-immutable tuples.
+The kernels validate nothing.  ``demote`` and the Oblak kernels take a
+plain list of nonnegative ints without trailing zeros (a frequency
+sequence, 0-indexed in storage); the ones that change the sequence do so
+in place and keep that form.  ``letters`` and ``promoted`` run a whole
+chain of demotions or promotions on the sequence packed into one int, one
+field of w bits per entry, so that each operator application is a fixed
+run of big-int operations.  The public functions in ``burge`` and
+``oblak`` validate their input and return immutable tuples.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def _strip(f: list) -> None:
@@ -37,30 +42,76 @@ def demote(f: list) -> str:
     return letter
 
 
-def promote(f: list, b: bool = False) -> None:
-    """The a-step on f in one upward scan over its spreads.
+@lru_cache(maxsize=64)
+def _masks(w: int, m: int) -> tuple:
+    """Bit 0 of each of m fields of w bits; the low w - 1 bits of each; the top
+    bit of each; bit 0 of the even fields; bit 0 of the odd ones."""
+    ones = ((1 << w * m) - 1) // ((1 << w) - 1)
+    even = ((1 << w * (m + m % 2)) - 1) // ((1 << 2 * w) - 1)
+    half = ones << (w - 1)
+    return ones, half - ones, half, even, ones ^ even
 
-    With b, the b-step instead: the a-step on f[1:], then one more f_1.
+
+# Packed form: f in m fields of w = sum(f).bit_length() + 1 bits.  No entry
+# exceeds the number of parts, so the top bit of each field is free: adding
+# keep carries into it exactly on the nonzero entries, and no carry crosses
+# fields.  n then holds every bit of each nonzero field, so a spread is a run
+# of ones in n.  A carry into the low end of the runs that start on an even
+# field clears exactly those runs (rev); every run transfers from the fields
+# of its start's parity.  Demotion stores f_1 in the top field, so that each
+# spread starts at its top index; promotion stores f_1 in the bottom field.
+
+
+def letters(f) -> str:
+    """Class letters of f, apply_del(f), ... down to (but not past) the empty sequence."""
+    m = len(f)
+    w = sum(f).bit_length() + 1
+    ones, keep, half, even, odd = _masks(w, m)
+    full, top, w1 = (1 << w * m) - 1, w * (m - 1), w - 1
+    F = 0
+    for x in f:  # f_1 in the top field
+        F = F << w | x
+    out = []
+    while F:
+        nh = (F + keep) & half
+        n = (nh << 1) - (nh >> w1)
+        rev = n & (n ^ (n + (n & ~(n << 1) & even)))
+        d = (n & odd) ^ (rev & ones)
+        out.append("ab"[d >> top])  # 1 is in R(f): f_1 gives to no f_0
+        F = F - d + ((d << w) & full)
+    return "".join(out)
+
+
+def promoted(word: str, f=()) -> tuple:
+    """f promoted by the letters of a word, the last letter first.
+
+    The a-step promotes f; the b-step promotes f_2, f_3, ... and then adds
+    one to f_1.  The masks cover m fields and double when f outgrows them.
     """
-    n = len(f)
-    k = int(b)
-    while k < n:
-        if not f[k]:
-            k += 1
-            continue
-        hi = k + 1
-        while hi < n and f[hi]:
-            hi += 1
-        if hi == n:  # the spread [k, hi) is the top one: a move out of it lands past the end
-            f.append(0)
-            n += 1
-        for j in range(k, hi, 2):
-            f[j] -= 1
-            f[j + 1] += 1
-        k = hi + 1  # f[hi] was zero before the transfer
-    _strip(f)
-    if b:
-        f[:1] = [f[0] + 1 if f else 1]
+    w = (sum(f) + word.count("b")).bit_length() + 1
+    m = len(f) + 1
+    ones, keep, half, even, odd = _masks(w, m)
+    w1, tail = w - 1, -1 << w
+    F = 0
+    for x in reversed(f):  # f_1 in the bottom field
+        F = F << w | x
+    for ch in reversed(word):
+        if F >> w * m:
+            m *= 2
+            ones, keep, half, even, odd = _masks(w, m)
+        nh = (F + keep) & half
+        n = (nh << 1) - (nh >> w1)
+        b = ch == "b"
+        if b:
+            n &= tail
+        rev = n & (n ^ (n + (n & ~(n << 1) & even)))
+        d = (n & odd) ^ (rev & ones)
+        F = F - d + (d << w) + b
+    out, low = [], (1 << w) - 1
+    while F:
+        out.append(F & low)
+        F >>= w
+    return tuple(out)
 
 
 def max_evaluation(f) -> tuple:

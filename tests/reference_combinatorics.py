@@ -1,7 +1,7 @@
 """Reference implementations of the Burge operators and the Oblak process.
 
 These are the direct, tuple-based transcriptions of the definitions that
-the package's single-pass kernels replaced: every operator recomputes its
+the package's kernels replaced: every operator recomputes its
 index sets from the spreads and every evaluation sums its suffix afresh.
 They are slow (the maximal-index search is quadratic in the support) and
 exist only as a test oracle for ``test_kernels.py``.  The recursive

@@ -1,8 +1,12 @@
+import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burgebox import boxes, oracle
 from burgebox.cli import main
@@ -419,3 +423,28 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
     assert code == 1 and "Traceback" not in err
     (line,) = err.splitlines()
     assert line.startswith("error: scanned matrix is not nilpotent")
+
+
+FUZZ_ARGS = st.one_of(
+    st.lists(st.integers(1, 60), max_size=12).map(
+        lambda parts: ",".join(map(str, sorted(parts, reverse=True))) or "e"
+    ),
+    st.integers(10**4, 2 * 10**4).map(str),  # one large part: the longest packed int per letter
+    st.text("ab", max_size=40).map(lambda w: w + "ba"),  # code words
+    st.text("ab01", max_size=40),  # words, most of them not code words
+    st.lists(st.integers(-3, 30), min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(st.sampled_from(("encode", "decode", "dmap", "coords", "oblak")),
+       FUZZ_ARGS.map(lambda arg: [arg]) | st.lists(FUZZ_ARGS, max_size=2), st.booleans())
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(cmd, args, as_json):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main([cmd, *args] + ["--json"] * as_json)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()

@@ -1,4 +1,4 @@
-"""The single-pass kernels, through the public API, against the reference transcriptions."""
+"""The kernels, through the public API and directly, against the reference transcriptions."""
 
 import itertools
 import random
@@ -6,6 +6,7 @@ import random
 import pytest
 
 import reference_combinatorics as ref
+from burgebox import kernels
 from burgebox.boxes import coordinates_of, fiber
 from burgebox.burge import (
     apply_a,
@@ -20,7 +21,7 @@ from burgebox.burge import (
     in_class_b,
 )
 from burgebox.oblak import maximal_indices, oblak, oblak_chain
-from burgebox.partitions import is_super_distinct, partitions_of, to_frequency, to_partition
+from burgebox.partitions import SIZE_CAP, is_super_distinct, partitions_of, to_frequency, to_partition
 from burgebox.words import diagonal_hooks, durfee
 
 ACCEPTANCE_BOUND = 25
@@ -114,6 +115,45 @@ def test_kernels_match_reference_on_large_partitions(size, largest, small_cap):
     q, coords = coordinates_of(p)
     assert q == descent_map(p) == oblak(f)
     assert sum(coords) == len(p)
+
+
+def assert_packed_agrees(f):
+    """The packed kernels, directly and through the public API, against the reference."""
+    word = ref.encode(f)
+    assert kernels.letters(f) + "a" == encode(f) == word, f
+    assert kernels.promoted(word) == decode(word) == f, f
+    assert kernels.promoted("a", f) == apply_a(f) == ref.apply_a(f), f
+    assert kernels.promoted("b", f) == apply_b(f) == ref.apply_b(f), f
+
+
+# the field width is (number of parts).bit_length() + 1, so 2^k - 1, 2^k and
+# 2^k + 1 parts sit on both sides of a width change; apply_b adds one part
+@pytest.mark.parametrize("k", range(1, 13))
+def test_packed_kernels_at_field_width_boundaries(k):
+    for m in (2**k - 1, 2**k, 2**k + 1):
+        for f in ((m,), (0, m), (m - 1, 0, 1)):  # (1^m), (2^m), (3, 1^(m-1))
+            assert_packed_agrees(f)
+
+
+# 300 to 400 nonzero entries among 340 to 440 fields: the packed int spans
+# many machine digits, so the carries that find the spreads cross digits
+@pytest.mark.parametrize("support", (300, 350, 400))
+def test_packed_kernels_on_wide_supports(support):
+    rng = random.Random(support)
+    f = [0] * (support + 40)
+    for i in rng.sample(range(1, len(f) - 1), support - 2):
+        f[i] = 1
+    f[0] = f[-1] = 1
+    assert sum(i * m for i, m in enumerate(f, 1)) <= SIZE_CAP
+    assert_packed_agrees(tuple(f))
+
+
+def test_single_part_and_single_column_at_ten_thousand():
+    # one Jordan block, and B = 0: Q = (a) for both
+    a = 10**4
+    assert descent_map((a,)) == descent_map((1,) * a) == (a,)
+    assert coordinates_of((a,)) == ((a,), (1,))
+    assert coordinates_of((1,) * a) == ((a,), (a,))
 
 
 MALFORMED_FREQS = ((1, -1), (1.5,), ("2",), (True,), (2.0,))
