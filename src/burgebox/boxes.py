@@ -37,8 +37,13 @@ def _box(q: Iterable[int]) -> tuple:
     qt = as_partition(q)
     if not _super_distinct(qt):
         raise ValueError(f"{qt} is not super-distinct (some gap is < 2)")
+    return qt, _delta(qt)
+
+
+def _delta(qt: Partition) -> tuple:
+    """``delta`` of a checked super-distinct Q."""
     r = qt[::-1]  # q_k, ..., q_1
-    return qt, r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
+    return r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
 
 
 def check_coords(d: tuple, coords: Iterable[int]) -> tuple:

@@ -47,6 +47,7 @@ from .partitions import (
     _frequency,
     _partition,
     _quoted,
+    _reduced,
     _right_set,
     _super_distinct,
     _two_measure,
@@ -149,7 +150,12 @@ def encode(freq: Iterable[int]) -> str:
     ``apply_del`` call kept only for the benchmark's smoke test.
     """
     f = as_frequency(freq)
-    return _letter(f) + kernels.letters(apply_del(f)) + "a" if f else "a"
+    return _word(f, apply_del(f))
+
+
+def _word(f: FreqSeq, df: FreqSeq) -> str:
+    """Code word of a validated f from its demotion df = apply_del(f)."""
+    return _letter(f) + kernels.letters(df) + "a" if f else "a"
 
 
 def decode(word: str) -> FreqSeq:
@@ -222,11 +228,14 @@ class SuperDistinctReport:
 
 def characterize_superdistinct(parts: Iterable[int]) -> SuperDistinctReport:
     """The seven tests on P, from one validation and one code word."""
-    p = as_partition(parts)
+    return _characterized(as_partition(parts))
+
+
+def _characterized(p: Partition) -> SuperDistinctReport:
     f = _frequency(p)
     rset = _right_set(f)
     df = _demoted(f)
-    word = encode(f)
+    word = _word(f, df)
     return SuperDistinctReport(
         super_distinct=_super_distinct(p),
         length_equals_two_measure=sum(f) == _two_measure(f),
@@ -235,6 +244,6 @@ def characterize_superdistinct(parts: Iterable[int]) -> SuperDistinctReport:
             m == (1 if i in rset else 0) for i, m in enumerate(f, 1)
         ),
         del_is_shift=df == f[1:],  # f has no trailing zeros, so neither has f[1:]
-        del_is_reduction=_partition(df) == tuple(x - 1 for x in p if x > 1),
+        del_is_reduction=_partition(df) == _reduced(p),
         descent_map_fixes=_descents(word)[::-1] == p,
     )

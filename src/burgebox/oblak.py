@@ -113,34 +113,45 @@ class OblakChain:
     @property
     def valuation(self) -> Partition:
         """Recorded evaluations, recomputed by the kernels from size drops as a self-check."""
-        states = [as_frequency(s) for s in self.states]
+        chain = _checked(self)
         if min(self.indices, default=0) < 0:
             raise ValueError("evaluation index must be nonnegative")
-        vals = []
-        for r, i in enumerate(self.indices):
-            drop = kernels.size(states[r]) - kernels.size(states[r + 1])
-            ev = kernels.evaluate(states[r], i)
-            if drop != ev:
-                raise ValueError(
-                    f"corrupt chain: size drop {drop} != evaluation {ev} at step {r}"
-                )
-            vals.append(ev)
-        return tuple(vals)
+        return _valuation(chain)
+
+
+def _checked(chain: OblakChain) -> OblakChain:
+    """The chain with every state validated and its trailing zeros stripped."""
+    return OblakChain(tuple(as_frequency(s) for s in chain.states), chain.indices)
+
+
+def _valuation(chain: OblakChain) -> Partition:
+    """``valuation`` of a chain whose states are validated and indices nonnegative."""
+    states, vals = chain.states, []
+    for r, i in enumerate(chain.indices):
+        drop = kernels.size(states[r]) - kernels.size(states[r + 1])
+        ev = kernels.evaluate(states[r], i)
+        if drop != ev:
+            raise ValueError(
+                f"corrupt chain: size drop {drop} != evaluation {ev} at step {r}"
+            )
+        vals.append(ev)
+    return tuple(vals)
 
 
 def is_valid_chain(chain: OblakChain) -> bool:
-    """Recompute every step of a chain: maximal choices, matching states."""
-    if len(chain.states) != len(chain.indices) + 1:
+    """Recompute every step of a chain: maximal choices, matching states (validated first)."""
+    return _is_valid_chain(_checked(chain))
+
+
+def _is_valid_chain(chain: OblakChain) -> bool:
+    """``is_valid_chain`` for a chain whose states are validated."""
+    states = chain.states
+    if len(states) != len(chain.indices) + 1 or states[-1] != ():
         return False
-    if not chain.states or chain.states[-1] != ():
-        return False
-    for r, i in enumerate(chain.indices):
-        state = as_frequency(chain.states[r])
-        if i not in kernels.max_evaluation(state)[1]:
-            return False
-        if _annihilated(state, i) != chain.states[r + 1]:
-            return False
-    return True
+    return all(
+        i in kernels.max_evaluation(states[r])[1] and _annihilated(states[r], i) == states[r + 1]
+        for r, i in enumerate(chain.indices)
+    )
 
 
 def is_valid_index_sequence(freq: Iterable[int], indices: Iterable[int]) -> bool:
@@ -174,8 +185,11 @@ def oblak(freq: Iterable[int]) -> Partition:
     ``maximal_indices`` only for the benchmark's counter (ROADMAP item 6).
     """
     f = as_frequency(freq)
-    if not maximal_indices(f):  # f is empty
-        return ()
+    return _oblak(f) if maximal_indices(f) else ()  # no maximal index: f is empty
+
+
+def _oblak(f: FreqSeq) -> Partition:
+    """``oblak`` of a validated f."""
     return tuple(v for _, v in kernels.oblak_steps(list(f)))
 
 
@@ -213,11 +227,15 @@ def del_chain(chain: OblakChain) -> OblakChain:
     across.  The returned chain carries a freshly derived valid index
     sequence for the new states.
     """
+    return _del_chain(chain, apply_del)
+
+
+def _del_chain(chain: OblakChain, demote=None) -> OblakChain:
+    """``del_chain`` by ``demote``; ``_demoted``, the default, trusts the states it is given."""
     states = chain.states
     if len(states) >= 2 and states[-2] == (1,):
-        new_states = tuple(apply_del(s) for s in states[:-1])
-    else:
-        new_states = tuple(apply_del(s) for s in states)
+        states = states[:-1]
+    new_states = tuple(map(demote or _demoted, states))
     return OblakChain(new_states, _indices_for_states(new_states))
 
 

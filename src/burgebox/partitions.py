@@ -171,7 +171,10 @@ def _super_distinct(p: Partition) -> bool:
 
 def reduced(parts: Iterable[int]) -> Partition:
     """P - 1: subtract one from every part and drop the zeros."""
-    p = as_partition(parts)
+    return _reduced(as_partition(parts))
+
+
+def _reduced(p: Partition) -> Partition:
     return tuple(x - 1 for x in p if x > 1)
 
 

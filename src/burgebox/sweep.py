@@ -5,6 +5,11 @@ max_n; the check calls ``record(ok, repro)`` once per instance of size n.
 Each result keeps pass/fail counts, wall and CPU time, and the reproducer
 command of the first failing instance, which ``repro()`` builds only then.
 All checks are deterministic given the configuration.
+
+The combinatorial checks call the private helpers behind the public
+functions on the partitions that ``partitions_of`` yields, so none of them
+is validated again (``oblak_all_chains`` checks its f once); the tier-1
+tests cover the validation that each public function adds to its helper.
 """
 
 from __future__ import annotations
@@ -13,19 +18,20 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from . import boxes, burge, oracle, words
+from . import kernels, oracle
+from .boxes import _delta, _fiber
+from .burge import _characterized, _demoted, _descents, _letter, _word
 from .errors import BudgetError
-from .oblak import del_chain, is_valid_chain, oblak, oblak_all_chains
+from .oblak import _del_chain, _is_valid_chain, _oblak, _valuation, oblak_all_chains
 from .partitions import (
+    _frequency,
+    _reduced,
+    _super_distinct,
+    _two_measure,
     dominates,
-    is_super_distinct,
-    length,
     partitions_of,
-    reduced,
-    size,
-    to_frequency,
-    two_measure,
 )
+from .words import _diagonal_hooks, _durfee, _foata_word, _inversions, _path_partition
 
 
 @dataclass(frozen=True)
@@ -84,57 +90,58 @@ def _pstr(p) -> str:
 
 def check_lem_stats(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = to_frequency(p)
-        df = burge.apply_del(f)
-        in_b = burge.in_class_b(f)
+        f = _frequency(p)
+        df = _demoted(f)
+        in_b = _letter(f) == "b"
         ok = (
-            length(df) == length(f) - (1 if in_b else 0)
-            and size(df) == size(f) - two_measure(f)
-            and two_measure(df)
-            == two_measure(f) - (1 if in_b and not burge.in_class_b(df) else 0)
+            sum(df) == sum(f) - in_b
+            and kernels.size(df) == kernels.size(f) - _two_measure(f)
+            and _two_measure(df) == _two_measure(f) - (in_b and _letter(df) == "a")
         )
         record(ok, lambda: f"burgebox chain {_pstr(p)}")
 
 
 def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = to_frequency(p)
-        w = burge.encode(f)
+        f = _frequency(p)
+        w = _word(f, _demoted(f))
+        descents = _descents(w)
         ok = (
-            length(f) == w.count("b")
-            and size(f) == burge.maj(w)
-            and two_measure(f) == burge.des(w)
+            sum(f) == w.count("b")
+            and kernels.size(f) == sum(descents)
+            and _two_measure(f) == len(descents)
         )
         record(ok, lambda: f"burgebox encode {_pstr(p)}")
 
 
 def check_prop_characterization(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        report = burge.characterize_superdistinct(p)
-        record(report.consistent, lambda: f"burgebox encode {_pstr(p)}")
+        record(_characterized(p).consistent, lambda: f"burgebox encode {_pstr(p)}")
 
 
 def check_main_vs_oblak(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        ok = burge.descent_map(p) == oblak(to_frequency(p))
+        f = _frequency(p)
+        ok = _descents(_word(f, _demoted(f)))[::-1] == _oblak(f)
         record(ok, lambda: f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
 
 
 def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
     fibers: dict = {}
     for p in partitions_of(n):
-        fibers.setdefault(burge.descent_map(p), set()).add(p)
-    supers = [q for q in partitions_of(n) if is_super_distinct(q)]
+        f = _frequency(p)
+        fibers.setdefault(_descents(_word(f, _demoted(f)))[::-1], set()).add(p)
+    supers = [q for q in partitions_of(n) if _super_distinct(q)]
     record(
         set(fibers) == set(supers),
         lambda: f"burgebox sweep --max-n {n} --checks cor-box",
     )
     for q in supers:
-        box = boxes.fiber(q)
-        expect_size = math.prod(boxes.delta(q))
+        d = _delta(q)
+        box = _fiber(q, d)
         members = {part for _, part in box}
         ok = (
-            len(box) == expect_size
+            len(box) == math.prod(d)
             and members == fibers.get(q, set())
             and all(len(part) == sum(c) for c, part in box)
         )
@@ -143,46 +150,47 @@ def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
 
 def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = to_frequency(p)
+        f = _frequency(p)
+        df = _demoted(f)
         ok = True
         for chain in oblak_all_chains(f):
-            image = del_chain(chain)
+            image = _del_chain(chain)
             ok = (
                 ok
-                and is_valid_chain(image)
-                and image.states[0] == burge.apply_del(f)
-                and image.valuation == reduced(chain.valuation)
+                and _is_valid_chain(image)
+                and image.states[0] == df
+                and _valuation(image) == _reduced(_valuation(chain))
             )
         record(ok, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
 def check_khatami(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = to_frequency(p)
-        valuations = {c.valuation for c in oblak_all_chains(f)}
+        valuations = {_valuation(c) for c in oblak_all_chains(_frequency(p))}
         record(len(valuations) == 1, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
 def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
     by_hooks: dict = {}
     for p in partitions_of(n):
-        by_hooks.setdefault(words.diagonal_hooks(p), set()).add(p)
+        by_hooks.setdefault(_diagonal_hooks(p), set()).add(p)
     for q in partitions_of(n):
-        if not is_super_distinct(q):
+        if not _super_distinct(q):
             continue
-        box = boxes.fiber(q)
+        d = _delta(q)
+        box = _fiber(q, d)
         images = set()
         ok = True
         for coords, part in box:
-            w = words.foata_fiber(q, coords)
-            image = words.path_to_partition(w)
+            w = _foata_word(d, coords)
+            image = _path_partition(w)
             ok = (
                 ok
-                and words.inversions(w) == sum(part)
+                and _inversions(w) == sum(part)
                 and sum(image) == sum(part)
                 and len(image) == sum(coords)
-                and words.diagonal_hooks(image) == q
-                and words.durfee(image) == len(q)
+                and _diagonal_hooks(image) == q
+                and _durfee(image) == len(q)
             )
             images.add(image)
         ok = ok and len(images) == len(box) and images == by_hooks.get(q, set())

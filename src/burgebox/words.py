@@ -25,9 +25,11 @@ from .partitions import Partition, as_partition
 
 def inversions(word: str) -> int:
     """Number of pairs i < j with word[i] = b and word[j] = a."""
-    w = check_word(word)
-    inv = 0
-    bs = 0
+    return _inversions(check_word(word))
+
+
+def _inversions(w: str) -> int:
+    inv = bs = 0
     for ch in w:
         if ch == "b":
             bs += 1
@@ -47,7 +49,11 @@ def foata_fiber(q: Iterable[int], coords: Iterable[int]) -> str:
     fiber element.
     """
     d = delta(q)
-    c = check_coords(d, coords)
+    return _foata_word(d, check_coords(d, coords))
+
+
+def _foata_word(d: tuple, c: tuple) -> str:
+    """``foata_fiber`` for box dimensions d and coordinates c already checked against them."""
     k = len(d)
     head = "".join("b" + "a" * (d[j] - c[j]) for j in reversed(range(k)))
     tail = "".join("b" * (c[j] - 1) + "a" for j in range(k))
@@ -61,7 +67,11 @@ def path_to_partition(word: str) -> Partition:
     zero (north steps before any east step) are dropped.  The size of the
     result is the inversion number of the word.
     """
-    w = check_word(word)
+    return _path_partition(check_word(word))
+
+
+def _path_partition(w: str) -> Partition:
+    """``path_to_partition`` of a checked word: its rows are weakly decreasing by construction."""
     rows = []
     x = 0
     for ch in reversed(w):
@@ -69,12 +79,16 @@ def path_to_partition(word: str) -> Partition:
             x += 1
         elif x > 0:
             rows.append(x)
-    return as_partition(tuple(reversed(rows)))
+    return tuple(reversed(rows))
 
 
 def durfee(parts: Iterable[int]) -> int:
     """Largest d with p_d >= d: the side of the Durfee square."""
-    return sum(x >= i for i, x in enumerate(as_partition(parts), 1))  # the i with p_i >= i
+    return _durfee(as_partition(parts))
+
+
+def _durfee(p: Partition) -> int:
+    return sum(x >= i for i, x in enumerate(p, 1))  # the i with p_i >= i
 
 
 def diagonal_hooks(parts: Iterable[int]) -> Partition:
@@ -85,7 +99,10 @@ def diagonal_hooks(parts: Iterable[int]) -> Partition:
     result is a super-distinct partition of |P|.  One pointer walks the
     column counts up from the last part, so the cost is O(len P).
     """
-    p = as_partition(parts)
+    return _diagonal_hooks(as_partition(parts))
+
+
+def _diagonal_hooks(p: Partition) -> Partition:
     hooks = []
     col = len(p)  # parts >= i, for the current i
     for i, x in enumerate(p, 1):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import sys
 import time
@@ -8,7 +9,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgebox import boxes, oracle
+from burgebox import boxes, burge, oracle
 from burgebox.cli import main
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
 
@@ -404,11 +405,11 @@ def test_run_sweep_all_checks_tiny():
 
 
 def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
-    # apply_del planted to send (1,0,1) to (3,0,1) breaks del_chain on (3,1)
+    # the demotion planted to send (1,0,1) to (3,0,1) breaks the chain image of (3,1)
     oblak_module = sys.modules["burgebox.oblak"]  # burgebox.oblak names the function
-    real = oblak_module.apply_del
+    real = oblak_module._demoted
     monkeypatch.setattr(
-        oblak_module, "apply_del", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
+        oblak_module, "_demoted", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
     )
     code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "thm-oblakburge")
     assert code == 1 and err == ""
@@ -437,14 +438,87 @@ FUZZ_ARGS = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=timedelta(seconds=5))
-@given(st.sampled_from(("encode", "decode", "dmap", "coords", "oblak")),
-       FUZZ_ARGS.map(lambda arg: [arg]) | st.lists(FUZZ_ARGS, max_size=2), st.booleans())
-def test_cli_fuzz_exits_0_1_or_2_without_traceback(cmd, args, as_json):
+def fuzz_main(argv):
+    """Exit code, stderr and wall time of one command line."""
     err = io.StringIO()
+    start = time.perf_counter()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
-            code = main([cmd, *args] + ["--json"] * as_json)
+            code = main(argv)
         except SystemExit as exc:  # argparse refuses the command line
             code = exc.code
-    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(st.sampled_from(("encode", "decode", "dmap", "coords", "oblak", "fiber", "chain")),
+       FUZZ_ARGS.map(lambda arg: [arg]) | st.lists(FUZZ_ARGS, max_size=2), st.booleans())
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(cmd, args, as_json):
+    code, err, _ = fuzz_main([cmd, *args] + ["--json"] * as_json)
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+def least_over(cap: int, cost) -> int:
+    """The least a >= 1 whose cost is over the cap."""
+    return next(a for a in itertools.count(1) if cost(a) > cap)
+
+
+FIBER_OVER = least_over(boxes.FIBER_CAP, lambda a: a * a)  # fiber (a): a elements of size a
+CHAIN_OVER = least_over(burge.CHAIN_CAP, lambda a: (a + 1) * a)  # chain (a): a + 1 states, a long
+
+
+def work_over(trials: int) -> int:
+    """The least size whose verify work for these trials is over RESTRICTION_WORK_CAP."""
+    return least_over(oracle.RESTRICTION_WORK_CAP, lambda n: (trials + 1) * max(n, 16) ** 3)
+
+
+@st.composite
+def over_work_cap(draw):
+    """verify or sweep just over RESTRICTION_WORK_CAP: sizes or trials one step too many."""
+    trials = draw(st.integers(0, 5) | st.integers(1215, 1225))
+    n = work_over(trials) + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        part = draw(st.sampled_from((str(n), f"{n},1", f"[1^{n}]")))
+        return ["verify", "--partition", part, "--trials", str(trials)]
+    checks = draw(st.sampled_from(([], ["--checks", "matrix-restriction"],
+                                   ["--checks", "lem-stats,matrix-restriction"])))
+    return ["sweep", "--max-n", str(n), "--trials", str(trials), *checks]
+
+
+OVER_CAP_ARGV = st.one_of(
+    st.integers(0, 20).map(lambda k: ["fiber", str(FIBER_OVER + k)]),
+    st.integers(0, 20).map(lambda k: ["chain", str(CHAIN_OVER + k)]),
+    over_work_cap(),
+)
+MALFORMED = st.sampled_from(("x", "1.5", "-1", "", "3,5", "0x10"))
+
+
+@st.composite
+def small_flag_argv(draw):
+    """verify on partitions of size <= 16, sweep to max-n <= 8, some flags malformed."""
+    if draw(st.booleans()):
+        part = st.lists(st.integers(1, 4), max_size=4).map(
+            lambda parts: ",".join(map(str, sorted(parts, reverse=True))) or "e"
+        )
+        argv = ["verify", "--partition", draw(part | MALFORMED)]
+    else:
+        max_n = draw(st.integers(-2, 8))
+        # matrix-dominance takes seconds from max-n 7 on
+        pool = [c for c in CHECKS if max_n <= 6 or c != "matrix-dominance"] + ["bogus"]
+        checks = draw(st.lists(st.sampled_from(pool), min_size=int(max_n > 6), max_size=3))
+        argv = ["sweep", "--max-n", draw(st.just(str(max_n)) | MALFORMED)]
+        argv += ["--checks", ",".join(checks)] if checks else []
+    if draw(st.booleans()):
+        argv += ["--trials", draw(st.integers(0, 3).map(str) | MALFORMED)]
+    return argv
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(OVER_CAP_ARGV.map(lambda argv: (argv, True))
+       | small_flag_argv().map(lambda argv: (argv, False)), st.booleans())
+def test_cli_flag_fuzz_exits_0_1_or_2_and_refuses_work_over_a_cap_at_once(case, as_json):
+    argv, over_cap = case
+    code, err, elapsed = fuzz_main(argv + ["--json"] * as_json)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if over_cap:
+        assert code == 2 and "cap" in err and elapsed < 1.0, (argv, err, elapsed)

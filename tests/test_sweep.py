@@ -10,9 +10,9 @@ import sys
 
 import pytest
 
-from burgebox import boxes, burge, oracle, sweep, words
+from burgebox import burge, oracle, partitions, sweep, words
 from burgebox.oblak import oblak_all_chains
-from burgebox.partitions import to_frequency
+from burgebox.partitions import partitions_of, to_frequency
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
 
 TARGET = (3, 1)
@@ -26,22 +26,22 @@ def extra_part(out):
 # check -> (owner, binding, first argument it goes wrong on, wrong result, reproducer)
 PLANTED = {
     "lem-stats": (
-        sweep, "two_measure", F, lambda m: m + 1, "burgebox chain 3,1",
+        sweep, "_two_measure", F, lambda m: m + 1, "burgebox chain 3,1",
     ),
     "prop-stats": (
-        burge, "des", burge.encode(F), lambda d: d + 1, "burgebox encode 3,1",
+        sweep, "_descents", burge.encode(F), lambda d: d[1:], "burgebox encode 3,1",
     ),
     "prop-characterization": (
         burge, "_super_distinct", TARGET, lambda s: not s, "burgebox encode 3,1",
     ),
     "thm-main-vs-oblak": (
-        sweep, "oblak", F, extra_part, "burgebox dmap 3,1  # vs: burgebox oblak 3,1",
+        sweep, "_oblak", F, extra_part, "burgebox dmap 3,1  # vs: burgebox oblak 3,1",
     ),
     "cor-box": (
-        boxes, "fiber", TARGET, lambda box: box[:-1], "burgebox fiber 3,1 --json",
+        sweep, "_fiber", TARGET, lambda box: box[:-1], "burgebox fiber 3,1 --json",
     ),
     "thm-oblakburge": (
-        burge, "apply_del", F, extra_part, "burgebox oblak-chains 3,1",
+        sweep, "_demoted", F, extra_part, "burgebox oblak-chains 3,1",
     ),
     "prop-khatami": (
         sweep, "oblak_all_chains", F,
@@ -49,7 +49,7 @@ PLANTED = {
         "burgebox oblak-chains 3,1",
     ),
     "foata-hooks": (
-        words, "path_to_partition", words.foata_fiber(TARGET, (1, 1)), extra_part,
+        sweep, "_path_partition", words.foata_fiber(TARGET, (1, 1)), extra_part,
         "burgebox foata 3,1 --coords 1,1",
     ),
     "matrix-restriction": (
@@ -79,12 +79,12 @@ def test_planted_fault_is_reported(name, monkeypatch):
 
 
 def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
-    # apply_del planted to send (1,0,1) to (3,0,1): del_chain of a chain of
-    # (3,1) no longer forms a chain, and del_chain raises on it
+    # the demotion planted to send (1,0,1) to (3,0,1): the image of a chain of
+    # (3,1) no longer forms a chain, and _del_chain raises on it
     oblak_module = sys.modules["burgebox.oblak"]  # burgebox.oblak names the function
-    real = oblak_module.apply_del
+    real = oblak_module._demoted
     monkeypatch.setattr(
-        oblak_module, "apply_del", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
+        oblak_module, "_demoted", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
     )
     (result,) = run_sweep(SweepConfig(max_n=5, checks=("thm-oblakburge",)))
     assert result.failures == 1
@@ -93,3 +93,24 @@ def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
         "  # raised: no maximal index carries (3, 0, 1) to (); not a chain"
     )
     assert result.instances > 12  # n = 5 still ran after n = 4 raised
+
+
+@pytest.mark.parametrize("name", [name for name in CHECKS if not name.startswith("matrix-")])
+def test_combinatorial_check_validates_at_most_once_per_partition(name, monkeypatch):
+    # the checks run on the trusted helpers: the partitions that partitions_of
+    # yields, and what the kernels make of them, are not validated again
+    calls = []
+    for validate in (partitions.as_partition, partitions.as_frequency):
+        def counted(*args, validate=validate):
+            calls.append(validate)
+            return validate(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "burgebox" or module_name.startswith("burgebox."):
+                for binding, value in list(vars(module).items()):
+                    if value is validate:
+                        monkeypatch.setattr(module, binding, counted)
+    (result,) = run_sweep(SweepConfig(max_n=10, checks=(name,)))
+    assert result.ok
+    partition_count = sum(1 for n in range(11) for _ in partitions_of(n))
+    assert len(calls) <= partition_count
