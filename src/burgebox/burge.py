@@ -24,7 +24,10 @@ All pairs touched by one operator application are disjoint, and the
 transfers of a spread are every second index from one end of it, so one
 operator application is a handful of bitwise operations on the sequence
 packed into one int.  ``encode`` and ``decode`` run their whole chain that
-way (``kernels.letters`` and ``kernels.promoted``); ``apply_del`` and
+way (``kernels.letters`` and ``kernels.promoted``).  A lone unit above all
+other entries is a spread of its own and moves one index per letter, so
+the kernels keep it out of the int and move it by counting letters: the
+word of a single part a costs O(a), not O(a^2).  ``apply_del`` and
 ``burge_chain``, which return every state, demote a plain list in one scan
 over the spreads.  The public functions here validate their input once and
 hand trusted data to the kernels in ``kernels`` (or to the private

@@ -6,13 +6,16 @@ sequence, 0-indexed in storage); the ones that change the sequence do so
 in place and keep that form.  ``letters`` and ``promoted`` run a whole
 chain of demotions or promotions on the sequence packed into one int, one
 field of w bits per entry, so that each operator application is a fixed
-run of big-int operations.  The public functions in ``burge`` and
-``oblak`` validate their input and return immutable tuples.
+run of big-int operations.  The lone units above all other entries move
+one index per letter, so both keep them out of the int: a large part
+alone costs no more per letter than a small one.  The public functions in
+``burge`` and ``oblak`` validate their input and return immutable tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 
 
 def _strip(f: list) -> None:
@@ -60,57 +63,96 @@ def _masks(w: int, m: int) -> tuple:
 # field clears exactly those runs (rev); every run transfers from the fields
 # of its start's parity.  Demotion stores f_1 in the top field, so that each
 # spread starts at its top index; promotion stores f_1 in the bottom field.
+# A lone unit (f_j = 1, f_(j-1) = 0) over all other entries is a spread of
+# its own.  Demotion packs it only once it is one index above the packed top,
+# which falls at most one index per letter, or runs it down to e_2 in a's.
+# Promotion drops it when the int outgrows its masks: the packed top rises at
+# most one index per letter, so the unit stays alone up to its final index.
 
 
 def letters(f) -> str:
     """Class letters of f, apply_del(f), ... down to (but not past) the empty sequence."""
-    m = len(f)
-    w = sum(f).bit_length() + 1
+    w, m = sum(f).bit_length() + 1, len(f)
+    units = []  # lone units above the packed entries: index in f, less one per letter
+    while m > 1 and f[m - 1] == 1 and not f[m - 2]:
+        units.append(m)
+        m -= 2
+        while m and not f[m - 1]:
+            m -= 1
     ones, keep, half, even, odd = _masks(w, m)
     full, top, w1 = (1 << w * m) - 1, w * (m - 1), w - 1
     F = 0
-    for x in f:  # f_1 in the top field
+    for x in f[:m]:  # f_1 in the top field
         F = F << w | x
-    out = []
-    while F:
-        nh = (F + keep) & half
-        n = (nh << 1) - (nh >> w1)
-        rev = n & (n ^ (n + (n & ~(n << 1) & even)))
-        d = (n & odd) ^ (rev & ones)
-        out.append("ab"[d >> top])  # 1 is in R(f): f_1 gives to no f_0
-        F = F - d + ((d << w) & full)
-    return "".join(out)
+    out, t = [], m  # t: the top packed index
+    while True:
+        # the lowest unit is at least 2 above the packed top for this many letters
+        for _ in range(units[-1] - len(out) - t - 1) if units else count():
+            if not F:
+                break
+            nh = (F + keep) & half
+            n = (nh << 1) - (nh >> w1)
+            rev = n & (n ^ (n + (n & ~(n << 1) & even)))
+            d = (n & odd) ^ (rev & ones)
+            out.append("ab"[d >> top])  # 1 is in R(f): f_1 gives to no f_0
+            F = F - d + ((d << w) & full)
+        if not units:
+            return "".join(out)
+        j = units[-1] - len(out)
+        if F:
+            t = m - ((F & -F).bit_length() - 1) // w  # the lowest nonzero field
+            if j - t > 1:
+                continue
+        else:  # e_j demotes to e_(j-1) with letter a, down to e_2
+            out += "a" * (j - 2)
+            j = 2
+        units.pop()  # it joins the packed entries as their top
+        F, m, t = (F << w * j >> w * m) + 1, j, j  # exact: no field over index t is set
+        ones, keep, half, even, odd = _masks(w, m)
+        full, top = (1 << w * m) - 1, w * (m - 1)
 
 
 def promoted(word: str, f=()) -> tuple:
     """f promoted by the letters of a word, the last letter first.
 
     The a-step promotes f; the b-step promotes f_2, f_3, ... and then adds
-    one to f_1.  The masks cover m fields and double when f outgrows them.
+    one to f_1.  When the int outgrows its masks, its lone top units leave
+    it and the masks are rebuilt for twice the fields left.
     """
     w = (sum(f) + word.count("b")).bit_length() + 1
     m = len(f) + 1
     ones, keep, half, even, odd = _masks(w, m)
-    w1, tail = w - 1, -1 << w
+    w1, tail, low = w - 1, -1 << w, (1 << w) - 1
     F = 0
     for x in reversed(f):  # f_1 in the bottom field
         F = F << w | x
-    for ch in reversed(word):
+    units = []  # final indices of the units that left
+    for i in range(len(word) - 1, -1, -1):
+        b = word[i] == "b"
+        if not (F or b):  # the a-step keeps the empty sequence
+            continue
         if F >> w * m:
-            m *= 2
+            t = (F.bit_length() - 1) // w  # the top field, index t + 1
+            while t > 0 and F >> w * t == 1 and not (F >> w * (t - 1)) & low:
+                units.append(t + 2 + i)  # it rises once more per letter left
+                F ^= 1 << w * t
+                t = (F.bit_length() - 1) // w
+            m = 2 * t + 2
             ones, keep, half, even, odd = _masks(w, m)
         nh = (F + keep) & half
         n = (nh << 1) - (nh >> w1)
-        b = ch == "b"
         if b:
             n &= tail
         rev = n & (n ^ (n + (n & ~(n << 1) & even)))
         d = (n & odd) ^ (rev & ones)
         F = F - d + (d << w) + b
-    out, low = [], (1 << w) - 1
+    out = []
     while F:
         out.append(F & low)
         F >>= w
+    for j in units:
+        out += [0] * (j - len(out))
+        out[j - 1] = 1
     return tuple(out)
 
 

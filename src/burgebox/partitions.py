@@ -255,7 +255,7 @@ def parse_partition(text: str) -> Partition:
         freq = []
         for col, entry in enumerate(body.split(",")):
             e = entry.strip()
-            if not e.isdigit():
+            if not e.isdecimal():  # as int() and _ENTRY_RE; isdigit() also passes '²'
                 raise ValueError(
                     f"bad frequency entry {_quoted(entry)} at position {col + 1} of {_quoted(text)}"
                 )

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from burgebox import boxes, burge, oracle
 from burgebox.cli import main
+from burgebox.partitions import SIZE_CAP
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
 
 
@@ -430,7 +431,10 @@ FUZZ_ARGS = st.one_of(
     st.lists(st.integers(1, 60), max_size=12).map(
         lambda parts: ",".join(map(str, sorted(parts, reverse=True))) or "e"
     ),
-    st.integers(10**4, 2 * 10**4).map(str),  # one large part: the longest packed int per letter
+    st.integers(10**4, SIZE_CAP).map(str),  # one large part: the longest code word
+    st.integers(1, SIZE_CAP // 2 - 1).flatmap(  # two parts at least 2 apart, the larger >= 10^4
+        lambda b: st.integers(max(10**4, b + 2), SIZE_CAP - b).map(lambda a: f"{a},{b}")
+    ),
     st.text("ab", max_size=40).map(lambda w: w + "ba"),  # code words
     st.text("ab01", max_size=40),  # words, most of them not code words
     st.lists(st.integers(-3, 30), min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs))),

@@ -117,6 +117,17 @@ def test_kernels_match_reference_on_large_partitions(size, largest, small_cap):
     assert sum(coords) == len(p)
 
 
+# words that promote a nonempty f: b-steps add parts, a-runs lift lone top units
+WORDS = ("aab", "bab", "baab", "aaaaaa", "bbbb", "abaaba", "aabbaabbab")
+
+
+def ref_promoted(word, f):
+    """f promoted by the letters of a word, the last letter first, one reference step each."""
+    for ch in reversed(word):
+        f = ref.apply_b(f) if ch == "b" else ref.apply_a(f)
+    return f
+
+
 def assert_packed_agrees(f):
     """The packed kernels, directly and through the public API, against the reference."""
     word = ref.encode(f)
@@ -124,14 +135,19 @@ def assert_packed_agrees(f):
     assert kernels.promoted(word) == decode(word) == f, f
     assert kernels.promoted("a", f) == apply_a(f) == ref.apply_a(f), f
     assert kernels.promoted("b", f) == apply_b(f) == ref.apply_b(f), f
+    for w in WORDS:
+        assert kernels.promoted(w, f) == ref_promoted(w, f), (w, f)
 
 
 # the field width is (number of parts).bit_length() + 1, so 2^k - 1, 2^k and
-# 2^k + 1 parts sit on both sides of a width change; apply_b adds one part
+# 2^k + 1 parts sit on both sides of a width change; apply_b adds one part.
+# The lone units that the kernels keep out of the int count all the same.
 @pytest.mark.parametrize("k", range(1, 13))
 def test_packed_kernels_at_field_width_boundaries(k):
     for m in (2**k - 1, 2**k, 2**k + 1):
-        for f in ((m,), (0, m), (m - 1, 0, 1)):  # (1^m), (2^m), (3, 1^(m-1))
+        # (1^m), (2^m), (3, 1^(m-1)), (5, 1^(m-1)) and (7, 5, 2^(m-2))
+        lone = ((m - 1, 0, 1), (m - 1, 0, 0, 0, 1), (0, max(m - 2, 0), 0, 0, 1, 0, 1))
+        for f in ((m,), (0, m)) + lone:
             assert_packed_agrees(f)
 
 
@@ -148,12 +164,34 @@ def test_packed_kernels_on_wide_supports(support):
     assert_packed_agrees(tuple(f))
 
 
-def test_single_part_and_single_column_at_ten_thousand():
+# lone units (f_j = 1 over f_(j-1) = 0) at the top: one alone, two and three
+# in lockstep two apart, and two three apart
+TOPS = ((1,), (1, 0, 1), (1, 0, 1, 0, 1), (1, 0, 0, 1))
+# what lies below them: nothing, a unit, a part that drains in one letter,
+# dense blocks whose top index stays put for a few letters
+BLOCKS = ((), (1,), (2,), (1, 1), (3, 2, 4), (0, 5), (2, 0, 1, 3))
+
+
+@pytest.mark.parametrize("gap", (1, 2, 3, 6))
+@pytest.mark.parametrize("block", BLOCKS)
+def test_packed_kernels_on_lone_units_above_a_block(block, gap):
+    # the units sit gap zero fields above the block: the demotion kernel keeps
+    # them out of the int until they come within one index of its entries,
+    # and the promotion kernel drops them once they top the int
+    for tops in TOPS:
+        assert_packed_agrees(block + (0,) * gap + tops)
+
+
+def test_single_part_and_single_column_up_to_the_size_cap():
     # one Jordan block, and B = 0: Q = (a) for both
-    a = 10**4
-    assert descent_map((a,)) == descent_map((1,) * a) == (a,)
-    assert coordinates_of((a,)) == ((a,), (1,))
-    assert coordinates_of((1,) * a) == ((a,), (a,))
+    for a in (10**4, SIZE_CAP):
+        assert descent_map((a,)) == descent_map((1,) * a) == (a,)
+        assert coordinates_of((a,)) == ((a,), (1,))
+        assert coordinates_of((1,) * a) == ((a,), (a,))
+        for f in (to_frequency((a,)), to_frequency((1,) * a)):
+            word = encode(f)
+            assert decode(word) == f
+        assert encode(to_frequency((a,))) == "a" * (a - 1) + "ba"
 
 
 MALFORMED_FREQS = ((1, -1), (1.5,), ("2",), (True,), (2.0,))

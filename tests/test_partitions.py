@@ -210,6 +210,14 @@ def test_parse_partition_rejects(text):
         parse_partition(text)
 
 
+@pytest.mark.parametrize("text,position", [("f:(1,²)", 2), ("f:(¹)", 1), ("f:(3,1,⁴,0)", 3)])
+def test_parse_partition_names_a_bad_frequency_entry(text, position):
+    # superscript digits pass str.isdigit() but not int(): the message still names the entry
+    with pytest.raises(ValueError, match=f"bad frequency entry .* at position {position} of"):
+        parse_partition(text)
+    assert parse_partition(text.replace("²", "2").replace("¹", "1").replace("⁴", "4"))
+
+
 def test_parse_partition_size_cap():
     assert parse_partition(f"[1^{SIZE_CAP}]") == (1,) * SIZE_CAP
     assert parse_partition(f"f:({SIZE_CAP})") == (1,) * SIZE_CAP
