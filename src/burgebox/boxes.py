@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import kernels
 from .burge import descent_map, encode
-from .partitions import Partition, _frequency, _partition, _super_distinct, as_partition
+from .partitions import Partition, _partition, as_partition, is_super_distinct, to_frequency
 
 _B_RUN_RE = re.compile(r"b+")
 FIBER_CAP = 10**6  # cells that fiber may list: box size (elements) times |Q| (cells each)
@@ -29,19 +29,9 @@ FIBER_CAP = 10**6  # cells that fiber may list: box size (elements) times |Q| (c
 
 def delta(q: Iterable[int]) -> tuple:
     """Box dimensions of a super-distinct partition; rejects any other."""
-    return _box(q)[1]
-
-
-def _box(q: Iterable[int]) -> tuple:
-    """(Q, delta(Q)) from one check of Q."""
     qt = as_partition(q)
-    if not _super_distinct(qt):
+    if not is_super_distinct(qt):
         raise ValueError(f"{qt} is not super-distinct (some gap is < 2)")
-    return qt, _delta(qt)
-
-
-def _delta(qt: Partition) -> tuple:
-    """``delta`` of a checked super-distinct Q."""
     r = qt[::-1]  # q_k, ..., q_1
     return r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
 
@@ -85,11 +75,8 @@ def fiber(q: Iterable[int]) -> list:
     before listing any element, when the box size times |Q| exceeds
     ``FIBER_CAP``.
     """
-    return _fiber(*_box(q))
-
-
-def _fiber(qt: Partition, d: tuple) -> list:
-    """``fiber`` for a checked Q and its box dimensions d."""
+    qt = as_partition(q)
+    d = delta(qt)
     if (count := math.prod(d)) * (n := sum(qt)) > FIBER_CAP:
         raise ValueError(f"fiber of {count} partitions of {n} exceeds the fiber cap {FIBER_CAP}")
     return [(c, _element(d, c)) for c in itertools.product(*(range(1, dj + 1) for dj in d))]
@@ -103,7 +90,7 @@ def coordinates_of(parts: Iterable[int]) -> tuple:
     """
     p = as_partition(parts)
     q = descent_map(p)
-    word = encode(_frequency(p))
+    word = encode(to_frequency(p))
     coords = tuple(len(run.group(0)) for run in _B_RUN_RE.finditer(word))
     if fiber_code(q, coords) != word:
         raise AssertionError(
@@ -118,7 +105,8 @@ def max_parts_partition(q: Iterable[int]) -> Partition:
     Sits at box coordinates (d_1, ..., d_k); super-distinctness guarantees
     q_1 >= 2r - 1 so the count of trailing ones is positive.
     """
-    qt = _box(q)[0]
+    qt = as_partition(q)
+    delta(qt)  # rejects a Q that is not super-distinct
     return tuple(x + 2 for x in qt[1:]) + (1,) * (qt[0] - 2 * len(qt) + 2) if qt else ()
 
 
@@ -146,8 +134,8 @@ def fiber_bijection(q: Iterable[int], r: Iterable[int], sigma: Iterable[int]) ->
     R-fiber at (i_sigma(j))_j.  Paired partitions have equal part counts.
     Returns ((coords_q, part_q), (coords_r, part_r)) pairs.
     """
-    qt, dq = _box(q)
-    dr = delta(r)
+    qt = as_partition(q)
+    dq, dr = delta(qt), delta(r)
     s = tuple(sigma)
     if sorted(s) != list(range(1, len(dq) + 1)) or len(dr) != len(dq):
         raise ValueError(f"sigma {s} is not a permutation of 1..{len(dq)}")
@@ -157,7 +145,7 @@ def fiber_bijection(q: Iterable[int], r: Iterable[int], sigma: Iterable[int]) ->
                 f"box mismatch at position {j + 1}: delta(R)={dr}, permuted delta(Q) wants {dq[s[j] - 1]}"
             )
     pairs = []
-    for coords_q, part_q in _fiber(qt, dq):  # in lexicographic coordinate order
+    for coords_q, part_q in fiber(qt):  # in lexicographic coordinate order
         coords_r = tuple(coords_q[i - 1] for i in s)
         pairs.append(((coords_q, part_q), (coords_r, _element(dr, coords_r))))
     return pairs

@@ -47,15 +47,14 @@ from .partitions import (
     SIZE_CAP,
     Partition,
     FreqSeq,
-    _frequency,
     _partition,
     _quoted,
     _reduced,
     _right_set,
-    _super_distinct,
     _two_measure,
     as_frequency,
     as_partition,
+    is_super_distinct,
     to_frequency,
 )
 
@@ -231,16 +230,13 @@ class SuperDistinctReport:
 
 def characterize_superdistinct(parts: Iterable[int]) -> SuperDistinctReport:
     """The seven tests on P, from one validation and one code word."""
-    return _characterized(as_partition(parts))
-
-
-def _characterized(p: Partition) -> SuperDistinctReport:
-    f = _frequency(p)
+    p = as_partition(parts)
+    f = to_frequency(p)
     rset = _right_set(f)
     df = _demoted(f)
     word = _word(f, df)
     return SuperDistinctReport(
-        super_distinct=_super_distinct(p),
+        super_distinct=is_super_distinct(p),
         length_equals_two_measure=sum(f) == _two_measure(f),
         code_has_no_bb="bb" not in word,
         freq_is_right_set_indicator=all(

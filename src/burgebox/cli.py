@@ -60,7 +60,8 @@ def nonnegative_int(text: str) -> int:
 
 def _coords(text: str) -> tuple:
     s = text.strip()
-    if s in ("e", "()", ""):
+    s = s[1:-1].strip() if s[:1] + s[-1:] == "()" else s  # the form coords and symmetry print
+    if s in ("e", ""):
         return ()
     try:
         return tuple(int(x) for x in s.split(","))

@@ -66,8 +66,7 @@ RESTRICTION_WORK_CAP = 5 * 10**6
 
 def chain_layout(parts: Iterable[int]) -> dict:
     """Offsets of the Jordan chains of P: maps (i, k) -> first row index."""
-    p = as_partition(parts)
-    f = to_frequency(p)
+    f = to_frequency(parts)
     layout = {}
     off = 0
     for i in range(len(f), 0, -1):
@@ -121,8 +120,7 @@ def param_slots(parts: Iterable[int], reduced: bool = True) -> list:
     nilpotent subalgebra; ``reduced=False`` parameterizes the full
     commutator algebra.
     """
-    pt = as_partition(parts)
-    f = to_frequency(pt)
+    f = to_frequency(parts)
     supp = [i for i in range(1, len(f) + 1) if f[i - 1]]
     slots = []
     for i in supp:
@@ -137,17 +135,13 @@ def param_slots(parts: Iterable[int], reduced: bool = True) -> list:
     return slots
 
 
-def _slot_count(f, reduced: bool) -> int:
-    """``len(param_slots(P, reduced))`` from the frequencies f of P, without listing slots.
+def _slot_count(f) -> int:
+    """``len(param_slots(P, reduced=False))`` from the frequencies f of P, without listing slots.
 
-    Chains of lengths i and j are coupled by min(i, j) slots; reduced mode
-    drops the f_i (f_i + 1) / 2 forced-zero slots of each part size i.
+    Chains of lengths i and j are coupled by min(i, j) slots.
     """
     supp = [(i, m) for i, m in enumerate(f, 1) if m]
-    count = sum(m * mj * min(i, j) for i, m in supp for j, mj in supp)
-    if reduced:
-        count -= sum(m * (m + 1) // 2 for _, m in supp)
-    return count
+    return sum(m * mj * min(i, j) for i, m in supp for j, mj in supp)
 
 
 def _slot_entries(slot: ParamSlot, layout: dict) -> list:
@@ -534,7 +528,7 @@ def scan_max_type(
     check_prime(p)
     n = sum(pt)
     f = to_frequency(pt)
-    free = _slot_count(f, reduced=False) - sum(m * m for m in f)
+    free = _slot_count(f) - sum(m * m for m in f)
     # p**free <= budget; p >= 2, so past budget's bit length it is over
     cap = budget // p**free if free <= budget.bit_length() else 0
     leading = _leading_choices(f, cap)

@@ -8,8 +8,8 @@ multiplicity of part 1.  Trailing zeros are always stripped so that equality
 of tuples is equality of sequences; the fictional entry ``f_0 = 0`` is never
 stored.
 
-Both representations are plain tuples, so values are hashable, immutable and
-safe to share between threads.
+Both are tuples: hashable, immutable and safe to share between threads.  A
+checked partition is a ``_Checked`` tuple, which passes ``as_partition`` at once.
 """
 
 from __future__ import annotations
@@ -40,20 +40,28 @@ class Spread(NamedTuple):
         return self.lo == self.hi
 
 
+class _Checked(tuple):  # a checked partition: only as_partition and partitions_of build one
+    __slots__ = ()
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Validate and return a partition as a tuple.
+    """Validate and return a partition as a tuple; a checked one is returned at once.
 
     Raises ValueError unless the parts are weakly decreasing positive
     integers no greater than ``PART_CAP``.
     """
-    p = tuple(parts)
+    if type(parts) is _Checked:
+        return parts
+    p = _Checked(parts)
+    prev = None
     for i, x in enumerate(p):
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"part {x!r} is not an integer")
         if x < 1:
             raise ValueError(f"part {x} is not positive")
-        if i and p[i - 1] < x:
+        if i and prev < x:
             raise ValueError(f"parts not weakly decreasing at index {i}: {p}")
+        prev = x
     if p and p[0] > PART_CAP:
         raise ValueError(f"part {p[0]} exceeds the part cap {PART_CAP}")
     return p
@@ -72,13 +80,8 @@ def as_frequency(freq: Iterable[int]) -> FreqSeq:
 
 def to_frequency(parts: Iterable[int]) -> FreqSeq:
     """Frequency sequence of a partition: f_i = multiplicity of part i."""
-    return _frequency(as_partition(parts))
-
-
-def _frequency(p: Partition) -> FreqSeq:
-    if not p:
-        return ()
-    f = [0] * p[0]
+    p = as_partition(parts)
+    f = [0] * (p[0] if p else 0)
     for x in p:
         f[x - 1] += 1
     return tuple(f)
@@ -162,11 +165,8 @@ def _two_measure(f: FreqSeq) -> int:
 
 def is_super_distinct(parts: Iterable[int]) -> bool:
     """True when successive parts differ by at least two."""
-    return _super_distinct(as_partition(parts))
-
-
-def _super_distinct(p: Partition) -> bool:
-    return all(p[i] - p[i + 1] >= 2 for i in range(len(p) - 1))
+    p = as_partition(parts)
+    return all(a - b >= 2 for a, b in zip(p, p[1:]))
 
 
 def reduced(parts: Iterable[int]) -> Partition:
@@ -196,11 +196,13 @@ def dominates(parts: Iterable[int], other: Iterable[int]) -> bool:
 
 def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n, in reverse lexicographic order (Zoghbi and Stojmenovic's ZS1)."""
+    if n > PART_CAP:
+        raise ValueError(f"part {n} exceeds the part cap {PART_CAP}")
     if n < 1:
-        yield from [()] * (n == 0)
+        yield from [_Checked()] * (n == 0)
         return
     x, m, h = [n] + [1] * (n - 1), 1, 0  # x[:m] is the partition, x[h] its last part above 1
-    yield (n,)
+    yield _Checked((n,))
     while x[0] > 1:
         if x[h] == 2:
             x[h], m, h = 1, m + 1, h - 1
@@ -214,7 +216,7 @@ def partitions_of(n: int) -> Iterator[tuple]:
             if t > 1:
                 h += 1
                 x[h] = t
-        yield tuple(x[:m])
+        yield _Checked(x[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,7 @@ def parse_partition(text: str) -> Partition:
     """
     s = text.strip()
     if s in ("e", "[]", "ε"):
-        return ()
+        return as_partition(())
     if not s:
         raise ValueError("empty partition text (use 'e' or '[]' for the empty partition)")
     if s.startswith(("f:", "F:")):
@@ -251,7 +253,7 @@ def parse_partition(text: str) -> Partition:
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
         if not body:
-            return ()
+            return as_partition(())
         freq = []
         for col, entry in enumerate(body.split(",")):
             e = entry.strip()
@@ -263,11 +265,11 @@ def parse_partition(text: str) -> Partition:
         total = sum(i * m for i, m in enumerate(freq, 1))
         if total > SIZE_CAP:
             raise ValueError(f"size {total} of {_quoted(text)} exceeds the size cap {SIZE_CAP}")
-        return to_partition(freq)
+        return as_partition(to_partition(freq))
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1].strip()
         if not s:
-            return ()
+            return as_partition(())
     parts = []
     total = 0
     for col, entry in enumerate(s.split(",")):

@@ -6,30 +6,29 @@ Each result keeps pass/fail counts, wall and CPU time, and the reproducer
 command of the first failing instance, which ``repro()`` builds only then.
 All checks are deterministic given the configuration.
 
-The combinatorial checks call the private helpers behind the public
-functions on the partitions that ``partitions_of`` yields, so none of them
-is validated again (``oblak_all_chains`` checks its f once); the tier-1
-tests cover the validation that each public function adds to its helper.
+``partitions_of`` yields checked partitions, which pass every public check at
+once.  Frequency sequences and words are not branded, so on those the checks
+call the private helpers (``oblak_all_chains`` checks its f once).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernels, oracle
-from .boxes import _delta, _fiber
-from .burge import _characterized, _demoted, _descents, _letter, _word
+from .boxes import delta, fiber
+from .burge import _demoted, _descents, _letter, _word, characterize_superdistinct
 from .errors import BudgetError
 from .oblak import _del_chain, _is_valid_chain, _oblak, _valuation, oblak_all_chains
 from .partitions import (
-    _frequency,
     _reduced,
-    _super_distinct,
     _two_measure,
     dominates,
+    is_super_distinct,
     partitions_of,
+    to_frequency,
 )
 from .words import _diagonal_hooks, _durfee, _foata_word, _inversions, _path_partition
 
@@ -90,7 +89,7 @@ def _pstr(p) -> str:
 
 def check_lem_stats(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = _frequency(p)
+        f = to_frequency(p)
         df = _demoted(f)
         in_b = _letter(f) == "b"
         ok = (
@@ -103,7 +102,7 @@ def check_lem_stats(n: int, cfg: SweepConfig, record) -> None:
 
 def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = _frequency(p)
+        f = to_frequency(p)
         w = _word(f, _demoted(f))
         descents = _descents(w)
         ok = (
@@ -116,12 +115,12 @@ def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
 
 def check_prop_characterization(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        record(_characterized(p).consistent, lambda: f"burgebox encode {_pstr(p)}")
+        record(characterize_superdistinct(p).consistent, lambda: f"burgebox encode {_pstr(p)}")
 
 
 def check_main_vs_oblak(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = _frequency(p)
+        f = to_frequency(p)
         ok = _descents(_word(f, _demoted(f)))[::-1] == _oblak(f)
         record(ok, lambda: f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
 
@@ -129,16 +128,16 @@ def check_main_vs_oblak(n: int, cfg: SweepConfig, record) -> None:
 def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
     fibers: dict = {}
     for p in partitions_of(n):
-        f = _frequency(p)
+        f = to_frequency(p)
         fibers.setdefault(_descents(_word(f, _demoted(f)))[::-1], set()).add(p)
-    supers = [q for q in partitions_of(n) if _super_distinct(q)]
+    supers = [q for q in partitions_of(n) if is_super_distinct(q)]
     record(
         set(fibers) == set(supers),
         lambda: f"burgebox sweep --max-n {n} --checks cor-box",
     )
     for q in supers:
-        d = _delta(q)
-        box = _fiber(q, d)
+        d = delta(q)
+        box = fiber(q)
         members = {part for _, part in box}
         ok = (
             len(box) == math.prod(d)
@@ -150,7 +149,7 @@ def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
 
 def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        f = _frequency(p)
+        f = to_frequency(p)
         df = _demoted(f)
         ok = True
         for chain in oblak_all_chains(f):
@@ -166,7 +165,7 @@ def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
 
 def check_khatami(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        valuations = {_valuation(c) for c in oblak_all_chains(_frequency(p))}
+        valuations = {_valuation(c) for c in oblak_all_chains(to_frequency(p))}
         record(len(valuations) == 1, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
@@ -175,10 +174,10 @@ def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
         by_hooks.setdefault(_diagonal_hooks(p), set()).add(p)
     for q in partitions_of(n):
-        if not _super_distinct(q):
+        if not is_super_distinct(q):
             continue
-        d = _delta(q)
-        box = _fiber(q, d)
+        d = delta(q)
+        box = fiber(q)
         images = set()
         ok = True
         for coords, part in box:

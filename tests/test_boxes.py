@@ -9,7 +9,7 @@ from burgebox.boxes import (
     max_parts_partition,
     symmetry_map,
 )
-from burgebox.burge import decode, descent_map, encode
+from burgebox.burge import characterize_superdistinct, decode, descent_map, encode
 from burgebox.partitions import (
     dominates,
     is_super_distinct,
@@ -198,3 +198,19 @@ def test_incomparable_pair_inside_fiber():
     assert deep in members and other in members
     assert not dominates(deep, other)
     assert not dominates(other, deep)
+
+
+@pytest.mark.parametrize("q", [(), (7,), (5, 2), (10, 7, 3)])
+def test_box_functions_take_a_one_shot_iterable(q):
+    sigma = range(1, len(q) + 1)
+    assert delta(iter(q)) == delta(q)
+    assert fiber(iter(q)) == fiber(q)
+    assert max_parts_partition(iter(q)) == max_parts_partition(q)
+    assert fiber_bijection(iter(q), iter(q), iter(sigma)) == fiber_bijection(q, q, sigma)
+
+
+@pytest.mark.parametrize("p", [(), (7,), (10, 7, 3), (4, 4, 3, 2, 2), (9, 5, 1, 1)])
+def test_partition_functions_take_a_one_shot_iterable(p):
+    assert characterize_superdistinct(iter(p)) == characterize_superdistinct(p)
+    assert is_super_distinct(iter(p)) == is_super_distinct(p)
+    assert to_frequency(iter(p)) == to_frequency(p)

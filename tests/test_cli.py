@@ -99,6 +99,17 @@ def test_coords_maxparts_symmetry(capsys):
     assert out.strip() == "(2,3,2)"
 
 
+def test_coords_option_takes_the_form_the_cli_prints(capsys):
+    code, out, _ = run(capsys, "symmetry", "10,7,3", "--coords", "(2,1,2)")
+    assert code == 0 and out.strip() == "(2,3,1)"
+    code, out, _ = run(capsys, "symmetry", "10,7,3", "--coords", " ( 2,1,2 ) ", "--positions", "(2)")
+    assert code == 0 and out.strip() == "(2,3,2)"
+    code, out, _ = run(capsys, "foata", "10,7,3", "--coords", "(1,1,1)")
+    assert code == 0 and out.split()[0] == "babaabaaaaa"
+    code, _, err = run(capsys, "foata", "10,7,3", "--coords", "((1,1,1))")
+    assert code == 2 and "bad coordinate list" in err
+
+
 def test_foata_hooks_durfee(capsys):
     code, out, _ = run(capsys, "foata", "10,7,3", "--coords", "1,1,1")
     assert code == 0 and out.split()[0] == "babaabaaaaa"

@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from burgebox import partitions
 from burgebox.partitions import (
+    PART_CAP,
     SIZE_CAP,
     Spread,
     as_frequency,
@@ -241,3 +244,30 @@ def test_format_partition():
         9, 5, 1, 1, 1, 1, 1, 1,
     )
     assert format_frequency((1, 2, 1, 0, 1)) == "(1,2,1,0,1)"
+
+
+@pytest.mark.parametrize("text", ["e", "[]", "10,7,3", "[4^2,3,2^2]", "f:(0,2,1,2)", "f:()"])
+def test_checked_partition_looks_like_the_plain_tuple(text):
+    p = parse_partition(text)
+    plain = tuple(p)
+    assert type(p) is partitions._Checked and as_partition(p) is p
+    assert p == plain and hash(p) == hash(plain) and {p: 1}[plain] == 1
+    assert repr(p) == repr(plain) and str(p) == str(plain)
+    assert json.dumps(p) == json.dumps(plain) and list(p) == list(plain)
+
+
+def test_checked_partitions_come_from_as_partition_and_partitions_of():
+    for n in range(8):
+        for p in partitions_of(n):
+            assert type(p) is partitions._Checked and as_partition(p) is p
+    p = as_partition([4, 4, 1])
+    assert type(p) is partitions._Checked and as_partition(p) is p and p == (4, 4, 1)
+    with pytest.raises(ValueError, match="part cap"):
+        next(partitions_of(PART_CAP + 1))
+
+
+@pytest.mark.parametrize("bad", [(3, 0), [2, 3], (2.0,), (True,), [PART_CAP + 1], (3, -1)])
+def test_plain_sequence_with_a_bad_part_is_still_rejected(bad):
+    for check in (as_partition, to_frequency, is_super_distinct, format_partition):
+        with pytest.raises(ValueError):
+            check(bad)

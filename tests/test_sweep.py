@@ -32,13 +32,13 @@ PLANTED = {
         sweep, "_descents", burge.encode(F), lambda d: d[1:], "burgebox encode 3,1",
     ),
     "prop-characterization": (
-        burge, "_super_distinct", TARGET, lambda s: not s, "burgebox encode 3,1",
+        burge, "is_super_distinct", TARGET, lambda s: not s, "burgebox encode 3,1",
     ),
     "thm-main-vs-oblak": (
         sweep, "_oblak", F, extra_part, "burgebox dmap 3,1  # vs: burgebox oblak 3,1",
     ),
     "cor-box": (
-        sweep, "_fiber", TARGET, lambda box: box[:-1], "burgebox fiber 3,1 --json",
+        sweep, "fiber", TARGET, lambda box: box[:-1], "burgebox fiber 3,1 --json",
     ),
     "thm-oblakburge": (
         sweep, "_demoted", F, extra_part, "burgebox oblak-chains 3,1",
@@ -97,13 +97,14 @@ def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
 
 @pytest.mark.parametrize("name", [name for name in CHECKS if not name.startswith("matrix-")])
 def test_combinatorial_check_validates_at_most_once_per_partition(name, monkeypatch):
-    # the checks run on the trusted helpers: the partitions that partitions_of
-    # yields, and what the kernels make of them, are not validated again
-    calls = []
+    # the partitions that partitions_of yields are checked ones, so every public
+    # call on them passes at once: no partition is validated in full, and each
+    # frequency sequence at most once (oblak_all_chains checks its f)
+    full = {"as_partition": 0, "as_frequency": 0}
     for validate in (partitions.as_partition, partitions.as_frequency):
-        def counted(*args, validate=validate):
-            calls.append(validate)
-            return validate(*args)
+        def counted(arg, validate=validate):
+            full[validate.__name__] += type(arg) is not partitions._Checked
+            return validate(arg)
 
         for module_name, module in list(sys.modules.items()):
             if module_name == "burgebox" or module_name.startswith("burgebox."):
@@ -113,4 +114,5 @@ def test_combinatorial_check_validates_at_most_once_per_partition(name, monkeypa
     (result,) = run_sweep(SweepConfig(max_n=10, checks=(name,)))
     assert result.ok
     partition_count = sum(1 for n in range(11) for _ in partitions_of(n))
-    assert len(calls) <= partition_count
+    assert full["as_partition"] == 0
+    assert full["as_frequency"] <= partition_count
