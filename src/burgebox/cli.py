@@ -6,9 +6,9 @@ malformed partitions or words, inputs over a size bound).
 
 Partitions are accepted as comma lists (10,7,3), bracket multiset form
 ([4^2,3,2^2]), 'e' or '[]' for the empty partition, and frequency form
-f:(0,2,1,2).  Output uses the bracket multiset form.  The environment
-variable BURGEBOX_FIELD overrides the default field modulus of the
-matrix commands; it is read only when one of them runs.
+f:(0,2,1,2).  Output uses the bracket multiset form.  The field of the
+matrix commands comes from --field alone: verify defaults to GF(10007),
+scan-max to GF(2), and sweep gives each matrix check its own default.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import boxes, burge, oracle, words
@@ -35,19 +34,6 @@ from .partitions import (
     to_partition,
 )
 from .sweep import CHECKS, SweepConfig, run_sweep
-
-
-def _field(args, fallback: int) -> int:
-    """--field if given, else BURGEBOX_FIELD if set, else the command's default."""
-    if args.field is not None:
-        return args.field
-    raw = os.environ.get("BURGEBOX_FIELD")
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"BURGEBOX_FIELD={raw!r} is not an integer") from None
 
 
 def nonnegative_int(text: str) -> int:
@@ -179,10 +165,7 @@ def cmd_durfee(args):
 
 def cmd_verify(args):
     report = oracle.verify_restriction(
-        parse_partition(args.partition),
-        p=_field(args, oracle.GENERIC_PRIME),
-        trials=args.trials,
-        seed=args.seed,
+        parse_partition(args.partition), p=args.field, trials=args.trials, seed=args.seed
     )
     text = (
         f"{'ok' if report.ok else 'FAIL'}: expected {format_partition(report.expected)}, "
@@ -193,11 +176,7 @@ def cmd_verify(args):
 
 
 def cmd_scan_max(args):
-    report = oracle.scan_max_type(
-        parse_partition(args.partition),
-        p=_field(args, 2),
-        budget=args.budget,
-    )
+    report = oracle.scan_max_type(parse_partition(args.partition), p=args.field, budget=args.budget)
     got = "(no maximum)" if report.max_type is None else format_partition(report.max_type)
     text = (
         f"{'ok' if report.ok else 'FAIL'}: scanned {report.scanned}, "
@@ -211,8 +190,7 @@ def cmd_sweep(args):
     cfg = SweepConfig(
         max_n=args.max_n,
         checks=tuple(args.checks.split(",")) if args.checks else (),
-        field=_field(args, oracle.GENERIC_PRIME),
-        scan_field=_field(args, 2),
+        field=args.field,
         trials=args.trials,
         seed=args.seed,
     )
@@ -270,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify", cmd_verify, "matrix oracle: restriction type of witness and random draws", None)
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--field", type=int)
+    sp.add_argument("--field", type=int, default=oracle.GENERIC_PRIME)
     sp.add_argument("--trials", type=nonnegative_int, default=5)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("scan-max", cmd_scan_max, "exhaustive dominance-maximum scan over a small field", None)
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--field", type=int)
+    sp.add_argument("--field", type=int, default=2)
     sp.add_argument("--budget", type=nonnegative_int, default=oracle.DEFAULT_SCAN_BUDGET)
 
     sp = add("sweep", cmd_sweep, "run named exhaustive property suites", None)

@@ -104,47 +104,44 @@ class OblakChain:
     """One run of the process: states from f down to empty, and the chosen indices.
 
     ``states[r] == annihilate(states[r-1], indices[r-1])`` with each chosen
-    index maximal for the state it acts on.
+    index maximal for the state it acts on.  The states are validated, and
+    their trailing zeros stripped, when the chain is made; the process builds
+    its own chains by ``_trusted``, which checks nothing.
     """
 
     states: tuple
     indices: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "states", tuple(map(as_frequency, self.states)))
+
+    @classmethod
+    def _trusted(cls, states: tuple, indices: tuple) -> "OblakChain":
+        """A chain on a tuple of validated, stripped states."""
+        chain = cls.__new__(cls)
+        object.__setattr__(chain, "states", states)
+        object.__setattr__(chain, "indices", indices)
+        return chain
+
     @property
     def valuation(self) -> Partition:
         """Recorded evaluations, recomputed by the kernels from size drops as a self-check."""
-        chain = _checked(self)
         if min(self.indices, default=0) < 0:
             raise ValueError("evaluation index must be nonnegative")
-        return _valuation(chain)
-
-
-def _checked(chain: OblakChain) -> OblakChain:
-    """The chain with every state validated and its trailing zeros stripped."""
-    return OblakChain(tuple(as_frequency(s) for s in chain.states), chain.indices)
-
-
-def _valuation(chain: OblakChain) -> Partition:
-    """``valuation`` of a chain whose states are validated and indices nonnegative."""
-    states, vals = chain.states, []
-    for r, i in enumerate(chain.indices):
-        drop = kernels.size(states[r]) - kernels.size(states[r + 1])
-        ev = kernels.evaluate(states[r], i)
-        if drop != ev:
-            raise ValueError(
-                f"corrupt chain: size drop {drop} != evaluation {ev} at step {r}"
-            )
-        vals.append(ev)
-    return tuple(vals)
+        states, vals = self.states, []
+        for r, i in enumerate(self.indices):
+            drop = kernels.size(states[r]) - kernels.size(states[r + 1])
+            ev = kernels.evaluate(states[r], i)
+            if drop != ev:
+                raise ValueError(
+                    f"corrupt chain: size drop {drop} != evaluation {ev} at step {r}"
+                )
+            vals.append(ev)
+        return tuple(vals)
 
 
 def is_valid_chain(chain: OblakChain) -> bool:
-    """Recompute every step of a chain: maximal choices, matching states (validated first)."""
-    return _is_valid_chain(_checked(chain))
-
-
-def _is_valid_chain(chain: OblakChain) -> bool:
-    """``is_valid_chain`` for a chain whose states are validated."""
+    """Recompute every step of a chain: maximal choices, matching states."""
     states = chain.states
     if len(states) != len(chain.indices) + 1 or states[-1] != ():
         return False
@@ -172,7 +169,7 @@ def oblak_chain(freq: Iterable[int]) -> OblakChain:
     for i, _ in kernels.oblak_steps(f):
         indices.append(i)
         states.append(tuple(f))
-    return OblakChain(tuple(states), tuple(indices))
+    return OblakChain._trusted(tuple(states), tuple(indices))
 
 
 def oblak(freq: Iterable[int]) -> Partition:
@@ -210,7 +207,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
                 raise BudgetError(
                     f"chain enumeration for {f} exceeds limit {limit}"
                 )
-            out.append(OblakChain(tuple(states), tuple(indices)))
+            out.append(OblakChain._trusted(tuple(states), tuple(indices)))
             return
         for nxt, i in _successors(state).items():
             rec(nxt, states + [nxt], indices + [i])
@@ -227,39 +224,30 @@ def del_chain(chain: OblakChain) -> OblakChain:
     across.  The returned chain carries a freshly derived valid index
     sequence for the new states.
     """
-    return _del_chain(chain, apply_del)
-
-
-def _del_chain(chain: OblakChain, demote=None) -> OblakChain:
-    """``del_chain`` by ``demote``; ``_demoted``, the default, trusts the states it is given."""
     states = chain.states
     if len(states) >= 2 and states[-2] == (1,):
         states = states[:-1]
-    new_states = tuple(map(demote or _demoted, states))
-    return OblakChain(new_states, _indices_for_states(new_states))
-
-
-def _indices_for_states(states: tuple) -> tuple:
+    states = tuple(map(_demoted, states))
     indices = []
     for here, nxt in zip(states, states[1:]):
         i = _successors(here).get(nxt)
         if i is None:
             raise ValueError(f"no maximal index carries {here} to {nxt}; not a chain")
         indices.append(i)
-    return tuple(indices)
+    return OblakChain._trusted(states, tuple(indices))
 
 
 def check_commuting_square(freq: Iterable[int], i: int) -> bool:
     """Does annihilation at i commute with apply_del, evaluation dropping by 1?
 
     Guaranteed when i is left admissible for f or right admissible for
-    apply_del(f); may hold or fail otherwise.
+    apply_del(f); may hold or fail otherwise.  Demotion goes through the
+    public ``apply_del``, which keeps this module's binding of it in use for
+    the benchmark's tracer (ROADMAP item 6).
     """
     f = as_frequency(freq)
-    if i < 0:
-        raise ValueError("evaluation index must be nonnegative")
-    df = _demoted(f)
+    df = apply_del(f)
     return (
-        kernels.evaluate(df, i) == kernels.evaluate(f, i) - 1
-        and _annihilated(df, i) == _demoted(_annihilated(f, i))
+        evaluate(df, i) == evaluate(f, i) - 1
+        and annihilate(df, i) == apply_del(annihilate(f, i))
     )

@@ -505,6 +505,32 @@ def _jordan_form(i: int, lam: Partition) -> list:
     return [ParamSlot(i, k + 1, i, k, 1) for s, b in zip(starts, lam) for k in range(s + 1, s + b)]
 
 
+def _scan_size(f, p: int, budget: int) -> int | None:
+    """prod p(f_i) p^free, the matrices ``scan_max_type`` walks over GF(p); None if over budget."""
+    free = _slot_count(f) - sum(m * m for m in f)
+    # p**free <= budget; p >= 2, so past budget's bit length it is over
+    cap = budget // p**free if free <= budget.bit_length() else 0
+    leading = _leading_choices(f, cap)
+    return leading * p**free if leading <= cap else None
+
+
+def check_scan_work(max_n: int, p: int) -> None:
+    """Refuse scans to each size <= max_n over GF(p) that walk more than the scan budget in all.
+
+    A scan over the budget by itself is refused when it runs, and adds nothing here.
+    """
+    total = 0
+    for n in range(max_n + 1):
+        total += sum(
+            _scan_size(to_frequency(pt), p, DEFAULT_SCAN_BUDGET) or 0 for pt in partitions_of(n)
+        )
+        if total > DEFAULT_SCAN_BUDGET:
+            raise ValueError(
+                f"scans over GF({p}) to size {n} walk {total} matrices,"
+                f" over the scan budget {DEFAULT_SCAN_BUDGET}"
+            )
+
+
 def scan_max_type(
     parts: Iterable[int],
     p: int = 2,
@@ -528,11 +554,8 @@ def scan_max_type(
     check_prime(p)
     n = sum(pt)
     f = to_frequency(pt)
-    free = _slot_count(f) - sum(m * m for m in f)
-    # p**free <= budget; p >= 2, so past budget's bit length it is over
-    cap = budget // p**free if free <= budget.bit_length() else 0
-    leading = _leading_choices(f, cap)
-    if leading > cap:
+    scanned = _scan_size(f, p, budget)
+    if scanned is None:
         raise BudgetError(
             f"scan of {format_partition(pt)} needs more matrices than the budget {budget}"
         )
@@ -572,4 +595,4 @@ def scan_max_type(
 
     histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
     max_type = next((t for t in histogram if all(dominates(t, s) for s in histogram)), None)
-    return ScanReport(pt, p, leading * p**free, histogram, max_type, descent_map(pt))
+    return ScanReport(pt, p, scanned, histogram, max_type, descent_map(pt))

@@ -7,8 +7,9 @@ command of the first failing instance, which ``repro()`` builds only then.
 All checks are deterministic given the configuration.
 
 ``partitions_of`` yields checked partitions, which pass every public check at
-once.  Frequency sequences and words are not branded, so on those the checks
-call the private helpers (``oblak_all_chains`` checks its f once).
+once, and an ``OblakChain`` is checked when it is made.  Frequency sequences
+and words are not branded, so on those the checks call the private helpers
+(``oblak_all_chains`` checks its f once).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import kernels, oracle
 from .boxes import delta, fiber
 from .burge import _demoted, _descents, _letter, _word, characterize_superdistinct
 from .errors import BudgetError
-from .oblak import _del_chain, _is_valid_chain, _oblak, _valuation, oblak_all_chains
+from .oblak import _oblak, del_chain, is_valid_chain, oblak_all_chains
 from .partitions import (
     _reduced,
     _two_measure,
@@ -37,8 +38,7 @@ from .words import _diagonal_hooks, _durfee, _foata_word, _inversions, _path_par
 class SweepConfig:
     max_n: int
     checks: tuple = ()          # empty means: run everything
-    field: int = 10007          # matrix-restriction
-    scan_field: int = 2         # matrix-dominance: its scan covers scan_field^slots matrices
+    field: int | None = None    # of both matrix checks, a prime; None: each check's own default
     trials: int = 5
     seed: int = 0
 
@@ -48,8 +48,13 @@ class SweepConfig:
         unknown = set(self.checks) - set(CHECKS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
-        if "matrix-restriction" in (self.checks or CHECKS):  # its work grows with n
+        selected = set(self.checks or CHECKS)
+        if self.field is not None and selected & {"matrix-restriction", "matrix-dominance"}:
+            oracle.check_prime(self.field)
+        if "matrix-restriction" in selected:  # its work grows with n
             oracle.check_restriction_work(self.max_n, self.trials)
+        if "matrix-dominance" in selected:
+            oracle.check_scan_work(self.max_n, self.field or 2)
 
 
 @dataclass
@@ -153,19 +158,19 @@ def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
         df = _demoted(f)
         ok = True
         for chain in oblak_all_chains(f):
-            image = _del_chain(chain)
+            image = del_chain(chain)
             ok = (
                 ok
-                and _is_valid_chain(image)
+                and is_valid_chain(image)
                 and image.states[0] == df
-                and _valuation(image) == _reduced(_valuation(chain))
+                and image.valuation == _reduced(chain.valuation)
             )
         record(ok, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
 def check_khatami(n: int, cfg: SweepConfig, record) -> None:
     for p in partitions_of(n):
-        valuations = {_valuation(c) for c in oblak_all_chains(to_frequency(p))}
+        valuations = {c.valuation for c in oblak_all_chains(to_frequency(p))}
         record(len(valuations) == 1, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
@@ -197,26 +202,26 @@ def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
 
 
 def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
+    field = cfg.field or oracle.GENERIC_PRIME
     for p in partitions_of(n):
-        report = oracle.verify_restriction(
-            p, p=cfg.field, trials=cfg.trials, seed=cfg.seed
-        )
+        report = oracle.verify_restriction(p, p=field, trials=cfg.trials, seed=cfg.seed)
         record(
             report.ok,
-            lambda: f"burgebox verify --partition {_pstr(p)} --field {cfg.field}"
+            lambda: f"burgebox verify --partition {_pstr(p)} --field {field}"
             f" --trials {cfg.trials} --seed {cfg.seed}",
         )
 
 
 def check_matrix_dominance(n: int, cfg: SweepConfig, record) -> None:
     """A partition whose scan exceeds the budget counts as a failed instance."""
+    field = cfg.field or 2
     for p in partitions_of(n):
         try:
-            report = oracle.scan_max_type(p, p=cfg.scan_field)
+            report = oracle.scan_max_type(p, p=field)
             ok, note = report.ok and all(dominates(report.max_type, t) for t in report.types), ""
         except BudgetError as exc:
             ok, note = False, f"  # infeasible configuration: {exc}"
-        record(ok, lambda: f"burgebox scan-max --partition {_pstr(p)} --field {cfg.scan_field}"
+        record(ok, lambda: f"burgebox scan-max --partition {_pstr(p)} --field {field}"
                + note)
 
 

@@ -187,17 +187,17 @@ def test_witness_restriction_to_16_over_big_field():
 
 def test_dominance_maximum_exhaustive_over_gf2():
     with report("scanned commutators have dominance maximum = descent map, |P| <= 5, GF(2)"):
-        sweep_checks("matrix-dominance", max_n=5, scan_field=2)
+        sweep_checks("matrix-dominance", max_n=5, field=2)
 
 
 def test_dominance_maximum_exhaustive_over_gf2_n6():
     with report("scanned commutators have dominance maximum = descent map, |P| <= 6, GF(2)"):
-        sweep_checks("matrix-dominance", max_n=6, scan_field=2)
+        sweep_checks("matrix-dominance", max_n=6, field=2)
 
 
 def test_dominance_maximum_exhaustive_over_gf3():
     with report("scanned commutators have dominance maximum = descent map, |P| <= 5, GF(3)"):
-        sweep_checks("matrix-dominance", max_n=5, scan_field=3)
+        sweep_checks("matrix-dominance", max_n=5, field=3)
 
 
 def test_hook_correspondence_to_24():

@@ -219,7 +219,7 @@ def test_sweep_default_checks_pass(capsys):
 
 
 def test_sweep_keeps_passing_instances_past_the_scan_budget():
-    (res,) = run_sweep(SweepConfig(max_n=3, checks=("matrix-dominance",), scan_field=10007))
+    (res,) = run_sweep(SweepConfig(max_n=3, checks=("matrix-dominance",), field=10007))
     # (), (1), (2), (1,1) and (1,1,1) fit the budget; (3) and (2,1) do not
     assert (res.instances, res.failures) == (7, 2)
     assert res.first_counterexample.startswith(
@@ -336,26 +336,17 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
-def test_env_field_default(capsys, monkeypatch):
-    monkeypatch.setenv("BURGEBOX_FIELD", "101")
-    code, out, _ = run(
-        capsys, "verify", "--partition", "3,1", "--trials", "1", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["field"] == 101
-
-
-def test_env_field_read_only_by_matrix_commands(capsys, monkeypatch):
-    monkeypatch.setenv("BURGEBOX_FIELD", "abc")
+@pytest.mark.parametrize("value", ["101", "abc"])
+def test_field_comes_from_the_flag_alone(capsys, monkeypatch, value):
+    # the field of a matrix command comes from --field alone, never from the environment
+    monkeypatch.setenv("BURGEBOX_FIELD", value)
+    code, out, _ = run(capsys, "verify", "--partition", "3,1", "--trials", "1", "--json")
+    assert code == 0 and json.loads(out)["field"] == 10007
+    argv = ["verify", "--partition", "3,1", "--trials", "1", "--field", "101", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["field"] == 101
     code, out, _ = run(capsys, "dmap", "3,2")
     assert code == 0 and out.strip() == "[5]"
-    code, _, err = run(capsys, "verify", "--partition", "3,1", "--trials", "1")
-    assert code == 2
-    assert "BURGEBOX_FIELD" in err and "Traceback" not in err
-    code, out, _ = run(
-        capsys, "verify", "--partition", "3,1", "--trials", "1", "--field", "101", "--json"
-    )
-    assert code == 0 and json.loads(out)["field"] == 101
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,6 +376,27 @@ def test_sweep_reports_infeasible_check_instead_of_crashing(capsys):
     assert "prop-stats" in out and "ok   prop-stats" in out
 
 
+@pytest.mark.parametrize("checks", ["matrix-dominance", "matrix-restriction", None])
+def test_sweep_refuses_a_composite_field_before_any_check(capsys, checks):
+    argv = ["sweep", "--max-n", "3", "--field", "4"] + (["--checks", checks] if checks else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "modulus 4 is not prime" in err
+    with pytest.raises(ValueError, match="not prime"):
+        SweepConfig(max_n=3, checks=(checks,) if checks else (), field=4)
+    SweepConfig(max_n=3, checks=("prop-stats",), field=4)  # no matrix check reads the field
+
+
+def test_sweep_refuses_scans_over_the_scan_budget_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--max-n", "14")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "scan budget" in err and "Traceback" not in err
+    code, _, err = run(capsys, "sweep", "--max-n", "8", "--checks", "matrix-dominance")
+    assert code == 2 and "GF(2) to size 8 walk 28627225 matrices" in err
+    code, _, err = run(capsys, "sweep", "--max-n", "8", "--checks", "prop-stats")
+    assert code == 0  # the scan budget is matrix-dominance's
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(max_n=-1)
@@ -407,7 +419,7 @@ def test_run_sweep_all_checks_tiny():
     # super-distinct Q (6 of them), foata-hooks one per super-distinct Q.
     combinatorial = tuple(c for c in CHECKS if c != "matrix-dominance")
     results = run_sweep(SweepConfig(max_n=4, checks=combinatorial, field=101, trials=1))
-    results += run_sweep(SweepConfig(max_n=4, checks=("matrix-dominance",), scan_field=2))
+    results += run_sweep(SweepConfig(max_n=4, checks=("matrix-dominance",), field=2))
     assert [r.name for r in results] == list(CHECKS)
     counts = {r.name: (r.instances, r.failures) for r in results}
     assert counts == {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -238,3 +240,17 @@ def test_chain_valuation_validates_states_and_indices():
         OblakChain(c.states, (-1,) + c.indices[1:]).valuation
     assert c.indices == (0,)  # index 0 evaluates as index 1, as in ``evaluate``
     assert c.valuation == OblakChain(c.states, (1,)).valuation == oblak((2, 1)) == (4,)
+
+
+def test_chain_states_are_checked_when_made():
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        OblakChain(((2, 1), (1, -1), ()), (0, 0))
+    assert OblakChain([(2, 1, 0), [0, 0]], (0,)).states == ((2, 1), ())
+    for f in all_freqs(8):
+        made = [oblak_chain(f), *oblak_all_chains(f), del_chain(oblak_chain(f))]
+        for c in made:
+            assert c == OblakChain(c.states, c.indices)
+    c = oblak_chain((2, 1))
+    assert dataclasses.replace(c, states=((2, 1, 0), ())) == c
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        dataclasses.replace(c, states=((2, True), ()))

@@ -391,3 +391,12 @@ def test_build_commuting_slot_placement():
 def test_build_commuting_refuses_what_is_not_a_slot(slot):
     with pytest.raises(ValueError, match="is not a slot of"):
         build_commuting((3,), 5, {slot: 1})
+
+
+@pytest.mark.parametrize("p, total_to_8", [(2, 28627225), (3, 37924738)])
+def test_check_scan_work_sums_the_scans_within_the_budget(p, total_to_8):
+    oracle.check_scan_work(7, p)  # 652163 matrices over GF(2), 15497031 over GF(3)
+    with pytest.raises(ValueError, match=f"to size 8 walk {total_to_8} matrices, over the scan"):
+        oracle.check_scan_work(14, p)
+    # over GF(10007) most scans are over the budget on their own: they add nothing
+    oracle.check_scan_work(12, 10007)

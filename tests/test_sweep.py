@@ -80,7 +80,7 @@ def test_planted_fault_is_reported(name, monkeypatch):
 
 def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
     # the demotion planted to send (1,0,1) to (3,0,1): the image of a chain of
-    # (3,1) no longer forms a chain, and _del_chain raises on it
+    # (3,1) no longer forms a chain, and del_chain raises on it
     oblak_module = sys.modules["burgebox.oblak"]  # burgebox.oblak names the function
     real = oblak_module._demoted
     monkeypatch.setattr(
