@@ -3,8 +3,9 @@
 ``MatrixGFp`` is the general matrix: immutable, rows stored as a tuple of
 tuples with entries already reduced mod p.  Everything is plain integer
 arithmetic, so results are exact for any prime modulus; pivoting uses
-modular inverses via ``pow(x, -1, p)``.  The one elimination is the forward
-``rank_profile``; ``row_echelon_basis`` adds a back-substitution to it.
+modular inverses via ``pow(x, -1, p)``.  The one elimination on row lists
+is the forward ``rank_profile``; ``row_echelon_basis`` adds a
+back-substitution to it.
 
 The constructor validates: it checks that p is prime, reduces every entry
 and rejects ragged rows.  Products do work only for nonzero entries: row r
@@ -17,11 +18,12 @@ The oracle's matrices (shift matrices and Toeplitz blocks) are mostly
 zeros; on a dense matrix the product does the same multiplications as a
 row-by-column one.
 
-For GF(2) there are also two kernels on bit-packed rows, where bit c of
-the int ``rows[r]`` is entry (r, c): a product that XORs together the rows
-picked by the set bits, and a rank by XOR elimination.  They take plain
-lists of non-negative ints and validate nothing.  The exhaustive
-commutator scan over GF(2) runs on them.
+For GF(2) there are also two bitsliced kernels, after Biham's DES
+(FSE 1997): a matrix is a list of rows of ints, and bit j of entry (r, c)
+is that entry in lane j, so one AND or XOR acts on every lane at once.
+``sliced_powers`` lists the powers of a matrix in every lane and
+``sliced_rank`` gives every lane's rank as bit-planes.  They validate
+nothing.  The exhaustive commutator scan over GF(2) runs on them.
 """
 
 from __future__ import annotations
@@ -69,31 +71,63 @@ def check_prime(p: int) -> int:
     return p
 
 
-def gf2_matmul(x: Sequence[int], y: Sequence[int]) -> list:
-    """XY over GF(2) on int rows: row r is the XOR of the rows of Y picked by row r of X."""
-    out = []
-    for row in x:
-        acc = 0
-        while row:
-            low = row & -row
-            acc ^= y[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return out
+def sliced_powers(a: Sequence[Sequence[int]]):
+    """A, A^2, A^3, ... over GF(2) in every lane, without end.
+
+    Entry (r, c) of XA is the XOR over k of X[r][k] AND A[k][c], taken over
+    the nonzero entries of A, listed once.
+    """
+    width = len(a)
+    nonzero = [[(c, v) for c, v in enumerate(row) if v] for row in a]
+    power = a
+    while True:
+        yield power
+        out = []
+        for row in power:
+            acc = [0] * width
+            for u, ys in zip(row, nonzero):
+                if u:
+                    for c, v in ys:
+                        acc[c] ^= u & v
+            out.append(acc)
+        power = out
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of int rows, by XOR elimination."""
-    basis = {}  # leading bit -> a reduced row with that leading bit
-    for v in rows:
-        while v:
-            top = v.bit_length()
-            b = basis.get(top)
-            if b is None:
-                basis[top] = v
+def sliced_rank(rows: Sequence[Sequence[int]]) -> list:
+    """The rank over GF(2) in every lane, as bit-planes: bit j of plane b is bit b of lane j's rank.
+
+    Forward elimination with a pivot mask per column: ``kept[c]`` holds, in
+    the lanes of ``have[c]``, a kept row with its pivot at column c.  A row
+    is reduced left to right; in the lanes where it meets a column with no
+    pivot yet, it is kept there and leaves the elimination.
+    """
+    width = len(rows[0]) if rows else 0
+    have, kept = [0] * width, [[0] * width for _ in range(width)]
+    for row in rows:
+        v = list(row)
+        for c in range(width):
+            if not (x := v[c]):
+                continue
+            w = kept[c]
+            if old := x & have[c]:
+                for d in range(c + 1, width):
+                    if e := w[d] & old:
+                        v[d] ^= e
+            if new := x ^ old:
+                have[c] |= new
+                for d in range(c + 1, width):
+                    if e := v[d] & new:
+                        w[d] |= e
+                        v[d] ^= e
+    planes = []
+    for carry in have:  # add each pivot mask into the bit-planes, rippling the carry
+        for b, plane in enumerate(planes):
+            if not carry:
                 break
-            v ^= b
-    return len(basis)
+            planes[b], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    return planes
 
 
 def matmul_rows(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]], p: int) -> tuple:

@@ -29,7 +29,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from typing import Iterable, NamedTuple
 
 from .burge import apply_del, descent_map
@@ -37,11 +37,11 @@ from .errors import BudgetError
 from .gfp import (
     MatrixGFp,
     check_prime,
-    gf2_matmul,
-    gf2_rank,
     matmul_rows,
     rank_profile,
     row_echelon_basis,
+    sliced_powers,
+    sliced_rank,
 )
 from .partitions import (
     Partition,
@@ -54,6 +54,10 @@ from .partitions import (
 )
 
 DEFAULT_SCAN_BUDGET = 2**24
+# check_scan_work refuses sweeps whose scans walk more matrices than this in all.
+SCAN_WORK_BUDGET = 2**25
+# The GF(2) scan types at most this many matrices at once, one per bit of each entry int.
+SCAN_LANES = 2**12
 GENERIC_PRIME = 10007
 # verify_restriction refuses more work than this, counted as (trials + 1) max(n, 16)^3.
 # Below n = 16 a draw's fixed costs outweigh n^3: one of size 1 costs 1/200 of one of size 16.
@@ -294,8 +298,8 @@ def jordan_type(m: MatrixGFp) -> Partition:
 def _rank_sequence(m, n: int, rank, mul) -> tuple | None:
     """(n, rank(M), rank(M^2), ..., 0) for an n x n matrix M, or None if M is not nilpotent.
 
-    ``rank`` and ``mul`` act on whatever M is: a ``MatrixGFp``, GF(2) int
-    rows, or GF(p) row lists.  Once rank(M^k) = rank(M^(k-1)) > 0 the ranks
+    ``rank`` and ``mul`` act on whatever M is: a ``MatrixGFp`` or GF(p) row
+    lists.  Once rank(M^k) = rank(M^(k-1)) > 0 the ranks
     stay there, so a repeated rank means M^n != 0.
     """
     ranks = [n]
@@ -514,21 +518,123 @@ def _scan_size(f, p: int, budget: int) -> int | None:
     return leading * p**free if leading <= cap else None
 
 
-def check_scan_work(max_n: int, p: int) -> None:
-    """Refuse scans to each size <= max_n over GF(p) that walk more than the scan budget in all.
+def _scans_within_budget(max_n: int, p: int):
+    """For n = 0 .. max_n, the partitions of n whose scan over GF(p) fits the budget, with its size.
 
-    A scan over the budget by itself is refused when it runs, and adds nothing here.
+    Adding a part never lowers the free slot count or prod p(f_i), so a scan
+    over the budget has no extension within it: each n extends the fitting
+    partitions of n - k by a last part k no larger than their smallest.
+    """
+    levels = [{(): 1}]  # the one empty matrix
+    yield levels[0]
+    for n in range(1, max_n + 1):
+        grown = (q + (k,) for k in range(1, n + 1) for q in levels[n - k] if not q or q[-1] >= k)
+        sizes = ((pt, _scan_size(to_frequency(pt), p, DEFAULT_SCAN_BUDGET)) for pt in grown)
+        levels.append({pt: size for pt, size in sizes if size is not None})
+        yield levels[-1]
+
+
+def check_scan_work(max_n: int, p: int) -> None:
+    """Refuse scans to each size <= max_n over GF(p) that walk over ``SCAN_WORK_BUDGET`` in all.
+
+    A scan over the per-scan budget by itself is refused when it runs, and adds nothing here.
     """
     total = 0
-    for n in range(max_n + 1):
-        total += sum(
-            _scan_size(to_frequency(pt), p, DEFAULT_SCAN_BUDGET) or 0 for pt in partitions_of(n)
-        )
-        if total > DEFAULT_SCAN_BUDGET:
+    for n, level in enumerate(_scans_within_budget(max_n, p)):
+        total += sum(level.values())
+        if total > SCAN_WORK_BUDGET:
             raise ValueError(
                 f"scans over GF({p}) to size {n} walk {total} matrices,"
-                f" over the scan budget {DEFAULT_SCAN_BUDGET}"
+                f" over the scan budget {SCAN_WORK_BUDGET}"
             )
+
+
+def _count_lanes(a: list, n: int, lanes: int, keys: Counter) -> None:
+    """Add the rank sequence (n, rank A, rank A^2, ..., 0) of each lane of the sliced A to keys.
+
+    Lanes with equal ranks so far form a group (ranks, lane mask).  Each
+    power splits a group by rank: the lowest lane's rank, read off the
+    bit-planes, picks every lane that agrees with it on each plane.  Lanes
+    whose rank reaches 0 are done and counted.
+    """
+    groups = [((n,), lanes)]
+    for power in islice(sliced_powers(a), n):
+        if not any(map(any, power)):
+            break
+        planes, going = sliced_rank(power), []
+        for key, lanes in groups:
+            while lanes:
+                j = (lanes & -lanes).bit_length() - 1
+                same, rank = lanes, 0
+                for b, plane in enumerate(planes):
+                    if plane >> j & 1:
+                        same, rank = same & plane, rank | 1 << b
+                    else:
+                        same &= ~plane
+                lanes ^= same
+                if rank:
+                    going.append(((*key, rank), same))
+                else:
+                    keys[(*key, 0)] += same.bit_count()
+        groups = going
+    else:
+        if n:  # A^n is not zero in some lane
+            raise AssertionError("scanned matrix is not nilpotent, but its leading blocks are")
+    for key, lanes in groups:
+        keys[(*key, 0)] += lanes.bit_count()
+
+
+def _sliced_scan(n: int, forms: list, walked: list) -> Counter:
+    """Rank sequence -> matrices over GF(2), typed ``SCAN_LANES`` at a time.
+
+    Bit j of every entry int is that entry in lane j.  A batch gives each of
+    a chunk of leading Jordan-form choices 2^k lanes, one per assignment of
+    the first k walked slots: slot t is 1 in the lanes whose index has bit t
+    set.  The Gray walk covers the other slots, each step XORing every lane
+    into one slot's entries.
+    """
+    k = min(len(walked), SCAN_LANES.bit_length() - 1)
+    inner, outer = walked[:k], walked[k:]
+    leads = product(*forms)
+    keys = Counter()
+    while chunk := list(islice(leads, SCAN_LANES >> k)):
+        everywhere = (1 << (len(chunk) << k)) - 1
+        a = [[0] * n for _ in range(n)]
+        for b, lead in enumerate(chunk):
+            block = ((1 << (1 << k)) - 1) << (b << k)
+            for es in lead:
+                for r, c in es:
+                    a[r][c] |= block
+        for t, es in enumerate(inner):
+            # runs of 2^t ones after 2^t zeros, repeated over every lane
+            pattern = everywhere // ((1 << (2 << t)) - 1) * (((1 << (1 << t)) - 1) << (1 << t))
+            for r, c in es:
+                a[r][c] = pattern
+        for y in _gray_walk(len(outer), 2):
+            if y is not None:
+                for r, c in outer[y]:
+                    a[r][c] ^= everywhere
+            _count_lanes(a, n, everywhere, keys)
+    return keys
+
+
+def _row_scan(n: int, forms: list, walked: list, p: int) -> Counter:
+    """Rank sequence -> matrices over GF(p), one matrix at a time on row lists."""
+    rank, mul = (lambda m: rank_profile(m, p)[-1]), (lambda x, y: matmul_rows(x, y, p))
+    keys = Counter()
+    for lead in product(*forms):
+        rows = _placed(n, [(es, 1) for es in lead])
+        values = [0] * len(walked)
+        for y in _gray_walk(len(walked), p):
+            if y is not None:
+                v = values[y] = (values[y] + 1) % p
+                for r, c in walked[y]:
+                    rows[r][c] = v
+            key = _rank_sequence(rows, n, rank, mul)
+            if key is None:
+                raise AssertionError("scanned matrix is not nilpotent, but its leading blocks are")
+            keys[key] += 1
+    return keys
 
 
 def scan_max_type(
@@ -547,8 +653,9 @@ def scan_max_type(
     prod p(f_i) p^free; it is checked against ``budget`` before any slot is
     listed, and BudgetError is raised when it is over.  Every matrix built
     is nilpotent: one that is not raises AssertionError.  Each is typed by
-    its rank sequence, over GF(2) on int rows with the GF(2) kernels, over
-    odd p on row lists with ``rank_profile`` and ``matmul_rows``.
+    its rank sequence: over GF(2) ``SCAN_LANES`` matrices at a time by the
+    bitsliced kernels (``_sliced_scan``), over odd p one at a time on row
+    lists with ``rank_profile`` and ``matmul_rows``.
     """
     pt = as_partition(parts)
     check_prime(p)
@@ -566,33 +673,9 @@ def scan_max_type(
         if m
     ]
     walked = [es for s, es in table.items() if not s.leading]
-    binary = p == 2
-    if binary:
-        walked = [[(r, 1 << c) for r, c in es] for es in walked]
-        rank, mul = gf2_rank, gf2_matmul
-    else:
-        rank, mul = (lambda m: rank_profile(m, p)[-1]), (lambda x, y: matmul_rows(x, y, p))
-
-    keys = Counter()  # rank sequence -> matrices
-    for lead in product(*forms):
-        rows = _placed(n, [(es, 1) for es in lead])
-        if binary:
-            rows = [sum(x << c for c, x in enumerate(row)) for row in rows]
-        values = [0] * len(walked)
-        for y in _gray_walk(len(walked), p):
-            if y is not None:
-                v = values[y] = (values[y] + 1) % p
-                if binary:
-                    for r, bit in walked[y]:
-                        rows[r] ^= bit
-                else:
-                    for r, c in walked[y]:
-                        rows[r][c] = v
-            key = _rank_sequence(rows, n, rank, mul)
-            if key is None:
-                raise AssertionError("scanned matrix is not nilpotent, but its leading blocks are")
-            keys[key] += 1
-
-    histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
+    keys = _sliced_scan(n, forms, walked) if p == 2 else _row_scan(n, forms, walked, p)
+    # checked once here, so that each dominates() call below takes its types as they are
+    types = ((as_partition(_type_of_ranks(k)), c) for k, c in keys.items())
+    histogram = dict(sorted(types, reverse=True))
     max_type = next((t for t in histogram if all(dominates(t, s) for s in histogram)), None)
     return ScanReport(pt, p, scanned, histogram, max_type, descent_map(pt))

@@ -7,10 +7,42 @@ column, ``dense_power`` multiplies the identity by repeated squares, and
 ``dense_mat_vec``, which dots every row with the whole vector.  Every result goes through the validating ``MatrixGFp``
 constructor.  They are slow and exist only as test oracles for
 ``test_gfp_reference.py``.
+
+``gf2_matmul`` and ``gf2_rank`` are the GF(2) kernels on bit-packed rows
+(bit c of the int ``rows[r]`` is entry (r, c)) that typed one matrix at a
+time before the bitsliced scan; ``reference_scan.int_row_scan`` runs on
+them, and ``test_gfp.py`` checks them against ``MatrixGFp``.
 """
 
 from burgebox.gfp import MatrixGFp, row_echelon_basis
 from burgebox.partitions import to_partition
+
+
+def gf2_matmul(x, y):
+    """XY over GF(2) on int rows: row r is the XOR of the rows of Y picked by row r of X."""
+    out = []
+    for row in x:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= y[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) of int rows, by XOR elimination."""
+    basis = {}  # leading bit -> a reduced row with that leading bit
+    for v in rows:
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                break
+            v ^= b
+    return len(basis)
 
 
 def dense_matmul(x, y):

@@ -4,14 +4,39 @@ This is the scan that the Gray-code walk in ``oracle.scan_max_type``
 replaced: a recursive assignment of every slot value, one ``MatrixGFp``
 per matrix, nilpotency by ``A^n == 0`` and the type from the ranks of
 successive powers, computed here rather than by ``oracle.jordan_type``.
-It also counts the matrices that fail ``A^n == 0``, the brute-force value
-of ``ScanReport.rejected``.  It is slow (a matrix product per power per
-matrix) and exists only as a test oracle for ``test_oracle.py``.
+It also counts the matrices that fail ``A^n == 0``.  It is slow (a matrix
+product per power per matrix) and exists only as a test oracle for
+``test_oracle.py``.
+
+``int_row_scan`` is the GF(2) Levi walk that the bitsliced scan replaced:
+the same leading Jordan forms and Gray walk, one matrix at a time as a list
+of int rows, typed by ``gf2_rank`` and ``gf2_matmul``.
 """
 
+from collections import Counter
+from itertools import product
+
 from burgebox.gfp import MatrixGFp
-from burgebox.oracle import _slot_entries, chain_layout, param_slots
-from burgebox.partitions import as_partition, dominates, to_partition
+from burgebox.oracle import (
+    _gray_walk,
+    _jordan_form,
+    _placed,
+    _rank_sequence,
+    _scan_size,
+    _slot_entries,
+    _slot_table,
+    _type_of_ranks,
+    chain_layout,
+    param_slots,
+)
+from burgebox.partitions import (
+    as_partition,
+    dominates,
+    partitions_of,
+    to_frequency,
+    to_partition,
+)
+from reference_gfp import gf2_matmul, gf2_rank
 
 
 def jordan_type(m):
@@ -76,3 +101,32 @@ def reference_scan(parts, p=2, budget=2**24, mode="auto"):
         (t for t in ordered if all(dominates(t, s) for s in ordered)), None
     )
     return mode, scanned, rejected, ordered, max_type
+
+
+def int_row_scan(parts, budget=2**24):
+    """(scanned, histogram) of the GF(2) Levi walk, one matrix at a time on int rows."""
+    pt = as_partition(parts)
+    n = sum(pt)
+    f = to_frequency(pt)
+    scanned = _scan_size(f, 2, budget)
+    assert scanned is not None
+    table = _slot_table(pt)
+    forms = [
+        [[rc for s in _jordan_form(i, lam) for rc in table[s]] for lam in partitions_of(m)]
+        for i, m in enumerate(f, 1)
+        if m
+    ]
+    walked = [[(r, 1 << c) for r, c in es] for s, es in table.items() if not s.leading]
+    keys = Counter()
+    for lead in product(*forms):
+        rows = _placed(n, [(es, 1) for es in lead])
+        rows = [sum(x << c for c, x in enumerate(row)) for row in rows]
+        for y in _gray_walk(len(walked), 2):
+            if y is not None:
+                for r, bit in walked[y]:
+                    rows[r] ^= bit
+            key = _rank_sequence(rows, n, gf2_rank, gf2_matmul)
+            assert key is not None, "scanned matrix is not nilpotent"
+            keys[key] += 1
+    histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
+    return scanned, histogram

@@ -195,6 +195,11 @@ def test_dominance_maximum_exhaustive_over_gf2_n6():
         sweep_checks("matrix-dominance", max_n=6, field=2)
 
 
+def test_dominance_maximum_exhaustive_over_gf2_n7():
+    with report("scanned commutators have dominance maximum = descent map, |P| <= 7, GF(2)"):
+        sweep_checks("matrix-dominance", max_n=7, field=2)
+
+
 def test_dominance_maximum_exhaustive_over_gf3():
     with report("scanned commutators have dominance maximum = descent map, |P| <= 5, GF(3)"):
         sweep_checks("matrix-dominance", max_n=5, field=3)

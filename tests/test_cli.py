@@ -391,10 +391,17 @@ def test_sweep_refuses_scans_over_the_scan_budget_at_once(capsys):
     code, out, err = run(capsys, "sweep", "--max-n", "14")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "scan budget" in err and "Traceback" not in err
-    code, _, err = run(capsys, "sweep", "--max-n", "8", "--checks", "matrix-dominance")
-    assert code == 2 and "GF(2) to size 8 walk 28627225 matrices" in err
+    code, _, err = run(capsys, "sweep", "--max-n", "9", "--checks", "matrix-dominance")
+    assert code == 2 and "GF(2) to size 9 walk 63327287 matrices" in err
     code, _, err = run(capsys, "sweep", "--max-n", "8", "--checks", "prop-stats")
     assert code == 0  # the scan budget is matrix-dominance's
+
+
+def test_scan_work_refusal_is_cheap_over_a_large_field():
+    # only scans within the budget are listed: over GF(10007) those are (2) and the (1^n)
+    start = time.perf_counter()
+    SweepConfig(max_n=50, checks=("matrix-dominance",), field=10007)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sweep_config_validation():

@@ -6,12 +6,13 @@ import pytest
 from burgebox.gfp import (
     MR_LIMIT,
     MatrixGFp,
-    gf2_matmul,
-    gf2_rank,
     is_prime,
     rank_profile,
     row_echelon_basis,
+    sliced_powers,
+    sliced_rank,
 )
+from reference_gfp import gf2_matmul, gf2_rank
 
 
 def det_mod(rows, p):
@@ -164,3 +165,23 @@ def test_gf2_kernels_match_matrix_gfp():
             assert gf2_rank(pack(x)) == brute_rank(x, 2)
     assert gf2_rank([]) == 0 and gf2_rank([0, 0]) == 0
     assert gf2_matmul([0b101], [0b01, 0b11, 0b10]) == [0b11]
+
+
+def test_sliced_kernels_match_matrix_gfp():
+    # lane j of the sliced matrices is the j-th random matrix
+    rng = random.Random(7)
+    for _ in range(60):
+        n, lanes = rng.randrange(0, 7), rng.randrange(1, 70)
+        mats = [[[rng.randrange(2) for _ in range(n)] for _ in range(n)] for _ in range(lanes)]
+        mats[0] = [[0] * n for _ in range(n)]  # a zero lane
+        xs = [MatrixGFp(m, 2) for m in mats]
+        sliced = [
+            [sum(m[r][c] << j for j, m in enumerate(mats)) for c in range(n)] for r in range(n)
+        ]
+        planes = sliced_rank(sliced)
+        powers = list(itertools.islice(sliced_powers(sliced), 3))
+        for j, x in enumerate(xs):
+            assert sum((plane >> j & 1) << b for b, plane in enumerate(planes)) == x.rank()
+            for k, power in enumerate(powers, 1):
+                assert [[e >> j & 1 for e in row] for row in power] == [*map(list, x.power(k).rows)]
+    assert sliced_rank([]) == [] and next(sliced_powers([])) == []

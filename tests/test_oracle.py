@@ -22,7 +22,7 @@ from burgebox.oracle import (
     witness_matrix,
 )
 from burgebox.partitions import format_partition, partitions_of, to_frequency, to_partition
-from reference_scan import reference_scan
+from reference_scan import int_row_scan, reference_scan
 
 P_BIG = (4, 4, 3, 2, 2)
 
@@ -393,10 +393,41 @@ def test_build_commuting_refuses_what_is_not_a_slot(slot):
         build_commuting((3,), 5, {slot: 1})
 
 
-@pytest.mark.parametrize("p, total_to_8", [(2, 28627225), (3, 37924738)])
-def test_check_scan_work_sums_the_scans_within_the_budget(p, total_to_8):
-    oracle.check_scan_work(7, p)  # 652163 matrices over GF(2), 15497031 over GF(3)
-    with pytest.raises(ValueError, match=f"to size 8 walk {total_to_8} matrices, over the scan"):
+@pytest.mark.parametrize("p, total", [(2, 63327287), (3, 37924738)])
+def test_check_scan_work_sums_the_scans_within_the_budget(p, total):
+    # admitted: 28627225 matrices to size 8 over GF(2), 15497031 to size 7 over GF(3)
+    refused = {2: 9, 3: 8}[p]
+    oracle.check_scan_work(refused - 1, p)
+    with pytest.raises(ValueError, match=f"to size {refused} walk {total} matrices, over the scan"):
         oracle.check_scan_work(14, p)
     # over GF(10007) most scans are over the budget on their own: they add nothing
     oracle.check_scan_work(12, 10007)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007])
+def test_scans_within_budget_grow_from_smaller_ones(p):
+    # the pruned enumeration finds every partition whose scan fits, with its size
+    budget = oracle.DEFAULT_SCAN_BUDGET
+    for n, level in enumerate(oracle._scans_within_budget(14, p)):
+        sizes = {q: oracle._scan_size(to_frequency(q), p, budget) for q in partitions_of(n)}
+        assert level == {q: size for q, size in sizes.items() if size is not None}, n
+
+
+def check_against_int_row_scan(max_n):
+    for n in range(max_n + 1):
+        for q in partitions_of(n):
+            rep = scan_max_type(q, p=2)
+            scanned, histogram = int_row_scan(q)
+            got = (rep.scanned, list(rep.histogram.items()))
+            assert got == (scanned, list(histogram.items())), q
+
+
+def test_sliced_scan_matches_int_row_scan():
+    # at 2^12 lanes the largest of these scans also walk slots outside the lanes
+    check_against_int_row_scan(6)
+
+
+def test_sliced_scan_batches_forms_and_the_outer_walk(monkeypatch):
+    # with 4 lanes, forms are split into chunks and most slots are walked outside the lanes
+    monkeypatch.setattr(oracle, "SCAN_LANES", 4)
+    check_against_int_row_scan(5)
