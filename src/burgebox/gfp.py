@@ -156,10 +156,6 @@ class MatrixGFp:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n: int, p: int) -> "MatrixGFp":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixGFp)
@@ -191,36 +187,8 @@ class MatrixGFp:
         m.ncols = len(rows[0]) if rows else 0
         return m
 
-    def power(self, k: int) -> "MatrixGFp":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError(f"negative exponent {k}")
-        if k == 0:
-            return MatrixGFp.identity(self.nrows, self.p)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result @ base
-            k >>= 1
-            if not k:
-                return result
-            base = base @ base
-
-    def columns(self) -> list:
-        return [tuple(col) for col in zip(*self.rows)] if self.rows else []
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def rank(self) -> int:
         return (rank_profile(self.rows, self.p) or [0])[-1]
-
-    def is_nilpotent(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return self.power(self.nrows).is_zero()
 
 
 def rank_profile(vectors: Iterable[Sequence[int]], p: int, basis: dict | None = None) -> list:

@@ -25,7 +25,6 @@ A chain is addressed as (i, k): length i, k-th chain of that length
 
 from __future__ import annotations
 
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ from .gfp import (
     check_prime,
     matmul_rows,
     rank_profile,
-    row_echelon_basis,
     sliced_powers,
     sliced_rank,
 )
@@ -54,7 +52,8 @@ from .partitions import (
 )
 
 DEFAULT_SCAN_BUDGET = 2**24
-# check_scan_work refuses sweeps whose scans walk more matrices than this in all.
+# check_scan_work refuses sweeps whose scans cost more than this in all: a matrix over GF(2),
+# n^3 for an n x n matrix over odd p.
 SCAN_WORK_BUDGET = 2**25
 # The GF(2) scan types at most this many matrices at once, one per bit of each entry int.
 SCAN_LANES = 2**12
@@ -289,29 +288,30 @@ def jordan_type(m: MatrixGFp) -> Partition:
     """
     if m.nrows != m.ncols:
         raise ValueError("Jordan type of a non-square matrix")
-    ranks = _rank_sequence(m, m.nrows, MatrixGFp.rank, operator.matmul)
+    ranks = _rank_sequence(m.rows, m.rows, m.p)
     if ranks is None:
         raise ValueError("matrix is not nilpotent")
-    return _type_of_ranks(ranks)
+    return _type_of_ranks((m.nrows, *ranks))
 
 
-def _rank_sequence(m, n: int, rank, mul) -> tuple | None:
-    """(n, rank(M), rank(M^2), ..., 0) for an n x n matrix M, or None if M is not nilpotent.
+def _rank_sequence(m, x, p: int) -> tuple | None:
+    """(rank X, rank XM, rank XM^2, ..., 0) on GF(p) row lists; None if a nonzero rank repeats.
 
-    ``rank`` and ``mul`` act on whatever M is: a ``MatrixGFp`` or GF(p) row
-    lists.  Once rank(M^k) = rank(M^(k-1)) > 0 the ranks
-    stay there, so a repeated rank means M^n != 0.
+    X commutes with M (X = M gives the ranks of M's powers), so the rows of
+    XM^(k+1) = M XM^k lie in the row space of XM^k.  Once two ranks are
+    equal and nonzero that space is mapped onto itself by M, the ranks stay
+    there and M is not nilpotent.  ``matmul_rows`` skips the zeros of its
+    left factor, so each product costs less as the powers of M thin out.
     """
-    ranks = [n]
-    last, power = n, m
-    while last:
-        r = rank(power)
+    ranks, last = [], None
+    while last != 0:
+        r = (rank_profile(x, p) or [0])[-1]
         if r == last:
             return None
         ranks.append(r)
         last = r
         if r:
-            power = mul(power, m)
+            x = matmul_rows(x, m, p)
     return tuple(ranks)
 
 
@@ -330,31 +330,15 @@ def _type_of_ranks(ranks) -> Partition:
 def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
     """Jordan type of B restricted to the column space W of A.
 
-    Requires AB = BA (so W is B-invariant) and B nilpotent.  B is applied
-    through the (column, value) pairs of its nonzero entries, listed once
-    per row; the images are left unreduced, since ``row_echelon_basis``
-    reduces its input.
+    Requires AB = BA (so W is B-invariant) and B nilpotent on the whole
+    space.  dim B^k W is rank B^k A = rank AB^k, so W is typed by
+    ``_rank_sequence`` of B from A.
     """
     if a @ b != b @ a:
         raise ValueError("matrices do not commute")
-    if not b.is_nilpotent():
+    if _rank_sequence(b.rows, b.rows, b.p) is None:
         raise ValueError("restriction requires a nilpotent base matrix")
-    nonzero = [[(c, x) for c, x in enumerate(row) if x] for row in b.rows]
-    image = lambda v: [sum(x * v[c] for c, x in row) for row in nonzero]  # noqa: E731
-    return _type_of_ranks(_dims(a.columns(), image, b.p))
-
-
-def _dims(vectors, image, p: int) -> list:
-    """dim(B^k W) for k = 0, 1, ... down to 0, with W the span of ``vectors``.
-
-    ``image`` applies B, which must be nilpotent on W.
-    """
-    basis = row_echelon_basis(vectors, p)
-    dims = [len(basis)]
-    while dims[-1]:
-        basis = row_echelon_basis([image(v) for v in basis], p)
-        dims.append(len(basis))
-    return dims
+    return _type_of_ranks(_rank_sequence(b.rows, a.rows, b.p))
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +519,19 @@ def _scans_within_budget(max_n: int, p: int):
 
 
 def check_scan_work(max_n: int, p: int) -> None:
-    """Refuse scans to each size <= max_n over GF(p) that walk over ``SCAN_WORK_BUDGET`` in all.
+    """Refuse scans to each size <= max_n over GF(p) that cost over ``SCAN_WORK_BUDGET`` in all.
 
+    Over GF(2) the cost is the matrices walked, typed thousands at a time.
+    Over odd p each n x n matrix is typed alone on row lists, so it costs n^3.
     A scan over the per-scan budget by itself is refused when it runs, and adds nothing here.
     """
     total = 0
     for n, level in enumerate(_scans_within_budget(max_n, p)):
-        total += sum(level.values())
+        total += sum(level.values()) * (1 if p == 2 else n**3)
         if total > SCAN_WORK_BUDGET:
+            cost = f"walk {total} matrices" if p == 2 else f"cost {total} (matrices times n^3)"
             raise ValueError(
-                f"scans over GF({p}) to size {n} walk {total} matrices,"
-                f" over the scan budget {SCAN_WORK_BUDGET}"
+                f"scans over GF({p}) to size {n} {cost}, over the scan budget {SCAN_WORK_BUDGET}"
             )
 
 
@@ -620,7 +606,6 @@ def _sliced_scan(n: int, forms: list, walked: list) -> Counter:
 
 def _row_scan(n: int, forms: list, walked: list, p: int) -> Counter:
     """Rank sequence -> matrices over GF(p), one matrix at a time on row lists."""
-    rank, mul = (lambda m: rank_profile(m, p)[-1]), (lambda x, y: matmul_rows(x, y, p))
     keys = Counter()
     for lead in product(*forms):
         rows = _placed(n, [(es, 1) for es in lead])
@@ -630,10 +615,10 @@ def _row_scan(n: int, forms: list, walked: list, p: int) -> Counter:
                 v = values[y] = (values[y] + 1) % p
                 for r, c in walked[y]:
                     rows[r][c] = v
-            key = _rank_sequence(rows, n, rank, mul)
-            if key is None:
+            ranks = _rank_sequence(rows, rows, p)
+            if ranks is None:
                 raise AssertionError("scanned matrix is not nilpotent, but its leading blocks are")
-            keys[key] += 1
+            keys[(n, *ranks)] += 1
     return keys
 
 

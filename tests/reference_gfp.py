@@ -4,9 +4,9 @@ These are the products that the sparse-row kernels in ``burgebox.gfp``
 replaced: ``dense_matmul`` takes the dot product of every row with every
 column, ``dense_power`` multiplies the identity by repeated squares, and
 ``dense_restriction_type`` maps each basis vector through all of B with
-``dense_mat_vec``, which dots every row with the whole vector.  Every result goes through the validating ``MatrixGFp``
-constructor.  They are slow and exist only as test oracles for
-``test_gfp_reference.py``.
+``dense_mat_vec`` and echelons each image with ``row_echelon_basis``, the
+canonical span.  Every result goes through the validating ``MatrixGFp``
+constructor.  They are slow and exist only as test oracles.
 
 ``gf2_matmul`` and ``gf2_rank`` are the GF(2) kernels on bit-packed rows
 (bit c of the int ``rows[r]`` is entry (r, c)) that typed one matrix at a
@@ -45,6 +45,14 @@ def gf2_rank(rows):
     return len(basis)
 
 
+def identity(n, p):
+    return MatrixGFp([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
+
+
+def is_zero(m):
+    return all(x == 0 for row in m.rows for x in row)
+
+
 def dense_matmul(x, y):
     if x.p != y.p:
         raise ValueError(f"mixed moduli {x.p} and {y.p}")
@@ -60,7 +68,7 @@ def dense_matmul(x, y):
 def dense_power(m, k):
     if m.nrows != m.ncols:
         raise ValueError("power of a non-square matrix")
-    result = MatrixGFp.identity(m.nrows, m.p)
+    result = identity(m.nrows, m.p)
     base = m
     while k:
         if k & 1:
@@ -79,9 +87,9 @@ def dense_mat_vec(m, vec):
 def dense_restriction_type(b, a):
     if dense_matmul(a, b) != dense_matmul(b, a):
         raise ValueError("matrices do not commute")
-    if b.nrows != b.ncols or not dense_power(b, b.nrows).is_zero():
+    if b.nrows != b.ncols or not is_zero(dense_power(b, b.nrows)):
         raise ValueError("restriction requires a nilpotent base matrix")
-    basis = row_echelon_basis(a.columns(), a.p)
+    basis = row_echelon_basis(zip(*a.rows), a.p)
     dims = [len(basis)]
     while dims[-1] > 0:
         basis = row_echelon_basis([dense_mat_vec(b, v) for v in basis], b.p)

@@ -10,7 +10,7 @@ product per power per matrix) and exists only as a test oracle for
 
 ``int_row_scan`` is the GF(2) Levi walk that the bitsliced scan replaced:
 the same leading Jordan forms and Gray walk, one matrix at a time as a list
-of int rows, typed by ``gf2_rank`` and ``gf2_matmul``.
+of int rows, typed by its own loop over ``gf2_rank`` and ``gf2_matmul``.
 """
 
 from collections import Counter
@@ -21,7 +21,6 @@ from burgebox.oracle import (
     _gray_walk,
     _jordan_form,
     _placed,
-    _rank_sequence,
     _scan_size,
     _slot_entries,
     _slot_table,
@@ -36,7 +35,7 @@ from burgebox.partitions import (
     to_frequency,
     to_partition,
 )
-from reference_gfp import gf2_matmul, gf2_rank
+from reference_gfp import gf2_matmul, gf2_rank, is_zero
 
 
 def jordan_type(m):
@@ -76,8 +75,10 @@ def reference_scan(parts, p=2, budget=2**24, mode="auto"):
         nonlocal scanned, rejected
         if idx == len(slots):
             scanned += 1
-            a = MatrixGFp(rows, p)
-            if not a.power(n).is_zero():
+            a = power = MatrixGFp(rows, p)
+            for _ in range(n - 1):
+                power = power @ a
+            if not is_zero(power):
                 assert mode == "full", "reduced-mode matrix is not nilpotent"
                 rejected += 1
                 return
@@ -125,8 +126,11 @@ def int_row_scan(parts, budget=2**24):
             if y is not None:
                 for r, bit in walked[y]:
                     rows[r] ^= bit
-            key = _rank_sequence(rows, n, gf2_rank, gf2_matmul)
-            assert key is not None, "scanned matrix is not nilpotent"
-            keys[key] += 1
+            ranks, power = [n], rows
+            while ranks[-1]:
+                assert len(ranks) <= n, "scanned matrix is not nilpotent"
+                ranks.append(gf2_rank(power))
+                power = gf2_matmul(power, rows)
+            keys[tuple(ranks)] += 1
     histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
     return scanned, histogram

@@ -397,11 +397,14 @@ def test_sweep_refuses_scans_over_the_scan_budget_at_once(capsys):
     assert code == 0  # the scan budget is matrix-dominance's
 
 
-def test_scan_work_refusal_is_cheap_over_a_large_field():
-    # only scans within the budget are listed: over GF(10007) those are (2) and the (1^n)
-    start = time.perf_counter()
-    SweepConfig(max_n=50, checks=("matrix-dominance",), field=10007)
-    assert time.perf_counter() - start < 1.0
+def test_scan_work_refusal_is_cheap_over_a_large_field(capsys):
+    for n, p, cost in (("50", "10007", "size 23 cost 47859093"), ("7", "3", "size 6 cost")):
+        start = time.perf_counter()
+        argv = ["sweep", "--max-n", n, "--checks", "matrix-dominance", "--field", p]
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        (line,) = err.splitlines()
+        assert code == 2 and out == "" and line.startswith("error: ") and cost in line
 
 
 def test_sweep_config_validation():

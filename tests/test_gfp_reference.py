@@ -9,13 +9,15 @@ from burgebox.gfp import MatrixGFp
 from burgebox.oracle import (
     RestrictionReport,
     jordan_matrix,
+    jordan_type,
     random_commuting,
     restriction_type,
     verify_restriction,
     witness_matrix,
 )
 from burgebox.partitions import partitions_of, to_frequency, to_partition
-from reference_gfp import dense_matmul, dense_power, dense_restriction_type
+from reference_gfp import dense_matmul, dense_power, dense_restriction_type, identity, is_zero
+from reference_scan import jordan_type as reference_jordan_type
 
 FIELDS = (2, 3, 10007)
 
@@ -58,9 +60,11 @@ def test_power_matches_dense_reference(p):
     cases += [jordan_matrix(pt, p) for pt in ((4, 2, 1), (3, 3), (5,))]
     cases += [random_commuting(pt, p, rng) for pt in ((4, 2, 1), (3, 3), (2, 2, 1, 1))]
     for m in cases:
-        for k in range(m.nrows + 2):
-            assert_same(m.power(k), dense_power(m, k))
-        assert m.is_nilpotent() == dense_power(m, m.nrows).is_zero()
+        if is_zero(dense_power(m, m.nrows)):
+            assert jordan_type(m) == reference_jordan_type(m)
+        else:
+            with pytest.raises(ValueError, match="not nilpotent"):
+                jordan_type(m)
 
 
 @pytest.mark.parametrize("p,max_n", [(10007, 9), (3, 6)])
@@ -104,18 +108,24 @@ def test_checks_still_raise():
         a @ MatrixGFp([[1, 2], [3, 4]], 5)
     with pytest.raises(ValueError, match="shape mismatch"):
         MatrixGFp([[1, 2, 3]], p) @ MatrixGFp([[1, 2, 3]], p)
-    with pytest.raises(ValueError, match="non-square"):
-        MatrixGFp([[1, 2, 3]], p).power(2)
-    with pytest.raises(ValueError, match="negative exponent"):
-        a.power(-1)
 
     b = jordan_matrix((3, 2), p)
     for restrict in (restriction_type, dense_restriction_type):
         with pytest.raises(ValueError, match="mixed moduli"):
-            restrict(b, MatrixGFp.identity(5, 5))
+            restrict(b, identity(5, 5))
         with pytest.raises(ValueError, match="shape mismatch"):
-            restrict(b, MatrixGFp.identity(4, p))
+            restrict(b, identity(4, p))
         with pytest.raises(ValueError, match="do not commute"):
             restrict(b, jordan_matrix((5,), p))
         with pytest.raises(ValueError, match="nilpotent base matrix"):
-            restrict(MatrixGFp.identity(3, p), MatrixGFp.identity(3, p))
+            restrict(identity(3, p), identity(3, p))
+
+
+def test_restriction_needs_b_nilpotent_on_the_whole_space():
+    # B = diag(J_2, 1) commutes with A = diag(1, 1, 0) and is nilpotent on W = span(e_1, e_2)
+    b = MatrixGFp([[0, 1, 0], [0, 0, 0], [0, 0, 1]], 5)
+    a = MatrixGFp([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 5)
+    assert a @ b == b @ a
+    for restrict in (restriction_type, dense_restriction_type):
+        with pytest.raises(ValueError, match="nilpotent base matrix"):
+            restrict(b, a)

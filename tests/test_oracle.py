@@ -22,6 +22,7 @@ from burgebox.oracle import (
     witness_matrix,
 )
 from burgebox.partitions import format_partition, partitions_of, to_frequency, to_partition
+from reference_gfp import dense_power, identity, is_zero
 from reference_scan import int_row_scan, reference_scan
 
 P_BIG = (4, 4, 3, 2, 2)
@@ -38,11 +39,15 @@ def random_invertible(n, p, rng):
             return m
 
 
+def is_nilpotent(m):
+    return is_zero(dense_power(m, m.nrows))
+
+
 def nullity_jordan_type(m):
     # independent route: block count of size >= k is null(M^k) - null(M^(k-1))
     n = m.nrows
     nulls = [0]
-    power = MatrixGFp.identity(n, m.p)
+    power = identity(n, m.p)
     while nulls[-1] < n:
         power = power @ m
         nulls.append(n - power.rank())
@@ -57,7 +62,7 @@ def nullity_jordan_type(m):
 def test_jordan_matrix_small():
     j3 = jordan_matrix((3,), 5)
     assert j3.rows == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
-    assert jordan_matrix((1, 1), 5).is_zero()
+    assert is_zero(jordan_matrix((1, 1), 5))
 
 
 def test_jordan_matrix_layout():
@@ -82,7 +87,7 @@ def test_jordan_type_simple():
     assert jordan_type(MatrixGFp([[0] * 4 for _ in range(4)], 3)) == (1, 1, 1, 1)
     assert jordan_type(jordan_matrix((6,), 2)) == (6,)
     with pytest.raises(ValueError):
-        jordan_type(MatrixGFp.identity(3, 5))
+        jordan_type(identity(3, 5))
 
 
 def test_jordan_type_on_random_conjugates():
@@ -182,9 +187,9 @@ def test_nilpotency_tracks_leading_blocks():
             a = build_commuting(p, 3, values)
             assert a @ b == b @ a
             blocks_nilpotent = all(
-                leading_block(a, p, i).is_nilpotent() for i in supp
+                is_nilpotent(leading_block(a, p, i)) for i in supp
             )
-            assert a.is_nilpotent() == blocks_nilpotent
+            assert is_nilpotent(a) == blocks_nilpotent
             f_checked_both += blocks_nilpotent
     assert 0 < f_checked_both  # both branches exercised
 
@@ -207,17 +212,17 @@ def test_witness_is_structural():
         b = jordan_matrix(p, 2)
         w = witness_matrix(p, 2)
         assert w @ b == b @ w
-        assert w.is_nilpotent()
+        assert is_nilpotent(w)
 
 
 def test_restriction_type_extremes():
     b = jordan_matrix((3, 2), 7)
-    assert restriction_type(b, MatrixGFp.identity(5, 7)) == (3, 2)
+    assert restriction_type(b, identity(5, 7)) == (3, 2)
     assert restriction_type(b, MatrixGFp([[0] * 5 for _ in range(5)], 7)) == ()
     with pytest.raises(ValueError):
         restriction_type(b, jordan_matrix((5,), 7))  # does not commute
     with pytest.raises(ValueError):
-        restriction_type(MatrixGFp.identity(3, 7), MatrixGFp.identity(3, 7))
+        restriction_type(identity(3, 7), identity(3, 7))
 
 
 def test_random_commuting_restriction():
@@ -227,7 +232,7 @@ def test_random_commuting_restriction():
         for _ in range(3):
             a = random_commuting(p, 10007, rng)
             assert a @ b == b @ a
-            assert a.is_nilpotent()
+            assert is_nilpotent(a)
             assert restriction_type(b, a) == del_partition(p)
 
 
@@ -393,12 +398,12 @@ def test_build_commuting_refuses_what_is_not_a_slot(slot):
         build_commuting((3,), 5, {slot: 1})
 
 
-@pytest.mark.parametrize("p, total", [(2, 63327287), (3, 37924738)])
+@pytest.mark.parametrize("p, total", [(2, 63327287), (3, 544108341)])
 def test_check_scan_work_sums_the_scans_within_the_budget(p, total):
-    # admitted: 28627225 matrices to size 8 over GF(2), 15497031 to size 7 over GF(3)
-    refused = {2: 9, 3: 8}[p]
+    # admitted: 28627225 matrices to size 8 over GF(2); 3007173 (n^3 each) to size 5 over GF(3)
+    refused, cost = (9, "walk") if p == 2 else (6, "cost")
     oracle.check_scan_work(refused - 1, p)
-    with pytest.raises(ValueError, match=f"to size {refused} walk {total} matrices, over the scan"):
+    with pytest.raises(ValueError, match=f"to size {refused} {cost} {total} .*, over the scan"):
         oracle.check_scan_work(14, p)
     # over GF(10007) most scans are over the budget on their own: they add nothing
     oracle.check_scan_work(12, 10007)
