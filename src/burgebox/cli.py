@@ -19,7 +19,6 @@ import json
 import sys
 
 from . import boxes, burge, oracle, words
-from .errors import BudgetError
 from .oblak import (
     DEFAULT_CHAIN_LIMIT,
     check_commuting_square,
@@ -274,7 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         data, text, *ok = args.fn(args)
-    except (ValueError, BudgetError, AssertionError) as exc:
+    except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a failed internal self-check is a verification failure, not a usage error
         return 1 if isinstance(exc, AssertionError) else 2

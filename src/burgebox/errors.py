@@ -1,5 +1,5 @@
 """Shared exception types."""
 
 
-class BudgetError(RuntimeError):
-    """An enumeration would exceed its configured work budget."""
+class BudgetError(ValueError):
+    """A work budget is exceeded; a ValueError: exit 2 at the CLI, a failed sweep instance."""

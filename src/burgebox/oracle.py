@@ -502,37 +502,28 @@ def _scan_size(f, p: int, budget: int) -> int | None:
     return leading * p**free if leading <= cap else None
 
 
-def _scans_within_budget(max_n: int, p: int):
-    """For n = 0 .. max_n, the partitions of n whose scan over GF(p) fits the budget, with its size.
-
-    Adding a part never lowers the free slot count or prod p(f_i), so a scan
-    over the budget has no extension within it: each n extends the fitting
-    partitions of n - k by a last part k no larger than their smallest.
-    """
-    levels = [{(): 1}]  # the one empty matrix
-    yield levels[0]
-    for n in range(1, max_n + 1):
-        grown = (q + (k,) for k in range(1, n + 1) for q in levels[n - k] if not q or q[-1] >= k)
-        sizes = ((pt, _scan_size(to_frequency(pt), p, DEFAULT_SCAN_BUDGET)) for pt in grown)
-        levels.append({pt: size for pt, size in sizes if size is not None})
-        yield levels[-1]
-
-
 def check_scan_work(max_n: int, p: int) -> None:
-    """Refuse scans to each size <= max_n over GF(p) that cost over ``SCAN_WORK_BUDGET`` in all.
+    """Refuse a dominance sweep to max_n over GF(p) that cannot run, before any scan.
 
-    Over GF(2) the cost is the matrices walked, typed thousands at a time.
-    Over odd p each n x n matrix is typed alone on row lists, so it costs n^3.
-    A scan over the per-scan budget by itself is refused when it runs, and adds nothing here.
+    The first n is refused where the scans to size n that fit cost over
+    ``SCAN_WORK_BUDGET`` in all, or one scan of size n is over ``DEFAULT_SCAN_BUDGET``.
+    A GF(2) matrix costs 1 (the scan types thousands at a time); over odd p an
+    n x n matrix is typed alone on row lists and costs n^3.  Scan sizes only grow
+    with n, so the listing stops at the first refusal, and no admitted scan raises
+    BudgetError.
     """
     total = 0
-    for n, level in enumerate(_scans_within_budget(max_n, p)):
-        total += sum(level.values()) * (1 if p == 2 else n**3)
+    for n in range(max_n + 1):
+        sizes = {q: _scan_size(to_frequency(q), p, DEFAULT_SCAN_BUDGET) for q in partitions_of(n)}
+        total += sum(filter(None, sizes.values())) * (1 if p == 2 else n**3)
         if total > SCAN_WORK_BUDGET:
             cost = f"walk {total} matrices" if p == 2 else f"cost {total} (matrices times n^3)"
             raise ValueError(
                 f"scans over GF({p}) to size {n} {cost}, over the scan budget {SCAN_WORK_BUDGET}"
             )
+        if over := [q for q, size in sizes.items() if size is None]:
+            raise ValueError(f"scan of {format_partition(over[0])} over GF({p}) needs more"
+                             f" matrices than the scan budget {DEFAULT_SCAN_BUDGET}")
 
 
 def _count_lanes(a: list, n: int, lanes: int, keys: Counter) -> None:

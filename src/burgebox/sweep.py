@@ -4,7 +4,9 @@
 max_n; the check calls ``record(ok, repro)`` once per instance of size n.
 Each result keeps pass/fail counts, wall and CPU time, and the reproducer
 command of the first failing instance, which ``repro()`` builds only then.
-All checks are deterministic given the configuration.
+All checks are deterministic given the configuration.  ``SweepConfig``
+refuses, before any check runs, matrix work that cannot finish
+(``oracle.check_restriction_work`` and ``oracle.check_scan_work``).
 
 ``partitions_of`` yields checked partitions, which pass every public check at
 once, and an ``OblakChain`` is checked when it is made.  Frequency sequences
@@ -21,12 +23,10 @@ from dataclasses import dataclass
 from . import kernels, oracle
 from .boxes import delta, fiber
 from .burge import _demoted, _descents, _letter, _word, characterize_superdistinct
-from .errors import BudgetError
 from .oblak import _oblak, del_chain, is_valid_chain, oblak_all_chains
 from .partitions import (
     _reduced,
     _two_measure,
-    dominates,
     is_super_distinct,
     partitions_of,
     to_frequency,
@@ -213,16 +213,10 @@ def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
 
 
 def check_matrix_dominance(n: int, cfg: SweepConfig, record) -> None:
-    """A partition whose scan exceeds the budget counts as a failed instance."""
     field = cfg.field or 2
     for p in partitions_of(n):
-        try:
-            report = oracle.scan_max_type(p, p=field)
-            ok, note = report.ok and all(dominates(report.max_type, t) for t in report.types), ""
-        except BudgetError as exc:
-            ok, note = False, f"  # infeasible configuration: {exc}"
-        record(ok, lambda: f"burgebox scan-max --partition {_pstr(p)} --field {field}"
-               + note)
+        record(oracle.scan_max_type(p, p=field).ok,
+               lambda: f"burgebox scan-max --partition {_pstr(p)} --field {field}")
 
 
 CHECKS = {
@@ -252,7 +246,7 @@ def run_sweep(cfg: SweepConfig) -> list:
         for n in range(cfg.max_n + 1):
             try:
                 check(n, cfg, result.record)
-            except (ValueError, AssertionError, BudgetError) as exc:
+            except (ValueError, AssertionError) as exc:
                 repro = f"burgebox sweep --max-n {n} --checks {name}  # raised: {exc}"
                 result.record(False, lambda: repro)
         result.elapsed = time.perf_counter() - start

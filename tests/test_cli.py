@@ -218,13 +218,12 @@ def test_sweep_default_checks_pass(capsys):
     assert code == 0 and json.loads(out)[0]["instances"] == 12
 
 
-def test_sweep_keeps_passing_instances_past_the_scan_budget():
-    (res,) = run_sweep(SweepConfig(max_n=3, checks=("matrix-dominance",), field=10007))
-    # (), (1), (2), (1,1) and (1,1,1) fit the budget; (3) and (2,1) do not
-    assert (res.instances, res.failures) == (7, 2)
-    assert res.first_counterexample.startswith(
-        "burgebox scan-max --partition 3 --field 10007  # infeasible configuration"
-    )
+def test_sweep_over_a_large_field_runs_to_its_frontier_and_refuses_past_it():
+    # over GF(10007) the scan of (3) alone needs 10007^2 matrices
+    with pytest.raises(ValueError, match=r"scan of \[3\] over GF\(10007\)"):
+        SweepConfig(max_n=3, checks=("matrix-dominance",), field=10007)
+    (res,) = run_sweep(SweepConfig(max_n=2, checks=("matrix-dominance",), field=10007))
+    assert (res.instances, res.failures) == (4, 0)  # (), (1), (2) and (1,1)
 
 
 @pytest.mark.parametrize("text", ["[1^100000000000]", "f:(100000000000)", "1," * 99999 + "2"])
@@ -322,6 +321,16 @@ def test_scan_max_over_budget_exits_at_once(capsys, text):
     assert code == 2 and f"scan of {text} needs" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan-max", "--partition", "3", "--budget", "0"],
+    ["oblak-chains", "3,1", "--limit", "0"],
+])
+def test_budget_error_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    (line,) = err.splitlines()
+    assert code == 2 and out == "" and line.startswith("error: ")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "dmap", "3,x")
     assert code == 2 and "error" in err
@@ -363,17 +372,15 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_sweep_reports_infeasible_check_instead_of_crashing(capsys):
-    # dominance scans over a huge field exceed the matrix budget; the sweep
-    # reports that check as failed with the reason and keeps going
-    code, out, _ = run(
+def test_sweep_refuses_a_scan_over_its_budget_before_any_check(capsys):
+    # the scan of (3) over GF(10007) cannot run, so no check runs, prop-stats neither
+    code, out, err = run(
         capsys,
         "sweep", "--max-n", "3",
         "--checks", "matrix-dominance,prop-stats", "--field", "10007",
     )
-    assert code == 1
-    assert "infeasible configuration" in out
-    assert "prop-stats" in out and "ok   prop-stats" in out
+    (line,) = err.splitlines()
+    assert code == 2 and out == "" and line.startswith("error: ") and "[3]" in line
 
 
 @pytest.mark.parametrize("checks", ["matrix-dominance", "matrix-restriction", None])
@@ -398,7 +405,7 @@ def test_sweep_refuses_scans_over_the_scan_budget_at_once(capsys):
 
 
 def test_scan_work_refusal_is_cheap_over_a_large_field(capsys):
-    for n, p, cost in (("50", "10007", "size 23 cost 47859093"), ("7", "3", "size 6 cost")):
+    for n, p, cost in (("50", "10007", "scan of [3] over GF(10007)"), ("7", "3", "size 6 cost")):
         start = time.perf_counter()
         argv = ["sweep", "--max-n", n, "--checks", "matrix-dominance", "--field", p]
         code, out, err = run(capsys, *argv)
@@ -527,6 +534,25 @@ OVER_CAP_ARGV = st.one_of(
     st.integers(0, 20).map(lambda k: ["chain", str(CHAIN_OVER + k)]),
     over_work_cap(),
 )
+# the largest max-n that check_scan_work admits over each field
+SCAN_FRONTIER = {2: 8, 3: 5, 5: 4, 7: 4, 10007: 2}
+BUDGET = oracle.DEFAULT_SCAN_BUDGET
+ONE_PART_OVER = least_over(BUDGET, lambda k: 2 ** (k - 1))  # (k) over GF(2): k - 1 free slots
+ONES_OVER = least_over(BUDGET, lambda k: oracle._leading_choices((k,), BUDGET))  # [1^k]: p(k)
+
+
+@st.composite
+def over_scan_budget(draw):
+    """A dominance sweep past its field's frontier, or scan-max past the default budget."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(sorted(SCAN_FRONTIER)))
+        k = draw(st.integers(SCAN_FRONTIER[p] + 1, 10**5))
+        return ["sweep", "--max-n", str(k), "--checks", "matrix-dominance", "--field", str(p)]
+    if draw(st.booleans()):
+        return ["scan-max", "--partition", f"[1^{draw(st.integers(ONES_OVER, 10**5))}]"]
+    return ["scan-max", "--partition", str(draw(st.integers(ONE_PART_OVER, 10**5)))]
+
+
 MALFORMED = st.sampled_from(("x", "1.5", "-1", "", "3,5", "0x10"))
 
 
@@ -550,12 +576,16 @@ def small_flag_argv(draw):
     return argv
 
 
-@settings(max_examples=40, deadline=timedelta(seconds=5))
-@given(OVER_CAP_ARGV.map(lambda argv: (argv, True))
-       | small_flag_argv().map(lambda argv: (argv, False)), st.booleans())
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(OVER_CAP_ARGV.map(lambda argv: (argv, "cap"))
+       | over_scan_budget().map(lambda argv: (argv, "budget"))
+       | small_flag_argv().map(lambda argv: (argv, None)), st.booleans())
 def test_cli_flag_fuzz_exits_0_1_or_2_and_refuses_work_over_a_cap_at_once(case, as_json):
-    argv, over_cap = case
+    argv, refusal = case  # the word the refusal names, or None when the work may run
     code, err, elapsed = fuzz_main(argv + ["--json"] * as_json)
     assert code in (0, 1, 2) and "Traceback" not in err
-    if over_cap:
-        assert code == 2 and "cap" in err and elapsed < 1.0, (argv, err, elapsed)
+    if refusal:
+        assert code == 2 and refusal in err and elapsed < 1.0, (argv, err, elapsed)
+    if refusal == "budget":
+        (line,) = err.splitlines()
+        assert line.startswith("error: "), (argv, err)

@@ -278,6 +278,7 @@ def test_scan_max_small():
 
 
 def test_scan_budget():
+    assert issubclass(BudgetError, ValueError)  # exit 2 at the CLI, a failed sweep instance
     # (2,2,1): p(2) p(1) = 2 leading Jordan forms times 2^8 free slots
     with pytest.raises(BudgetError, match="needs more matrices than the budget 511"):
         scan_max_type((2, 2, 1), p=2, budget=511)
@@ -405,17 +406,22 @@ def test_check_scan_work_sums_the_scans_within_the_budget(p, total):
     oracle.check_scan_work(refused - 1, p)
     with pytest.raises(ValueError, match=f"to size {refused} {cost} {total} .*, over the scan"):
         oracle.check_scan_work(14, p)
-    # over GF(10007) most scans are over the budget on their own: they add nothing
-    oracle.check_scan_work(12, 10007)
+    # over GF(10007) the scan of (3) is over the per-scan budget by itself
+    with pytest.raises(ValueError, match=r"scan of \[3\] over GF\(10007\) needs more matrices"):
+        oracle.check_scan_work(12, 10007)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 10007])
-def test_scans_within_budget_grow_from_smaller_ones(p):
-    # the pruned enumeration finds every partition whose scan fits, with its size
+@pytest.mark.parametrize("p, m", [(2, 8), (3, 5), (5, 4), (7, 4), (10007, 2)])
+def test_admitted_sweeps_scan_within_the_budget(p, m):
+    # the frontier of check_scan_work; every scan it admits fits the per-scan
+    # budget, so the sweep's dominance check never meets BudgetError
+    oracle.check_scan_work(m, p)
+    with pytest.raises(ValueError, match="budget"):
+        oracle.check_scan_work(m + 1, p)
     budget = oracle.DEFAULT_SCAN_BUDGET
-    for n, level in enumerate(oracle._scans_within_budget(14, p)):
-        sizes = {q: oracle._scan_size(to_frequency(q), p, budget) for q in partitions_of(n)}
-        assert level == {q: size for q, size in sizes.items() if size is not None}, n
+    for n in range(m + 1):
+        for q in partitions_of(n):
+            assert oracle._scan_size(to_frequency(q), p, budget) is not None, q
 
 
 def check_against_int_row_scan(max_n):
