@@ -35,7 +35,6 @@ from .burge import (
     in_class_b,
     maj,
 )
-from .errors import BudgetError
 from .gfp import MatrixGFp
 from .oblak import (
     OblakChain,

@@ -26,7 +26,6 @@ from typing import Iterable
 
 from . import kernels
 from .burge import _demoted, apply_del
-from .errors import BudgetError
 from .partitions import FreqSeq, Partition, as_frequency, spreads
 
 DEFAULT_CHAIN_LIMIT = 10**5
@@ -195,7 +194,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
 
     Equivalent indices give identical successor states, so one
     representative (the smallest) is explored per equivalence class.
-    Chains come back sorted by index sequence.  Raises BudgetError when
+    Chains come back sorted by index sequence.  Raises ValueError when
     more than ``limit`` chains would be produced.
     """
     f = as_frequency(freq)
@@ -204,9 +203,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
     def rec(state, states, indices):
         if not state:
             if len(out) >= limit:
-                raise BudgetError(
-                    f"chain enumeration for {f} exceeds limit {limit}"
-                )
+                raise ValueError(f"chain enumeration for {f} exceeds limit {limit}")
             out.append(OblakChain._trusted(tuple(states), tuple(indices)))
             return
         for nxt, i in _successors(state).items():

@@ -28,11 +28,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice, product, takewhile
 from typing import Iterable, NamedTuple
 
 from .burge import apply_del, descent_map
-from .errors import BudgetError
 from .gfp import (
     MatrixGFp,
     check_prime,
@@ -46,15 +45,13 @@ from .partitions import (
     as_partition,
     dominates,
     format_partition,
+    partition_counts,
     partitions_of,
     to_frequency,
     to_partition,
 )
 
 DEFAULT_SCAN_BUDGET = 2**24
-# check_scan_work refuses sweeps whose scans cost more than this in all: a matrix over GF(2),
-# n^3 for an n x n matrix over odd p.
-SCAN_WORK_BUDGET = 2**25
 # The GF(2) scan types at most this many matrices at once, one per bit of each entry int.
 SCAN_LANES = 2**12
 GENERIC_PRIME = 10007
@@ -345,13 +342,12 @@ def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
 # Verification reports
 # ---------------------------------------------------------------------------
 
-def check_restriction_work(n: int, trials: int) -> None:
-    """Refuse ``verify_restriction`` work over ``RESTRICTION_WORK_CAP`` for size n."""
+def restriction_work(n: int, trials: int) -> int:
+    """(trials + 1) max(n, 16)^3, the work of ``verify_restriction`` at size n, up to the cap."""
     if (work := (trials + 1) * max(n, 16) ** 3) > RESTRICTION_WORK_CAP:
-        raise ValueError(
-            f"{trials} trials of size {n}: (trials + 1) max(n, 16)^3 = {work} is over the cap"
-            f" {RESTRICTION_WORK_CAP}"
-        )
+        raise ValueError(f"{trials} trials of size {n}: (trials + 1) max(n, 16)^3 = {work}"
+                         f" is over the cap {RESTRICTION_WORK_CAP}")
+    return work
 
 
 @dataclass
@@ -401,7 +397,7 @@ def verify_restriction(
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
-    check_restriction_work(n, trials)
+    restriction_work(n, trials)
     expected = to_partition(apply_del(to_frequency(pt)))
     table = _slot_table(pt)
     order = sorted(range(n), key=[-o for i in pt for o in range(i)].__getitem__)
@@ -466,64 +462,36 @@ def _gray_walk(count: int, p: int):
         yield x
 
 
-def _leading_choices(f, cap: int) -> int:
-    """prod p(f_i) over the multiplicities f_i of P, or cap + 1 when that is over cap.
-
-    p(m), the number of partitions of m, comes from Euler's pentagonal
-    recurrence, stopped once it passes cap, so a huge f_i costs a few steps.
-    """
-    counts = [1]
-    while len(counts) <= max(f, default=0) and counts[-1] <= cap:
-        k, total, j = len(counts), 0, 1
-        while (g := j * (3 * j - 1) // 2) <= k:
-            total += (-1) ** (j + 1) * (counts[k - g] + (counts[k - g - j] if g + j <= k else 0))
-            j += 1
-        counts.append(total)
-    choices = 1
-    for m in f:
-        choices *= counts[m] if m < len(counts) else cap + 1
-        if choices > cap:
-            return cap + 1
-    return choices
-
-
 def _jordan_form(i: int, lam: Partition) -> list:
     """The a_1 slots that, set to 1, make the chains of length i a lower Jordan form of type lam."""
     starts = accumulate(lam, initial=0)
     return [ParamSlot(i, k + 1, i, k, 1) for s, b in zip(starts, lam) for k in range(s + 1, s + b)]
 
 
-def _scan_size(f, p: int, budget: int) -> int | None:
-    """prod p(f_i) p^free, the matrices ``scan_max_type`` walks over GF(p); None if over budget."""
+def _scan_size(f, p: int, budget: int) -> int:
+    """The prod p(f_i) p^free matrices that ``scan_max_type`` walks over GF(p), up to budget.
+
+    The leading blocks take prod p(f_i) Jordan forms.  p(m) only grows, so the
+    counts are listed while they fit: a huge f_i costs a few steps.
+    """
     free = _slot_count(f) - sum(m * m for m in f)
     # p**free <= budget; p >= 2, so past budget's bit length it is over
     cap = budget // p**free if free <= budget.bit_length() else 0
-    leading = _leading_choices(f, cap)
-    return leading * p**free if leading <= cap else None
+    counts = list(islice(takewhile(cap.__ge__, partition_counts()), max(f, default=0) + 1))
+    leading = 1
+    for m in f:
+        if leading > cap:
+            break
+        leading *= counts[m] if m < len(counts) else cap + 1
+    if leading > cap:
+        raise ValueError(f"scan of {format_partition(to_partition(f))} over GF({p}) needs more"
+                         f" matrices than the scan budget {budget}")
+    return leading * p**free
 
 
-def check_scan_work(max_n: int, p: int) -> None:
-    """Refuse a dominance sweep to max_n over GF(p) that cannot run, before any scan.
-
-    The first n is refused where the scans to size n that fit cost over
-    ``SCAN_WORK_BUDGET`` in all, or one scan of size n is over ``DEFAULT_SCAN_BUDGET``.
-    A GF(2) matrix costs 1 (the scan types thousands at a time); over odd p an
-    n x n matrix is typed alone on row lists and costs n^3.  Scan sizes only grow
-    with n, so the listing stops at the first refusal, and no admitted scan raises
-    BudgetError.
-    """
-    total = 0
-    for n in range(max_n + 1):
-        sizes = {q: _scan_size(to_frequency(q), p, DEFAULT_SCAN_BUDGET) for q in partitions_of(n)}
-        total += sum(filter(None, sizes.values())) * (1 if p == 2 else n**3)
-        if total > SCAN_WORK_BUDGET:
-            cost = f"walk {total} matrices" if p == 2 else f"cost {total} (matrices times n^3)"
-            raise ValueError(
-                f"scans over GF({p}) to size {n} {cost}, over the scan budget {SCAN_WORK_BUDGET}"
-            )
-        if over := [q for q, size in sizes.items() if size is None]:
-            raise ValueError(f"scan of {format_partition(over[0])} over GF({p}) needs more"
-                             f" matrices than the scan budget {DEFAULT_SCAN_BUDGET}")
+def scan_work(n: int, p: int) -> int:
+    """The matrices that ``scan_max_type`` walks over GF(p) for all the partitions of n."""
+    return sum(_scan_size(to_frequency(q), p, DEFAULT_SCAN_BUDGET) for q in partitions_of(n))
 
 
 def _count_lanes(a: list, n: int, lanes: int, keys: Counter) -> None:
@@ -627,7 +595,7 @@ def scan_max_type(
     non-leading slot of the slot table through GF(p) in Gray-code order, one
     slot change per step.  ``scanned`` is the size of that space,
     prod p(f_i) p^free; it is checked against ``budget`` before any slot is
-    listed, and BudgetError is raised when it is over.  Every matrix built
+    listed, and ValueError is raised when it is over.  Every matrix built
     is nilpotent: one that is not raises AssertionError.  Each is typed by
     its rank sequence: over GF(2) ``SCAN_LANES`` matrices at a time by the
     bitsliced kernels (``_sliced_scan``), over odd p one at a time on row
@@ -638,10 +606,6 @@ def scan_max_type(
     n = sum(pt)
     f = to_frequency(pt)
     scanned = _scan_size(f, p, budget)
-    if scanned is None:
-        raise BudgetError(
-            f"scan of {format_partition(pt)} needs more matrices than the budget {budget}"
-        )
     table = _slot_table(pt)
     forms = [
         [[rc for s in _jordan_form(i, lam) for rc in table[s]] for lam in partitions_of(m)]

@@ -219,6 +219,18 @@ def partitions_of(n: int) -> Iterator[tuple]:
         yield _Checked(x[:m])
 
 
+def partition_counts() -> Iterator[int]:
+    """p(0), p(1), ...: the number of partitions of each n, by Euler's pentagonal recurrence."""
+    counts = [1]
+    while True:
+        yield counts[-1]
+        k, total, j = len(counts), 0, 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            total += (-1) ** (j + 1) * (counts[k - g] + (counts[k - g - j] if g + j <= k else 0))
+            j += 1
+        counts.append(total)
+
+
 # ---------------------------------------------------------------------------
 # Text forms.  Accepted everywhere a partition is read:
 #   comma list          10,7,3

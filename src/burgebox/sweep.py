@@ -1,12 +1,14 @@
 """Named exhaustive property suites, runnable from the command line.
 
-``run_sweep`` calls each check as ``check(n, cfg, record)`` for n = 0 ..
-max_n; the check calls ``record(ok, repro)`` once per instance of size n.
-Each result keeps pass/fail counts, wall and CPU time, and the reproducer
-command of the first failing instance, which ``repro()`` builds only then.
-All checks are deterministic given the configuration.  ``SweepConfig``
-refuses, before any check runs, matrix work that cannot finish
-(``oracle.check_restriction_work`` and ``oracle.check_scan_work``).
+``CHECKS`` maps each name to a check and its cost.  ``run_sweep`` calls the
+check as ``check(n, cfg, record)`` for n = 0 .. max_n, and the check calls
+``record(ok, repro)`` once per instance of size n.  Each result keeps
+pass/fail counts, wall and CPU time, and the reproducer command of the first
+failing instance, which ``repro()`` builds only then.  All checks are
+deterministic given the configuration.  ``cost(n, p(n), cfg)`` predicts the
+check's µs at size n from weights measured near its frontier, and
+``SweepConfig`` refuses, before any check runs, the first n that takes the
+selected checks over ``SWEEP_BUDGET_US`` in all.
 
 ``partitions_of`` yields checked partitions, which pass every public check at
 once, and an ``OblakChain`` is checked when it is made.  Frequency sequences
@@ -28,6 +30,7 @@ from .partitions import (
     _reduced,
     _two_measure,
     is_super_distinct,
+    partition_counts,
     partitions_of,
     to_frequency,
 )
@@ -45,16 +48,30 @@ class SweepConfig:
     def __post_init__(self):
         if self.max_n < 0:
             raise ValueError("max_n must be >= 0")
-        unknown = set(self.checks) - set(CHECKS)
-        if unknown:
+        if unknown := set(self.checks) - set(CHECKS):
             raise ValueError(f"unknown checks: {sorted(unknown)}")
-        selected = set(self.checks or CHECKS)
-        if self.field is not None and selected & {"matrix-restriction", "matrix-dominance"}:
+        selected = self.checks or tuple(CHECKS)
+        if self.field is not None and {"matrix-restriction", "matrix-dominance"} & set(selected):
             oracle.check_prime(self.field)
-        if "matrix-restriction" in selected:  # its work grows with n
-            oracle.check_restriction_work(self.max_n, self.trials)
-        if "matrix-dominance" in selected:
-            oracle.check_scan_work(self.max_n, self.field or 2)
+        if refusal := self._refusal(selected):
+            if not self.checks:
+                fit = ", ".join(name for name in CHECKS if not self._refusal((name,))) or "none"
+                refusal += f"; name checks with --checks (these fit alone to {self.max_n}: {fit})"
+            raise ValueError(refusal)
+
+    def _refusal(self, names) -> str | None:
+        """Why the named checks cannot run to max_n: the first n that takes them over the budget."""
+        total = 0
+        for n, count in zip(range(self.max_n + 1), partition_counts()):
+            for name in names:
+                try:
+                    total += CHECKS[name][1](n, count, self)
+                except ValueError as exc:  # one verify or scan of size n cannot run
+                    return f"{name} at n = {n}: {exc}"
+                if total > SWEEP_BUDGET_US:
+                    return (f"{name} at n = {n} takes the predicted cost to {total / 1e6:.3g} s,"
+                            f" over the sweep budget {SWEEP_BUDGET_US / 1e6:g} s")
+        return None
 
 
 @dataclass
@@ -219,17 +236,32 @@ def check_matrix_dominance(n: int, cfg: SweepConfig, record) -> None:
                lambda: f"burgebox scan-max --partition {_pstr(p)} --field {field}")
 
 
-CHECKS = {
-    "lem-stats": check_lem_stats,
-    "prop-stats": check_prop_stats,
-    "prop-characterization": check_prop_characterization,
-    "thm-main-vs-oblak": check_main_vs_oblak,
-    "cor-box": check_cor_box,
-    "thm-oblakburge": check_oblakburge,
-    "prop-khatami": check_khatami,
-    "foata-hooks": check_foata_hooks,
-    "matrix-restriction": check_matrix_restriction,
-    "matrix-dominance": check_matrix_dominance,
+def per_partition(us: float):
+    return lambda n, count, cfg: us * count
+
+
+def restriction_cost(n: int, count: int, cfg: SweepConfig) -> float:
+    return 0.08 * count * oracle.restriction_work(n, cfg.trials)  # µs per unit of verify work
+
+
+def dominance_cost(n: int, count: int, cfg: SweepConfig) -> float:
+    # µs per matrix: the GF(2) scan types thousands at once; over odd p each n x n one is alone
+    field = cfg.field or 2
+    return oracle.scan_work(n, field) * (0.12 if field == 2 else 0.8 * n**3)
+
+
+SWEEP_BUDGET_US = 30 * 10**6  # a sweep predicted to take longer is refused
+CHECKS = {  # name: (check, cost); a partition costs more as n grows, hence weights at the frontier
+    "lem-stats": (check_lem_stats, per_partition(30)),
+    "prop-stats": (check_prop_stats, per_partition(60)),
+    "prop-characterization": (check_prop_characterization, per_partition(80)),
+    "thm-main-vs-oblak": (check_main_vs_oblak, per_partition(70)),
+    "cor-box": (check_cor_box, per_partition(100)),
+    "thm-oblakburge": (check_oblakburge, per_partition(200)),
+    "prop-khatami": (check_khatami, per_partition(80)),
+    "foata-hooks": (check_foata_hooks, per_partition(70)),
+    "matrix-restriction": (check_matrix_restriction, restriction_cost),
+    "matrix-dominance": (check_matrix_dominance, dominance_cost),
 }
 
 
@@ -240,7 +272,7 @@ def run_sweep(cfg: SweepConfig) -> list:
     """
     results = []
     for name in cfg.checks or CHECKS:
-        check = CHECKS[name]
+        check, _ = CHECKS[name]
         result = CheckResult(name)
         start, cpu = time.perf_counter(), time.process_time()
         for n in range(cfg.max_n + 1):

@@ -110,7 +110,6 @@ def int_row_scan(parts, budget=2**24):
     n = sum(pt)
     f = to_frequency(pt)
     scanned = _scan_size(f, 2, budget)
-    assert scanned is not None
     table = _slot_table(pt)
     forms = [
         [[rc for s in _jordan_form(i, lam) for rc in table[s]] for lam in partitions_of(m)]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from burgebox import boxes, burge, oracle
 from burgebox.cli import main
-from burgebox.partitions import SIZE_CAP
+from burgebox.partitions import SIZE_CAP, partition_counts
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
 
 
@@ -318,7 +318,7 @@ def test_scan_max_over_budget_exits_at_once(capsys, text):
     start = time.perf_counter()
     code, _, err = run(capsys, "scan-max", "--partition", text)
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and f"scan of {text} needs" in err and "Traceback" not in err
+    assert code == 2 and f"scan of {text} over GF(2) needs" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,19 +399,31 @@ def test_sweep_refuses_scans_over_the_scan_budget_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and "scan budget" in err and "Traceback" not in err
     code, _, err = run(capsys, "sweep", "--max-n", "9", "--checks", "matrix-dominance")
-    assert code == 2 and "GF(2) to size 9 walk 63327287 matrices" in err
+    assert code == 2 and "matrix-dominance at n = 9: scan of [3,2^3] over GF(2)" in err
     code, _, err = run(capsys, "sweep", "--max-n", "8", "--checks", "prop-stats")
     assert code == 0  # the scan budget is matrix-dominance's
 
 
 def test_scan_work_refusal_is_cheap_over_a_large_field(capsys):
-    for n, p, cost in (("50", "10007", "scan of [3] over GF(10007)"), ("7", "3", "size 6 cost")):
+    for n, p, cost in (("50", "10007", "scan of [3] over GF(10007)"),
+                       ("7", "3", "matrix-dominance at n = 6 takes")):
         start = time.perf_counter()
         argv = ["sweep", "--max-n", n, "--checks", "matrix-dominance", "--field", p]
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         (line,) = err.splitlines()
         assert code == 2 and out == "" and line.startswith("error: ") and cost in line
+
+
+def test_default_sweep_past_a_frontier_names_the_checks_that_fit(capsys):
+    # with no --checks every check runs, and matrix-dominance cannot run to 9
+    code, out, err = run(capsys, "sweep", "--max-n", "9")
+    (line,) = err.splitlines()
+    assert code == 2 and out == "" and line.startswith("error: matrix-dominance at n = 9")
+    fit = ", ".join(name for name in CHECKS if name != "matrix-dominance")
+    assert line.endswith(f"; name checks with --checks (these fit alone to 9: {fit})")
+    code, out, err = run(capsys, "sweep", "--max-n", "100000")
+    assert code == 2 and out == "" and "(these fit alone to 100000: none)" in err
 
 
 def test_sweep_config_validation():
@@ -518,27 +530,69 @@ def work_over(trials: int) -> int:
 
 @st.composite
 def over_work_cap(draw):
-    """verify or sweep just over RESTRICTION_WORK_CAP: sizes or trials one step too many."""
+    """verify or sweep just over RESTRICTION_WORK_CAP: sizes or trials one step too many.
+
+    Returns the argv and the word its refusal names.  A sweep is refused by the
+    sweep budget, which it meets before n reaches the cap's size, unless one
+    verify of size 0 is already over the cap.
+    """
     trials = draw(st.integers(0, 5) | st.integers(1215, 1225))
     n = work_over(trials) + draw(st.integers(0, 2))
     if draw(st.booleans()):
         part = draw(st.sampled_from((str(n), f"{n},1", f"[1^{n}]")))
-        return ["verify", "--partition", part, "--trials", str(trials)]
+        return ["verify", "--partition", part, "--trials", str(trials)], "cap"
     checks = draw(st.sampled_from(([], ["--checks", "matrix-restriction"],
                                    ["--checks", "lem-stats,matrix-restriction"])))
-    return ["sweep", "--max-n", str(n), "--trials", str(trials), *checks]
+    word = "cap" if work_over(trials) == 1 else "budget"
+    return ["sweep", "--max-n", str(n), "--trials", str(trials), *checks], word
 
 
 OVER_CAP_ARGV = st.one_of(
-    st.integers(0, 20).map(lambda k: ["fiber", str(FIBER_OVER + k)]),
-    st.integers(0, 20).map(lambda k: ["chain", str(CHAIN_OVER + k)]),
+    st.integers(0, 20).map(lambda k: (["fiber", str(FIBER_OVER + k)], "cap")),
+    st.integers(0, 20).map(lambda k: (["chain", str(CHAIN_OVER + k)], "cap")),
     over_work_cap(),
 )
-# the largest max-n that check_scan_work admits over each field
+
+
+def sweep_frontier(name: str) -> int:
+    """The largest max-n that a sweep of this check alone admits, with the default options."""
+    return next(n for n in itertools.count() if refused(n + 1, name))
+
+
+def refused(max_n: int, name: str) -> bool:
+    try:
+        SweepConfig(max_n=max_n, checks=(name,))
+    except ValueError:
+        return True
+    return False
+
+
+# the largest max-n that the sweep budget admits for each check but matrix-dominance
+SWEEP_FRONTIER = {name: sweep_frontier(name) for name in CHECKS if name != "matrix-dominance"}
+
+
+def test_each_check_is_admitted_to_its_measured_frontier():
+    # each check alone ran within the sweep budget at these max-n; a new weight moves them
+    assert SWEEP_FRONTIER == {
+        "lem-stats": 48, "prop-stats": 44, "prop-characterization": 42, "thm-main-vs-oblak": 43,
+        "cor-box": 41, "thm-oblakburge": 38, "prop-khatami": 42, "foata-hooks": 43,
+        "matrix-restriction": 23,
+    }
+
+
+@st.composite
+def over_sweep_budget(draw):
+    """A combinatorial or restriction sweep past its frontier."""
+    name = draw(st.sampled_from(sorted(SWEEP_FRONTIER)))
+    k = draw(st.integers(SWEEP_FRONTIER[name] + 1, 10**5))
+    return ["sweep", "--max-n", str(k), "--checks", name]
+
+
+# the largest max-n that a dominance sweep admits over each field
 SCAN_FRONTIER = {2: 8, 3: 5, 5: 4, 7: 4, 10007: 2}
 BUDGET = oracle.DEFAULT_SCAN_BUDGET
 ONE_PART_OVER = least_over(BUDGET, lambda k: 2 ** (k - 1))  # (k) over GF(2): k - 1 free slots
-ONES_OVER = least_over(BUDGET, lambda k: oracle._leading_choices((k,), BUDGET))  # [1^k]: p(k)
+ONES_OVER = next(k for k, count in enumerate(partition_counts()) if count > BUDGET)  # [1^k]: p(k)
 
 
 @st.composite
@@ -576,9 +630,10 @@ def small_flag_argv(draw):
     return argv
 
 
-@settings(max_examples=60, deadline=timedelta(seconds=5))
-@given(OVER_CAP_ARGV.map(lambda argv: (argv, "cap"))
+@settings(max_examples=80, deadline=timedelta(seconds=5))
+@given(OVER_CAP_ARGV
        | over_scan_budget().map(lambda argv: (argv, "budget"))
+       | over_sweep_budget().map(lambda argv: (argv, "budget"))
        | small_flag_argv().map(lambda argv: (argv, None)), st.booleans())
 def test_cli_flag_fuzz_exits_0_1_or_2_and_refuses_work_over_a_cap_at_once(case, as_json):
     argv, refusal = case  # the word the refusal names, or None when the work may run

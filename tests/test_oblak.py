@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from burgebox.burge import apply_del, descent_map
-from burgebox.errors import BudgetError
 from burgebox.oblak import (
     OblakChain,
     annihilate,
@@ -135,7 +134,7 @@ def test_all_chains_trivia():
 
 
 def test_all_chains_budget():
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError, match="exceeds limit 1"):
         oblak_all_chains((3, 0, 1, 1, 0, 0, 0, 1), limit=1)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from burgebox import oracle
 from burgebox.burge import apply_del
-from burgebox.errors import BudgetError
 from burgebox.gfp import MatrixGFp
 from burgebox.oracle import (
     ParamSlot,
@@ -22,6 +21,7 @@ from burgebox.oracle import (
     witness_matrix,
 )
 from burgebox.partitions import format_partition, partitions_of, to_frequency, to_partition
+from burgebox.sweep import SWEEP_BUDGET_US, SweepConfig, dominance_cost
 from reference_gfp import dense_power, identity, is_zero
 from reference_scan import int_row_scan, reference_scan
 
@@ -278,14 +278,13 @@ def test_scan_max_small():
 
 
 def test_scan_budget():
-    assert issubclass(BudgetError, ValueError)  # exit 2 at the CLI, a failed sweep instance
     # (2,2,1): p(2) p(1) = 2 leading Jordan forms times 2^8 free slots
-    with pytest.raises(BudgetError, match="needs more matrices than the budget 511"):
+    with pytest.raises(ValueError, match="needs more matrices than the scan budget 511"):
         scan_max_type((2, 2, 1), p=2, budget=511)
     assert scan_max_type((2, 2, 1), p=2, budget=512).scanned == 512
     # (1^7) has no free slot: its space is the p(7) = 15 Jordan forms of one 7 x 7 block
     assert scan_max_type((1,) * 7, p=2, budget=15).scanned == 15
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError, match="needs more matrices than the scan budget 14"):
         scan_max_type((1,) * 7, p=2, budget=14)
     r = scan_max_type((1, 1, 1, 1, 1), p=2)
     assert r.scanned == 7 and r.ok
@@ -399,29 +398,40 @@ def test_build_commuting_refuses_what_is_not_a_slot(slot):
         build_commuting((3,), 5, {slot: 1})
 
 
-@pytest.mark.parametrize("p, total", [(2, 63327287), (3, 544108341)])
-def test_check_scan_work_sums_the_scans_within_the_budget(p, total):
-    # admitted: 28627225 matrices to size 8 over GF(2); 3007173 (n^3 each) to size 5 over GF(3)
-    refused, cost = (9, "walk") if p == 2 else (6, "cost")
-    oracle.check_scan_work(refused - 1, p)
-    with pytest.raises(ValueError, match=f"to size {refused} {cost} {total} .*, over the scan"):
-        oracle.check_scan_work(14, p)
-    # over GF(10007) the scan of (3) is over the per-scan budget by itself
+def dominance(max_n, p):
+    return SweepConfig(max_n=max_n, checks=("matrix-dominance",), field=p)
+
+
+@pytest.mark.parametrize("p, total", [(2, 28627225), (3, 3007173)])
+def test_dominance_cost_sums_the_scans_within_the_budget(p, total):
+    # to the frontier: 28627225 matrices over GF(2); 3007173 matrices times n^3 over GF(3)
+    frontier = 8 if p == 2 else 5
+    weight = (lambda n: 1) if p == 2 else (lambda n: n**3)
+    assert sum(oracle.scan_work(n, p) * weight(n) for n in range(frontier + 1)) == total
+    cfg = dominance(0, p)
+    assert sum(dominance_cost(n, None, cfg) for n in range(frontier + 1)) <= SWEEP_BUDGET_US
+    dominance(frontier, p)
+    # over GF(2) a scan of size 9 is over the per-scan budget by itself; over GF(3)
+    # the scans to size 6 cost 544108341 matrices times n^3, past the sweep budget
+    refusal = (r"at n = 9: scan of \[.*\] over GF\(2\) needs more matrices" if p == 2
+               else "matrix-dominance at n = 6 takes .* over the sweep budget")
+    with pytest.raises(ValueError, match=refusal):
+        dominance(14, p)
     with pytest.raises(ValueError, match=r"scan of \[3\] over GF\(10007\) needs more matrices"):
-        oracle.check_scan_work(12, 10007)
+        dominance(12, 10007)
 
 
 @pytest.mark.parametrize("p, m", [(2, 8), (3, 5), (5, 4), (7, 4), (10007, 2)])
 def test_admitted_sweeps_scan_within_the_budget(p, m):
-    # the frontier of check_scan_work; every scan it admits fits the per-scan
-    # budget, so the sweep's dominance check never meets BudgetError
-    oracle.check_scan_work(m, p)
+    # the frontier of a dominance sweep; every scan it admits fits the per-scan
+    # budget, so the sweep's dominance check never meets that refusal
+    dominance(m, p)
     with pytest.raises(ValueError, match="budget"):
-        oracle.check_scan_work(m + 1, p)
+        dominance(m + 1, p)
     budget = oracle.DEFAULT_SCAN_BUDGET
     for n in range(m + 1):
         for q in partitions_of(n):
-            assert oracle._scan_size(to_frequency(q), p, budget) is not None, q
+            oracle._scan_size(to_frequency(q), p, budget)  # raises past the budget
 
 
 def check_against_int_row_scan(max_n):

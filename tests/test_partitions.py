@@ -19,6 +19,7 @@ from burgebox.partitions import (
     left_set,
     length,
     parse_partition,
+    partition_counts,
     partitions_of,
     reduced,
     right_set,
@@ -182,8 +183,9 @@ def test_partition_validation():
 
 
 def test_partitions_of_counts():
-    counts = [len(list(partitions_of(n))) for n in range(11)]
-    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    counts = [len(list(partitions_of(n))) for n in range(31)]
+    assert counts[:11] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert list(itertools.islice(partition_counts(), 31)) == counts
     for p in partitions_of(8):
         assert sum(p) == 8
         assert as_partition(p) == p
