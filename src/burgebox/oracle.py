@@ -29,6 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, product, takewhile
+from math import prod
 from typing import Iterable, NamedTuple
 
 from .burge import apply_del, descent_map
@@ -471,21 +472,20 @@ def _jordan_form(i: int, lam: Partition) -> list:
 def _scan_size(f, p: int, budget: int) -> int:
     """The prod p(f_i) p^free matrices that ``scan_max_type`` walks over GF(p), up to budget.
 
-    The leading blocks take prod p(f_i) Jordan forms.  p(m) only grows, so the
-    counts are listed while they fit: a huge f_i costs a few steps.
+    Over odd p each n x n matrix is typed alone and counts n^3 times against the
+    budget.  The leading blocks take prod p(f_i) Jordan forms.  p(m) only grows,
+    so the counts are listed while they fit: a huge f_i costs a few steps.
     """
     free = _slot_count(f) - sum(m * m for m in f)
+    weight = 1 if p == 2 else sum(i * m for i, m in enumerate(f, 1)) ** 3 or 1
     # p**free <= budget; p >= 2, so past budget's bit length it is over
-    cap = budget // p**free if free <= budget.bit_length() else 0
+    cap = budget // weight // p**free if free <= budget.bit_length() else 0
     counts = list(islice(takewhile(cap.__ge__, partition_counts()), max(f, default=0) + 1))
-    leading = 1
-    for m in f:
-        if leading > cap:
-            break
-        leading *= counts[m] if m < len(counts) else cap + 1
+    leading = prod(counts[m] if m < len(counts) else cap + 1 for m in f)
     if leading > cap:
         raise ValueError(f"scan of {format_partition(to_partition(f))} over GF({p}) needs more"
-                         f" matrices than the scan budget {budget}")
+                         f" matrices than the scan budget {budget}"
+                         + (f", each counted n^3 = {weight} times" if weight > 1 else ""))
     return leading * p**free
 
 
@@ -594,12 +594,12 @@ def scan_max_type(
     one lower nilpotent Jordan form per partition of f_i, and walks every
     non-leading slot of the slot table through GF(p) in Gray-code order, one
     slot change per step.  ``scanned`` is the size of that space,
-    prod p(f_i) p^free; it is checked against ``budget`` before any slot is
-    listed, and ValueError is raised when it is over.  Every matrix built
-    is nilpotent: one that is not raises AssertionError.  Each is typed by
-    its rank sequence: over GF(2) ``SCAN_LANES`` matrices at a time by the
-    bitsliced kernels (``_sliced_scan``), over odd p one at a time on row
-    lists with ``rank_profile`` and ``matmul_rows``.
+    prod p(f_i) p^free; it is checked against ``budget`` (n^3 times over odd
+    p) before any slot is listed, and ValueError is raised when it is over.
+    Every matrix built is nilpotent: one that is not raises AssertionError.
+    Each is typed by its rank sequence: over GF(2) ``SCAN_LANES`` matrices at
+    a time by the bitsliced kernels (``_sliced_scan``), over odd p one at a
+    time on row lists with ``rank_profile`` and ``matmul_rows``.
     """
     pt = as_partition(parts)
     check_prime(p)

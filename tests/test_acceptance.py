@@ -156,17 +156,17 @@ def test_box_fibers_partition_everything_to_22():
 
 
 def test_choice_independence_to_24():
-    with report("all maximal-index branchings give one valuation, |f| <= 24"):
-        sweep_checks("prop-khatami", max_n=24)
+    with report("all maximal-index branchings give one valuation, |f| <= 25; chains |f| <= 24"):
+        sweep_checks("prop-khatami", max_n=25)
         for n in range(25):
             for p in partitions_of(n):
                 f = to_frequency(p)
                 assert oblak_all_chains(f)[0].valuation == oblak(f), p
 
 
-def test_chain_map_shadowing_to_22_and_grid():
-    with report("chain map valid with valuation decrement, |f| <= 22, plus grid"):
-        sweep_checks("thm-oblakburge", max_n=22)
+def test_chain_map_shadowing_to_25_and_grid():
+    with report("chain map valid with valuation decrement, |f| <= 25, plus grid"):
+        sweep_checks("thm-oblakburge", max_n=25)
         chain = oblak_chain(to_frequency((14, 10, 5, 2, 2, 2, 1)))
         grid = []
         while True:

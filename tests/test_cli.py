@@ -1,7 +1,6 @@
 import io
 import itertools
 import json
-import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -9,7 +8,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgebox import boxes, burge, oracle
+from burgebox import boxes, burge, oracle, sweep
 from burgebox.cli import main
 from burgebox.partitions import SIZE_CAP, partition_counts
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
@@ -324,9 +323,13 @@ def test_scan_max_over_budget_exits_at_once(capsys, text):
 @pytest.mark.parametrize("argv", [
     ["scan-max", "--partition", "3", "--budget", "0"],
     ["oblak-chains", "3,1", "--limit", "0"],
+    # 14348907 matrices, within 2^24, but each 11 x 11 one over GF(3) is typed alone
+    ["scan-max", "--partition", "8,3", "--field", "3"],
 ])
 def test_budget_error_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     (line,) = err.splitlines()
     assert code == 2 and out == "" and line.startswith("error: ")
 
@@ -406,7 +409,7 @@ def test_sweep_refuses_scans_over_the_scan_budget_at_once(capsys):
 
 def test_scan_work_refusal_is_cheap_over_a_large_field(capsys):
     for n, p, cost in (("50", "10007", "scan of [3] over GF(10007)"),
-                       ("7", "3", "matrix-dominance at n = 6 takes")):
+                       ("7", "3", "matrix-dominance at n = 6: scan of [3,2,1] over GF(3)")):
         start = time.perf_counter()
         argv = ["sweep", "--max-n", n, "--checks", "matrix-dominance", "--field", p]
         code, out, err = run(capsys, *argv)
@@ -458,12 +461,14 @@ def test_run_sweep_all_checks_tiny():
 
 
 def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
-    # the demotion planted to send (1,0,1) to (3,0,1) breaks the chain image of (3,1)
-    oblak_module = sys.modules["burgebox.oblak"]  # burgebox.oblak names the function
-    real = oblak_module._demoted
-    monkeypatch.setattr(
-        oblak_module, "_demoted", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
-    )
+    real = sweep._successors
+
+    def planted(f):
+        if f == (1, 0, 1):  # (3,1)
+            raise ValueError(f"planted fault at {f}")
+        return real(f)
+
+    monkeypatch.setattr(sweep, "_successors", planted)
     code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "thm-oblakburge")
     assert code == 1 and err == ""
     assert "repro: burgebox sweep --max-n 4 --checks thm-oblakburge  # raised: " in out
@@ -575,7 +580,7 @@ def test_each_check_is_admitted_to_its_measured_frontier():
     # each check alone ran within the sweep budget at these max-n; a new weight moves them
     assert SWEEP_FRONTIER == {
         "lem-stats": 48, "prop-stats": 44, "prop-characterization": 42, "thm-main-vs-oblak": 43,
-        "cor-box": 41, "thm-oblakburge": 38, "prop-khatami": 42, "foata-hooks": 43,
+        "cor-box": 41, "thm-oblakburge": 48, "prop-khatami": 47, "foata-hooks": 43,
         "matrix-restriction": 23,
     }
 

@@ -299,11 +299,12 @@ def test_slot_count_formula_matches_slot_list(reduced):
 
 def test_scan_matches_reference_scan():
     # the Levi walk against the dense recursive scan of the full or reduced
-    # space, and ``scanned`` against prod p(f_i) p^free counted by listing
+    # space, and ``scanned`` against prod p(f_i) p^free counted by listing; the
+    # budget bounds the reference scan, while the walk's own is n^3 times its size over GF(3)
     cases = [(q, 2, 2**12) for n in range(6) for q in partitions_of(n)]
     cases += [(q, 3, 3**7) for n in range(5) for q in partitions_of(n)]
     for q, p, budget in cases:
-        rep = scan_max_type(q, p=p, budget=budget)
+        rep = scan_max_type(q, p=p)
         _, _, _, types, max_type = reference_scan(q, p=p, budget=budget)
         assert (rep.types, rep.max_type) == (types, max_type), (q, p)
         f = to_frequency(q)
@@ -411,10 +412,9 @@ def test_dominance_cost_sums_the_scans_within_the_budget(p, total):
     cfg = dominance(0, p)
     assert sum(dominance_cost(n, None, cfg) for n in range(frontier + 1)) <= SWEEP_BUDGET_US
     dominance(frontier, p)
-    # over GF(2) a scan of size 9 is over the per-scan budget by itself; over GF(3)
-    # the scans to size 6 cost 544108341 matrices times n^3, past the sweep budget
-    refusal = (r"at n = 9: scan of \[.*\] over GF\(2\) needs more matrices" if p == 2
-               else "matrix-dominance at n = 6 takes .* over the sweep budget")
+    # a scan of size 9 over GF(2), or of size 6 over GF(3) where each matrix
+    # counts n^3 times, is over the per-scan budget by itself
+    refusal = rf"at n = {frontier + 1}: scan of \[.*\] over GF\({p}\) needs more matrices"
     with pytest.raises(ValueError, match=refusal):
         dominance(14, p)
     with pytest.raises(ValueError, match=r"scan of \[3\] over GF\(10007\) needs more matrices"):

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from burgebox import burge, oracle, partitions, sweep, words
-from burgebox.oblak import oblak_all_chains
+from burgebox.oblak import del_chain, is_valid_chain, oblak_all_chains
 from burgebox.partitions import partitions_of, to_frequency
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
 
@@ -43,10 +43,8 @@ PLANTED = {
     "thm-oblakburge": (
         sweep, "_demoted", F, extra_part, "burgebox oblak-chains 3,1",
     ),
-    "prop-khatami": (
-        sweep, "oblak_all_chains", F,
-        lambda chains: chains + oblak_all_chains((1,)),
-        "burgebox oblak-chains 3,1",
+    "prop-khatami": (  # (3,1) steps to (1,) alone; (2,) has another Oblak output
+        sweep, "_successors", F, lambda steps: {**steps, (2,): 1}, "burgebox oblak-chains 3,1",
     ),
     "foata-hooks": (
         sweep, "_path_partition", words.foata_fiber(TARGET, (1, 1)), extra_part,
@@ -78,19 +76,51 @@ def test_planted_fault_is_reported(name, monkeypatch):
     assert result.first_counterexample == repro
 
 
+def test_fault_on_a_non_first_chain_is_reported(monkeypatch):
+    # (4,1,1) steps to (0,1) at index 0 and to (2,) at index 3, so only a chain after
+    # its first passes (2,); planted there, (3,) does not demote to a step of del f
+    bad = to_frequency((4, 1, 1))
+    real = sweep._successors
+
+    def planted(f):
+        return {(3,) if s == (2,) else s: i for s, i in real(f).items()} if f == bad else real(f)
+
+    monkeypatch.setattr(sweep, "_successors", planted)
+    (result,) = run_sweep(SweepConfig(max_n=6, checks=("thm-oblakburge",)))
+    assert result.failures == 1
+    assert result.first_counterexample == "burgebox oblak-chains 4,1,1"
+
+
+def test_one_step_checks_agree_with_the_chain_forms_to_12():
+    # by induction on n, the one-step checks state what these chain forms do
+    partition_count = 0
+    for n in range(13):
+        for p in partitions_of(n):
+            partition_count += 1
+            f = to_frequency(p)
+            chains = oblak_all_chains(f)
+            assert len({chain.valuation for chain in chains}) == 1, p
+            for chain in chains:
+                image = del_chain(chain)
+                assert is_valid_chain(image) and image.states[0] == burge.apply_del(f), p
+                assert image.valuation == partitions.reduced(chain.valuation), p
+    for result in run_sweep(SweepConfig(max_n=12, checks=("thm-oblakburge", "prop-khatami"))):
+        assert (result.instances, result.failures) == (partition_count, 0)
+
+
 def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
-    # the demotion planted to send (1,0,1) to (3,0,1): the image of a chain of
-    # (3,1) no longer forms a chain, and del_chain raises on it
-    oblak_module = sys.modules["burgebox.oblak"]  # burgebox.oblak names the function
-    real = oblak_module._demoted
-    monkeypatch.setattr(
-        oblak_module, "_demoted", lambda f: (3, 0, 1) if f == (1, 0, 1) else real(f)
-    )
+    real = sweep._successors
+
+    def planted(f):
+        if f == F:
+            raise ValueError(f"planted fault at {f}")
+        return real(f)
+
+    monkeypatch.setattr(sweep, "_successors", planted)
     (result,) = run_sweep(SweepConfig(max_n=5, checks=("thm-oblakburge",)))
     assert result.failures == 1
     assert result.first_counterexample == (
-        "burgebox sweep --max-n 4 --checks thm-oblakburge"
-        "  # raised: no maximal index carries (3, 0, 1) to (); not a chain"
+        "burgebox sweep --max-n 4 --checks thm-oblakburge  # raised: planted fault at (1, 0, 1)"
     )
     assert result.instances > 12  # n = 5 still ran after n = 4 raised
 
@@ -99,7 +129,7 @@ def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
 def test_combinatorial_check_validates_at_most_once_per_partition(name, monkeypatch):
     # the partitions that partitions_of yields are checked ones, so every public
     # call on them passes at once: no partition is validated in full, and each
-    # frequency sequence at most once (oblak_all_chains checks its f)
+    # frequency sequence at most once
     full = {"as_partition": 0, "as_frequency": 0}
     for validate in (partitions.as_partition, partitions.as_frequency):
         def counted(arg, validate=validate):
