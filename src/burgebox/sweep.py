@@ -1,14 +1,21 @@
 """Named exhaustive property suites, runnable from the command line.
 
 ``CHECKS`` maps each name to a check and its cost.  ``run_sweep`` calls the
-check as ``check(n, cfg, record)`` for n = 0 .. max_n, and the check calls
-``record(ok, repro)`` once per instance of size n.  Each result keeps
+check as ``check(n, cfg, record, tables)`` for n = 0 .. max_n, and the check
+calls ``record(ok, repro)`` once per instance of size n.  Each result keeps
 pass/fail counts, wall and CPU time, and the reproducer command of the first
 failing instance, which ``repro()`` builds only then.  All checks are
 deterministic given the configuration.  ``cost(n, p(n), cfg)`` predicts the
 check's µs at size n from weights measured near its frontier, and
 ``SweepConfig`` refuses, before any check runs, the first n that takes the
 selected checks over ``SWEEP_BUDGET_US`` in all.
+
+Each check gets its own ``Tables``, made when it starts and dropped when it
+ends: Burge's code word and the Oblak output of each frequency sequence,
+each built by one step of its route from the entry of a smaller sequence.
+The sweep runs n upward, so each partition costs one step of each route it
+reads.  The tables can hold every partition up to max-n, so the cost of a
+check that reads them refuses a max-n past ``TABLE_MAX_N``.
 
 ``partitions_of`` yields checked partitions, which pass every public check at
 once, and an ``OblakChain`` is checked when it is made.  Frequency sequences
@@ -17,14 +24,15 @@ and words are not branded, so on those the checks call the private helpers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 from . import kernels, oracle
 from .boxes import delta, fiber
-from .burge import _demoted, _descents, _letter, _word, characterize_superdistinct
-from .oblak import _oblak, _successors
+from .burge import _demoted, _descents, _letter, characterize_superdistinct
+from .oblak import _annihilated, _successors
 from .partitions import (
     _two_measure,
     is_super_distinct,
@@ -107,7 +115,42 @@ def _pstr(p) -> str:
     return ",".join(str(x) for x in p) if p else "e"
 
 
-def check_lem_stats(n: int, cfg: SweepConfig, record) -> None:
+class _Table(dict):
+    """Values by frequency sequence; ``step(f, table)`` builds a missing one from smaller ones."""
+
+    def __init__(self, step):
+        super().__init__()
+        self.step = step
+
+    def __missing__(self, f):
+        self[f] = value = self.step(f, self)
+        return value
+
+
+def _word_step(f, words) -> str:
+    """Burge's code word of f: its class letter, then the word of del f."""
+    return _letter(f) + words[_demoted(f)] if f else "a"
+
+
+def _oblak_step(f, outputs) -> tuple:
+    """The Oblak output of f: its maximal evaluation, then the output of the state it leaves."""
+    if not f:
+        return ()
+    ev, at = kernels.max_evaluation(f)
+    s = _annihilated(f, at[0])
+    if (drop := kernels.size(f) - kernels.size(s)) != ev:
+        raise ValueError(f"corrupt chain: size drop {drop} != evaluation {ev}")
+    return (ev, *outputs[s])
+
+
+class Tables:
+    """One check's tables of code words and Oblak outputs; neither reads the other."""
+
+    def __init__(self):
+        self.words, self.oblak = _Table(_word_step), _Table(_oblak_step)
+
+
+def check_lem_stats(n: int, cfg: SweepConfig, record, tables) -> None:
     for p in partitions_of(n):
         f = to_frequency(p)
         df = _demoted(f)
@@ -120,10 +163,10 @@ def check_lem_stats(n: int, cfg: SweepConfig, record) -> None:
         record(ok, lambda: f"burgebox chain {_pstr(p)}")
 
 
-def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
+def check_prop_stats(n: int, cfg: SweepConfig, record, tables) -> None:
     for p in partitions_of(n):
         f = to_frequency(p)
-        w = _word(f, _demoted(f))
+        w = tables.words[f]
         descents = _descents(w)
         ok = (
             sum(f) == w.count("b")
@@ -133,23 +176,23 @@ def check_prop_stats(n: int, cfg: SweepConfig, record) -> None:
         record(ok, lambda: f"burgebox encode {_pstr(p)}")
 
 
-def check_prop_characterization(n: int, cfg: SweepConfig, record) -> None:
+def check_prop_characterization(n: int, cfg: SweepConfig, record, tables) -> None:
     for p in partitions_of(n):
         record(characterize_superdistinct(p).consistent, lambda: f"burgebox encode {_pstr(p)}")
 
 
-def check_main_vs_oblak(n: int, cfg: SweepConfig, record) -> None:
+def check_main_vs_oblak(n: int, cfg: SweepConfig, record, tables) -> None:
     for p in partitions_of(n):
         f = to_frequency(p)
-        ok = _descents(_word(f, _demoted(f)))[::-1] == _oblak(f)
+        ok = _descents(tables.words[f])[::-1] == tables.oblak[f]
         record(ok, lambda: f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
 
 
-def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
+def check_cor_box(n: int, cfg: SweepConfig, record, tables) -> None:
     fibers: dict = {}
     for p in partitions_of(n):
         f = to_frequency(p)
-        fibers.setdefault(_descents(_word(f, _demoted(f)))[::-1], set()).add(p)
+        fibers.setdefault(_descents(tables.words[f])[::-1], set()).add(p)
     supers = [q for q in partitions_of(n) if is_super_distinct(q)]
     record(
         set(fibers) == set(supers),
@@ -172,7 +215,7 @@ def check_cor_box(n: int, cfg: SweepConfig, record) -> None:
 # a smaller partition, checked at an earlier n, so by induction on n a sweep passes
 # these steps exactly when del maps each chain of f to a chain of del f with every
 # evaluation one lower, and all chains of f have one valuation.
-def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
+def check_oblakburge(n: int, cfg: SweepConfig, record, tables) -> None:
     for p in partitions_of(n):
         f = to_frequency(p)
         df = _demoted(f)
@@ -183,13 +226,13 @@ def check_oblakburge(n: int, cfg: SweepConfig, record) -> None:
         record(ok, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
-def check_khatami(n: int, cfg: SweepConfig, record) -> None:
+def check_khatami(n: int, cfg: SweepConfig, record, tables) -> None:
     for p in partitions_of(n):
-        valuations = {_oblak(s) for s in _successors(to_frequency(p))}
+        valuations = {tables.oblak[s] for s in _successors(to_frequency(p))}
         record(len(valuations) <= 1, lambda: f"burgebox oblak-chains {_pstr(p)}")
 
 
-def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
+def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:
     by_hooks: dict = {}
     for p in partitions_of(n):
         by_hooks.setdefault(_diagonal_hooks(p), set()).add(p)
@@ -216,7 +259,7 @@ def check_foata_hooks(n: int, cfg: SweepConfig, record) -> None:
         record(ok, lambda: f"burgebox foata {_pstr(q)} --coords {_pstr((1,) * len(q))}")
 
 
-def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
+def check_matrix_restriction(n: int, cfg: SweepConfig, record, tables) -> None:
     field = cfg.field or oracle.GENERIC_PRIME
     for p in partitions_of(n):
         report = oracle.verify_restriction(p, p=field, trials=cfg.trials, seed=cfg.seed)
@@ -227,7 +270,7 @@ def check_matrix_restriction(n: int, cfg: SweepConfig, record) -> None:
         )
 
 
-def check_matrix_dominance(n: int, cfg: SweepConfig, record) -> None:
+def check_matrix_dominance(n: int, cfg: SweepConfig, record, tables) -> None:
     field = cfg.field or 2
     for p in partitions_of(n):
         record(oracle.scan_max_type(p, p=field).ok,
@@ -236,6 +279,16 @@ def check_matrix_dominance(n: int, cfg: SweepConfig, record) -> None:
 
 def per_partition(us: float):
     return lambda n, count, cfg: us * count
+
+
+def tabled(us: float):
+    """``per_partition`` for a check whose tables can hold every partition up to n."""
+    def cost(n: int, count: int, cfg: SweepConfig) -> float:
+        if n > TABLE_MAX_N:
+            entries = sum(itertools.islice(partition_counts(), n + 1))
+            raise ValueError(f"a table of {entries} partitions exceeds the table cap {TABLE_CAP}")
+        return us * count
+    return cost
 
 
 def restriction_cost(n: int, count: int, cfg: SweepConfig) -> float:
@@ -249,14 +302,17 @@ def dominance_cost(n: int, count: int, cfg: SweepConfig) -> float:
 
 
 SWEEP_BUDGET_US = 30 * 10**6  # a sweep predicted to take longer is refused
+TABLE_CAP = 10**6  # partitions a check's tables may hold, about 370 B each with both
+TABLE_MAX_N = next(n for n, entries in enumerate(itertools.accumulate(partition_counts()))
+                   if entries > TABLE_CAP) - 1  # the largest max-n whose tables fit the cap
 CHECKS = {  # name: (check, cost); a partition costs more as n grows, hence weights at the frontier
     "lem-stats": (check_lem_stats, per_partition(30)),
-    "prop-stats": (check_prop_stats, per_partition(60)),
+    "prop-stats": (check_prop_stats, tabled(15)),
     "prop-characterization": (check_prop_characterization, per_partition(80)),
-    "thm-main-vs-oblak": (check_main_vs_oblak, per_partition(70)),
-    "cor-box": (check_cor_box, per_partition(100)),
+    "thm-main-vs-oblak": (check_main_vs_oblak, tabled(22)),
+    "cor-box": (check_cor_box, tabled(50)),
     "thm-oblakburge": (check_oblakburge, per_partition(30)),
-    "prop-khatami": (check_khatami, per_partition(35)),
+    "prop-khatami": (check_khatami, tabled(12)),
     "foata-hooks": (check_foata_hooks, per_partition(70)),
     "matrix-restriction": (check_matrix_restriction, restriction_cost),
     "matrix-dominance": (check_matrix_dominance, dominance_cost),
@@ -266,19 +322,24 @@ CHECKS = {  # name: (check, cost); a partition costs more as n grows, hence weig
 def run_sweep(cfg: SweepConfig) -> list:
     """Run the selected checks (all of them if none are named) one after another, in order.
 
-    A check that raises for some n is one failed instance; the sweep goes on with n + 1.
+    Each check gets fresh tables, which go when it ends: no entry is shared
+    between checks or sweeps.  A check that raises for some n is one failed
+    instance; the sweep goes on with n + 1, whose steps build any entry the
+    failed n left missing.
     """
     results = []
     for name in cfg.checks or CHECKS:
         check, _ = CHECKS[name]
         result = CheckResult(name)
         start, cpu = time.perf_counter(), time.process_time()
+        tables = Tables()
         for n in range(cfg.max_n + 1):
             try:
-                check(n, cfg, result.record)
+                check(n, cfg, result.record, tables)
             except (ValueError, AssertionError) as exc:
                 repro = f"burgebox sweep --max-n {n} --checks {name}  # raised: {exc}"
                 result.record(False, lambda: repro)
+        del tables  # freeing them is part of the check's time
         result.elapsed = time.perf_counter() - start
         result.cpu = time.process_time() - cpu
         results.append(result)

@@ -579,18 +579,29 @@ SWEEP_FRONTIER = {name: sweep_frontier(name) for name in CHECKS if name != "matr
 def test_each_check_is_admitted_to_its_measured_frontier():
     # each check alone ran within the sweep budget at these max-n; a new weight moves them
     assert SWEEP_FRONTIER == {
-        "lem-stats": 48, "prop-stats": 44, "prop-characterization": 42, "thm-main-vs-oblak": 43,
-        "cor-box": 41, "thm-oblakburge": 48, "prop-khatami": 47, "foata-hooks": 43,
+        "lem-stats": 48, "prop-stats": 48, "prop-characterization": 42, "thm-main-vs-oblak": 48,
+        "cor-box": 45, "thm-oblakburge": 48, "prop-khatami": 48, "foata-hooks": 43,
         "matrix-restriction": 23,
     }
+    assert sweep.TABLE_MAX_N == 48
+    with pytest.raises(ValueError, match="prop-stats at n = 49: a table of 1091745 partitions"):
+        SweepConfig(max_n=49, checks=("prop-stats",))
+
+
+# the checks whose tables hold every partition up to max-n
+TABLED = ("prop-stats", "thm-main-vs-oblak", "cor-box", "prop-khatami")
 
 
 @st.composite
-def over_sweep_budget(draw):
-    """A combinatorial or restriction sweep past its frontier."""
+def over_sweep_frontier(draw):
+    """A combinatorial or restriction sweep past its frontier, and the word its refusal names.
+
+    The table cap refuses a table-backed check that the budget admits to TABLE_MAX_N.
+    """
     name = draw(st.sampled_from(sorted(SWEEP_FRONTIER)))
     k = draw(st.integers(SWEEP_FRONTIER[name] + 1, 10**5))
-    return ["sweep", "--max-n", str(k), "--checks", name]
+    word = "table cap" if name in TABLED and SWEEP_FRONTIER[name] == sweep.TABLE_MAX_N else "budget"
+    return ["sweep", "--max-n", str(k), "--checks", name], word
 
 
 # the largest max-n that a dominance sweep admits over each field
@@ -638,7 +649,7 @@ def small_flag_argv(draw):
 @settings(max_examples=80, deadline=timedelta(seconds=5))
 @given(OVER_CAP_ARGV
        | over_scan_budget().map(lambda argv: (argv, "budget"))
-       | over_sweep_budget().map(lambda argv: (argv, "budget"))
+       | over_sweep_frontier()
        | small_flag_argv().map(lambda argv: (argv, None)), st.booleans())
 def test_cli_flag_fuzz_exits_0_1_or_2_and_refuses_work_over_a_cap_at_once(case, as_json):
     argv, refusal = case  # the word the refusal names, or None when the work may run
@@ -646,6 +657,6 @@ def test_cli_flag_fuzz_exits_0_1_or_2_and_refuses_work_over_a_cap_at_once(case, 
     assert code in (0, 1, 2) and "Traceback" not in err
     if refusal:
         assert code == 2 and refusal in err and elapsed < 1.0, (argv, err, elapsed)
-    if refusal == "budget":
+    if refusal in ("budget", "table cap"):
         (line,) = err.splitlines()
         assert line.startswith("error: "), (argv, err)

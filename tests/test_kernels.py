@@ -6,7 +6,7 @@ import random
 import pytest
 
 import reference_combinatorics as ref
-from burgebox import kernels
+from burgebox import kernels, sweep
 from burgebox.boxes import coordinates_of, fiber
 from burgebox.burge import (
     apply_a,
@@ -61,6 +61,14 @@ def test_burge_kernels_match_reference_exhaustive():
 def test_oblak_kernels_match_reference_exhaustive():
     for f in all_freqs(ACCEPTANCE_BOUND):
         assert_oblak_agrees(f)
+
+
+def test_sweep_tables_match_the_whole_kernels_exhaustive():
+    # the sweep builds each word and Oblak output by one step from smaller ones
+    tables = sweep.Tables()
+    for f in all_freqs(ACCEPTANCE_BOUND):
+        assert tables.words[f] == encode(f), f
+        assert tables.oblak[f] == oblak(f), f
 
 
 def test_partitions_of_keeps_the_recursive_order():

@@ -2,8 +2,8 @@
 
 The acceptance gate runs the sweep checks, so it is only as strong as they
 are.  Each case below replaces one binding that a check reads with a copy
-that is wrong on the partition (3, 1) alone, and expects the check to
-record a failure whose reproducer names that partition.
+that is wrong on one partition alone, (3, 1) unless it says otherwise, and
+expects the check to record a failure whose reproducer names that partition.
 """
 
 import sys
@@ -35,7 +35,7 @@ PLANTED = {
         burge, "is_super_distinct", TARGET, lambda s: not s, "burgebox encode 3,1",
     ),
     "thm-main-vs-oblak": (
-        sweep, "_oblak", F, extra_part, "burgebox dmap 3,1  # vs: burgebox oblak 3,1",
+        sweep, "_oblak_step", F, extra_part, "burgebox dmap 3,1  # vs: burgebox oblak 3,1",
     ),
     "cor-box": (
         sweep, "fiber", TARGET, lambda box: box[:-1], "burgebox fiber 3,1 --json",
@@ -61,9 +61,7 @@ PLANTED = {
 }
 
 
-@pytest.mark.parametrize("name", list(CHECKS))
-def test_planted_fault_is_reported(name, monkeypatch):
-    owner, binding, bad, wrong, repro = PLANTED[name]
+def plant(monkeypatch, owner, binding, bad, wrong):
     real = getattr(owner, binding)
 
     def planted(*args):
@@ -71,9 +69,53 @@ def test_planted_fault_is_reported(name, monkeypatch):
         return wrong(out) if args[0] == bad else out
 
     monkeypatch.setattr(owner, binding, planted)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_planted_fault_is_reported(name, monkeypatch):
+    *planted, repro = PLANTED[name]
+    plant(monkeypatch, *planted)
     (result,) = run_sweep(SweepConfig(max_n=4, checks=(name,), trials=1))
     assert result.failures >= 1
     assert result.first_counterexample == repro
+
+
+# (8,) gets the word of (7,1): one part too many, and out of its own fiber
+WORD_PLANT = (sweep, "_word_step", to_frequency((8,)), lambda w: burge.encode(to_frequency((7, 1))))
+
+
+@pytest.mark.parametrize("name, repro", [
+    ("prop-stats", "burgebox encode 8"),
+    ("thm-main-vs-oblak", "burgebox dmap 8  # vs: burgebox oblak 8"),
+    ("cor-box", "burgebox fiber 8 --json"),
+])
+def test_fault_in_one_word_step_is_reported(name, repro, monkeypatch):
+    plant(monkeypatch, *WORD_PLANT)
+    (result,) = run_sweep(SweepConfig(max_n=8, checks=(name,)))
+    assert result.failures >= 1
+    assert result.first_counterexample == repro
+
+
+def test_oblak_table_checks_each_size_drop(monkeypatch):
+    # (3,1) annihilates to (1,1) in place of (1,): a size drop of 1 at evaluation 3
+    plant(monkeypatch, sweep, "_annihilated", F, extra_part)
+    (result,) = run_sweep(SweepConfig(max_n=4, checks=("thm-main-vs-oblak",)))
+    assert result.failures == 1
+    assert result.first_counterexample == (
+        "burgebox sweep --max-n 4 --checks thm-main-vs-oblak"
+        "  # raised: corrupt chain: size drop 1 != evaluation 3"
+    )
+
+
+@pytest.mark.parametrize("name, planted", [
+    ("prop-stats", WORD_PLANT), ("thm-main-vs-oblak", PLANTED["thm-main-vs-oblak"][:-1]),
+])
+def test_no_table_outlives_its_sweep(name, planted, monkeypatch):
+    # a table kept across sweeps would hand the second one the clean run's entries
+    cfg = SweepConfig(max_n=8, checks=(name,))
+    assert run_sweep(cfg)[0].ok
+    plant(monkeypatch, *planted)
+    assert not run_sweep(cfg)[0].ok
 
 
 def test_fault_on_a_non_first_chain_is_reported(monkeypatch):
