@@ -62,6 +62,11 @@ def _fiber_word(d: tuple, c: tuple) -> str:
     return "".join(pieces)
 
 
+def _box(d: tuple):
+    """The coordinate tuples of the box with dimensions d, in lexicographic order."""
+    return itertools.product(*(range(1, dj + 1) for dj in d))
+
+
 def _element(d: tuple, c: tuple) -> Partition:
     """The fiber element at checked coordinates: its word is in (a*b)*a by construction."""
     return _partition(kernels.promoted(_fiber_word(d, c)))
@@ -79,7 +84,7 @@ def fiber(q: Iterable[int]) -> list:
     d = delta(qt)
     if (count := math.prod(d)) * (n := sum(qt)) > FIBER_CAP:
         raise ValueError(f"fiber of {count} partitions of {n} exceeds the fiber cap {FIBER_CAP}")
-    return [(c, _element(d, c)) for c in itertools.product(*(range(1, dj + 1) for dj in d))]
+    return [(c, _element(d, c)) for c in _box(d)]
 
 
 def coordinates_of(parts: Iterable[int]) -> tuple:

@@ -181,11 +181,8 @@ def oblak(freq: Iterable[int]) -> Partition:
     ``maximal_indices`` only for the benchmark's counter (ROADMAP item 6).
     """
     f = as_frequency(freq)
-    return _oblak(f) if maximal_indices(f) else ()  # no maximal index: f is empty
-
-
-def _oblak(f: FreqSeq) -> Partition:
-    """``oblak`` of a validated f."""
+    if not maximal_indices(f):  # no maximal index: f is empty
+        return ()
     return tuple(v for _, v in kernels.oblak_steps(list(f)))
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from burgebox import burge, oracle, partitions, sweep, words
+from burgebox import burge, kernels, oracle, partitions, sweep, words
 from burgebox.oblak import del_chain, is_valid_chain, oblak_all_chains
 from burgebox.partitions import partitions_of, to_frequency
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
@@ -37,8 +37,8 @@ PLANTED = {
     "thm-main-vs-oblak": (
         sweep, "_oblak_step", F, extra_part, "burgebox dmap 3,1  # vs: burgebox oblak 3,1",
     ),
-    "cor-box": (
-        sweep, "fiber", TARGET, lambda box: box[:-1], "burgebox fiber 3,1 --json",
+    "cor-box": (  # the box (1, 1) is that of (3,1) alone; its one word gains a letter
+        sweep, "_fiber_word", (1, 1), lambda w: "a" + w, "burgebox fiber 3,1 --json",
     ),
     "thm-oblakburge": (
         sweep, "_demoted", F, extra_part, "burgebox oblak-chains 3,1",
@@ -188,3 +188,14 @@ def test_combinatorial_check_validates_at_most_once_per_partition(name, monkeypa
     partition_count = sum(1 for n in range(11) for _ in partitions_of(n))
     assert full["as_partition"] == 0
     assert full["as_frequency"] <= partition_count
+
+
+def test_no_combinatorial_check_decodes(monkeypatch):
+    # the fiber checks compare box words with the word table: no partition is decoded
+    def decode(*args):
+        raise AssertionError("a sweep check decoded a code word")
+
+    monkeypatch.setattr(kernels, "promoted", decode)
+    names = tuple(name for name in CHECKS if not name.startswith("matrix-"))
+    results = run_sweep(SweepConfig(max_n=10, checks=names))
+    assert [(result.name, result.failures) for result in results] == [(name, 0) for name in names]
