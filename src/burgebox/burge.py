@@ -232,17 +232,19 @@ def characterize_superdistinct(parts: Iterable[int]) -> SuperDistinctReport:
     """The seven tests on P, from one validation and one code word."""
     p = as_partition(parts)
     f = to_frequency(p)
-    rset = _right_set(f)
     df = _demoted(f)
-    word = _word(f, df)
-    return SuperDistinctReport(
-        super_distinct=is_super_distinct(p),
-        length_equals_two_measure=sum(f) == _two_measure(f),
-        code_has_no_bb="bb" not in word,
-        freq_is_right_set_indicator=all(
-            m == (1 if i in rset else 0) for i, m in enumerate(f, 1)
-        ),
-        del_is_shift=df == f[1:],  # f has no trailing zeros, so neither has f[1:]
-        del_is_reduction=_partition(df) == _reduced(p),
-        descent_map_fixes=_descents(word)[::-1] == p,
+    return SuperDistinctReport(*_characterization(p, f, df, _word(f, df)))
+
+
+def _characterization(p: Partition, f: FreqSeq, df: FreqSeq, word: str) -> tuple:
+    """The seven tests, in ``SuperDistinctReport`` order, on P, f, del f and the code word."""
+    rset = _right_set(f)
+    return (
+        is_super_distinct(p),
+        sum(f) == _two_measure(f),
+        "bb" not in word,
+        all(m == (1 if i in rset else 0) for i, m in enumerate(f, 1)),
+        df == f[1:],  # f has no trailing zeros, so neither has f[1:]
+        _partition(df) == _reduced(p),
+        _descents(word)[::-1] == p,
     )

@@ -15,8 +15,10 @@ ends: Burge's code word and the Oblak output of each frequency sequence,
 each built by one step of its route from the entry of a smaller sequence.
 The sweep runs n upward, so each partition costs one step of each route it
 reads.  A check that fills its tables with every partition up to max-n is
-refused past ``TABLE_MAX_N``.  No check decodes: ``cor-box`` compares box
-words with the word table, and ``foata-hooks`` walks the box coordinates.
+refused past ``TABLE_MAX_N``.  No check runs a whole Burge kernel:
+``prop-stats``, ``prop-characterization``, ``thm-main-vs-oblak`` and
+``cor-box`` read every word from the word table, ``cor-box`` compares box
+words with it, and ``foata-hooks`` walks the box coordinates.
 
 ``partitions_of`` yields checked partitions, which pass every public check at
 once, and an ``OblakChain`` is checked when it is made.  Frequency sequences
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 from . import kernels, oracle
 from .boxes import _box, _fiber_word, delta
-from .burge import _demoted, _descents, _letter, characterize_superdistinct
+from .burge import _characterization, _demoted, _descents, _letter
 from .oblak import _annihilated, _successors
 from .partitions import (
     _two_measure,
@@ -180,7 +182,9 @@ def check_prop_stats(n: int, cfg: SweepConfig, record, tables) -> None:
 
 def check_prop_characterization(n: int, cfg: SweepConfig, record, tables) -> None:
     for p in partitions_of(n):
-        record(characterize_superdistinct(p).consistent, lambda: f"burgebox encode {_pstr(p)}")
+        f = to_frequency(p)
+        tests = _characterization(p, f, _demoted(f), tables.words[f])
+        record(len(set(tests)) == 1, lambda: f"burgebox encode {_pstr(p)}")
 
 
 def check_main_vs_oblak(n: int, cfg: SweepConfig, record, tables) -> None:
@@ -303,7 +307,7 @@ TABLE_MAX_N = next(n for n, entries in enumerate(itertools.accumulate(partition_
 CHECKS = {  # name: (check, cost); a partition costs more as n grows, hence weights at the frontier
     "lem-stats": (check_lem_stats, per_partition(30)),
     "prop-stats": (check_prop_stats, tabled(15)),
-    "prop-characterization": (check_prop_characterization, per_partition(80)),
+    "prop-characterization": (check_prop_characterization, tabled(33)),
     "thm-main-vs-oblak": (check_main_vs_oblak, tabled(22)),
     "cor-box": (check_cor_box, tabled(22)),
     "thm-oblakburge": (check_oblakburge, per_partition(30)),

@@ -141,18 +141,18 @@ def test_statistic_laws_exhaustive_to_25():
 
 
 def test_prop_characterization_exhaustive():
-    with report("super-distinct iff length = two-measure, no bb, del a shift, Q(P) = P; n <= 22"):
-        sweep_checks("prop-characterization", max_n=22)
+    with report("super-distinct iff length = two-measure, no bb, del a shift, Q(P) = P; n <= 25"):
+        sweep_checks("prop-characterization", max_n=25)
 
 
-def test_descent_map_equals_oblak_to_22():
-    with report("descent map == greedy process output, all n <= 22"):
-        sweep_checks("thm-main-vs-oblak", max_n=22)
+def test_descent_map_equals_oblak_to_25():
+    with report("descent map == greedy process output, all n <= 25"):
+        sweep_checks("thm-main-vs-oblak", max_n=25)
 
 
-def test_box_fibers_partition_everything_to_22():
-    with report("fibers = coordinate boxes with exact sizes and part counts, n <= 22"):
-        sweep_checks("cor-box", max_n=22)
+def test_box_fibers_partition_everything_to_25():
+    with report("fibers = coordinate boxes with exact sizes and part counts, n <= 25"):
+        sweep_checks("cor-box", max_n=25)
 
 
 def test_choice_independence_to_24():

@@ -88,6 +88,7 @@ WORD_PLANT = (sweep, "_word_step", to_frequency((8,)), lambda w: burge.encode(to
     ("prop-stats", "burgebox encode 8"),
     ("thm-main-vs-oblak", "burgebox dmap 8  # vs: burgebox oblak 8"),
     ("cor-box", "burgebox fiber 8 --json"),
+    ("prop-characterization", "burgebox encode 8"),
 ])
 def test_fault_in_one_word_step_is_reported(name, repro, monkeypatch):
     plant(monkeypatch, *WORD_PLANT)
@@ -109,6 +110,7 @@ def test_oblak_table_checks_each_size_drop(monkeypatch):
 
 @pytest.mark.parametrize("name, planted", [
     ("prop-stats", WORD_PLANT), ("thm-main-vs-oblak", PLANTED["thm-main-vs-oblak"][:-1]),
+    ("prop-characterization", WORD_PLANT),
 ])
 def test_no_table_outlives_its_sweep(name, planted, monkeypatch):
     # a table kept across sweeps would hand the second one the clean run's entries
@@ -190,12 +192,14 @@ def test_combinatorial_check_validates_at_most_once_per_partition(name, monkeypa
     assert full["as_frequency"] <= partition_count
 
 
-def test_no_combinatorial_check_decodes(monkeypatch):
-    # the fiber checks compare box words with the word table: no partition is decoded
-    def decode(*args):
-        raise AssertionError("a sweep check decoded a code word")
+def test_no_combinatorial_check_runs_a_whole_burge_kernel(monkeypatch):
+    # every word comes from a table step and the fiber checks compare box words:
+    # no partition is encoded or decoded whole
+    def whole(*args):
+        raise AssertionError("a sweep check ran a whole Burge kernel")
 
-    monkeypatch.setattr(kernels, "promoted", decode)
+    monkeypatch.setattr(kernels, "letters", whole)
+    monkeypatch.setattr(kernels, "promoted", whole)
     names = tuple(name for name in CHECKS if not name.startswith("matrix-"))
     results = run_sweep(SweepConfig(max_n=10, checks=names))
     assert [(result.name, result.failures) for result in results] == [(name, 0) for name in names]
