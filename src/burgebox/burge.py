@@ -127,20 +127,18 @@ def burge_chain(freq: Iterable[int]) -> BurgeChain:
     ``CHAIN_CAP``: each demotion lowers the size by the two-measure, which is at
     least 1, so there are at most |f| + 1 states, and none is longer than f.
     """
-    f = list(as_frequency(freq))
+    f = as_frequency(freq)
     n = kernels.size(f)
     if (cells := (n + 1) * len(f)) > CHAIN_CAP:
         raise ValueError(
             f"chain of size {n} and largest part {len(f)}: (n + 1) len(f) = {cells}"
             f" exceeds the chain cap {CHAIN_CAP}"
         )
-    states = [tuple(f)]
-    letters = []
+    states = [f]
     while f:
-        letters.append(kernels.demote(f))
-        states.append(tuple(f))
-    letters.append("a")
-    return BurgeChain(tuple(states), "".join(letters))
+        f = _demoted(f)
+        states.append(f)
+    return BurgeChain(tuple(states), "".join(map(_letter, states)))
 
 
 def encode(freq: Iterable[int]) -> str:

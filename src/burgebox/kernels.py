@@ -3,13 +3,14 @@
 The kernels validate nothing.  ``demote`` and the Oblak kernels take a
 plain list of nonnegative ints without trailing zeros (a frequency
 sequence, 0-indexed in storage); the ones that change the sequence do so
-in place and keep that form.  ``letters`` and ``promoted`` run a whole
-chain of demotions or promotions on the sequence packed into one int, one
-field of w bits per entry, so that each operator application is a fixed
-run of big-int operations.  The lone units above all other entries move
-one index per letter, so both keep them out of the int: a large part
-alone costs no more per letter than a small one.  The public functions in
-``burge`` and ``oblak`` validate their input and return immutable tuples.
+in place and keep that form, and ``demote`` leaves the class letter to
+``burge._letter``.  ``letters`` and ``promoted`` run a whole chain of
+demotions or promotions on the sequence packed into one int, one field of
+w bits per entry, so that each operator application is a fixed run of
+big-int operations.  The lone units above all other entries move one index
+per letter, so both keep them out of the int: a large part alone costs no
+more per letter than a small one.  The public functions in ``burge`` and
+``oblak`` validate their input and return immutable tuples.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ def _strip(f: list) -> None:
         f.pop()
 
 
-def demote(f: list) -> str:
-    """Demote f in one downward scan over its spreads; return its class letter."""
-    letter = "a"
+def demote(f: list) -> None:
+    """Demote f in place, in one downward scan over its spreads."""
     k = len(f) - 1
     while k >= 0:
         if not f[k]:
@@ -38,11 +38,8 @@ def demote(f: list) -> str:
             f[j] -= 1
             if j:
                 f[j - 1] += 1
-        if not lo and not k % 2:  # 1 is in R(f): its spread has odd size
-            letter = "b"
         k = lo - 2  # f[lo - 1] was zero before the transfer
     _strip(f)
-    return letter
 
 
 @lru_cache(maxsize=64)
@@ -53,6 +50,12 @@ def _masks(w: int, m: int) -> tuple:
     even = ((1 << w * (m + m % 2)) - 1) // ((1 << 2 * w) - 1)
     half = ones << (w - 1)
     return ones, half - ones, half, even, ones ^ even
+
+
+def _pack(fields, w: int) -> int:
+    """The entries in fields of w bits, the first on top, in one conversion (not a shift each)."""
+    codes = {x: format(x, f"0{w}b") for x in set(fields)}  # each distinct entry once
+    return int("".join(map(codes.__getitem__, fields)) or "0", 2)
 
 
 # Packed form: f in m fields of w = sum(f).bit_length() + 1 bits.  No entry
@@ -81,9 +84,7 @@ def letters(f) -> str:
             m -= 1
     ones, keep, half, even, odd = _masks(w, m)
     full, top, w1 = (1 << w * m) - 1, w * (m - 1), w - 1
-    F = 0
-    for x in f[:m]:  # f_1 in the top field
-        F = F << w | x
+    F = _pack(f[:m], w)  # f_1 in the top field
     out, t = [], m  # t: the top packed index
     while True:
         # the lowest unit is at least 2 above the packed top for this many letters
@@ -123,9 +124,7 @@ def promoted(word: str, f=()) -> tuple:
     m = len(f) + 1
     ones, keep, half, even, odd = _masks(w, m)
     w1, tail, low = w - 1, -1 << w, (1 << w) - 1
-    F = 0
-    for x in reversed(f):  # f_1 in the bottom field
-        F = F << w | x
+    F = _pack(f[::-1], w)  # f_1 in the bottom field
     units = []  # final indices of the units that left
     for i in range(len(word) - 1, -1, -1):
         b = word[i] == "b"
@@ -146,10 +145,10 @@ def promoted(word: str, f=()) -> tuple:
         rev = n & (n ^ (n + (n & ~(n << 1) & even)))
         d = (n & odd) ^ (rev & ones)
         F = F - d + (d << w) + b
-    out = []
-    while F:
-        out.append(F & low)
-        F >>= w
+    bits = format(F, f"0{-(-F.bit_length() // w) * w}b") if F else ""  # one conversion back
+    fields = [bits[i : i + w] for i in range(0, len(bits), w)]
+    codes = {x: int(x, 2) for x in set(fields)}
+    out = list(map(codes.__getitem__, reversed(fields)))
     for j in units:
         out += [0] * (j - len(out))
         out[j - 1] = 1
@@ -202,7 +201,8 @@ def oblak_steps(f: list):
     """Run the Oblak process on f at the smallest maximal index, down to empty.
 
     Yields (index, evaluation) after each annihilation, once the size drop
-    has been checked against the evaluation.
+    has been checked against the evaluation: a drop that differs is a
+    failed self-check, so it raises AssertionError.
     """
     before = size(f)
     while f:
@@ -210,6 +210,6 @@ def oblak_steps(f: list):
         annihilate(f, indices[0])
         after = size(f)
         if before - after != ev:
-            raise ValueError(f"corrupt chain: size drop {before - after} != evaluation {ev}")
+            raise AssertionError(f"corrupt chain: size drop {before - after} != evaluation {ev}")
         yield indices[0], ev
         before = after

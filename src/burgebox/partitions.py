@@ -256,49 +256,35 @@ def parse_partition(text: str) -> Partition:
     exceeds ``SIZE_CAP``.
     """
     s = text.strip()
-    if s in ("e", "[]", "ε"):
+    if s in ("e", "ε"):
         return as_partition(())
     if not s:
         raise ValueError("empty partition text (use 'e' or '[]' for the empty partition)")
-    if s.startswith(("f:", "F:")):
-        body = s[2:].strip()
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1]
-        if not body:
-            return as_partition(())
-        freq = []
-        for col, entry in enumerate(body.split(",")):
-            e = entry.strip()
-            if not e.isdecimal():  # as int() and _ENTRY_RE; isdigit() also passes '²'
-                raise ValueError(
-                    f"bad frequency entry {_quoted(entry)} at position {col + 1} of {_quoted(text)}"
-                )
-            freq.append(int(e))
-        total = sum(i * m for i, m in enumerate(freq, 1))
-        if total > SIZE_CAP:
-            raise ValueError(f"size {total} of {_quoted(text)} exceeds the size cap {SIZE_CAP}")
-        return as_partition(to_partition(freq))
-    if s.startswith("[") and s.endswith("]"):
+    freq = s[:2] in ("f:", "F:")
+    s = s[2:].strip() if freq else s
+    if s[:1] + s[-1:] == ("()" if freq else "[]"):
         s = s[1:-1].strip()
-        if not s:
-            return as_partition(())
+    if not s:
+        return as_partition(())
     parts = []
     total = 0
-    for col, entry in enumerate(s.split(",")):
-        m = _ENTRY_RE.match(entry.strip())
-        if not m:
-            raise ValueError(
-                f"bad part entry {_quoted(entry)} at position {col + 1} of {_quoted(text)}"
-            )
-        part = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) else 1
-        if part < 1:
-            raise ValueError(f"part must be positive, got {_quoted(entry)} in {_quoted(text)}")
+    for col, entry in enumerate(s.split(","), 1):
+        e = entry.strip()
+        if freq:  # the entry at col is the multiplicity of the part col
+            if not e.isdecimal():  # as int() and _ENTRY_RE; isdigit() also passes '²'
+                raise ValueError(
+                    f"bad frequency entry {_quoted(entry)} at position {col} of {_quoted(text)}"
+                )
+            part, mult = col, int(e)
+        elif m := _ENTRY_RE.match(e):
+            part, mult = int(m[1]), int(m[2]) if m[2] else 1
+            if part < 1:
+                raise ValueError(f"part must be positive, got {_quoted(entry)} in {_quoted(text)}")
+        else:
+            raise ValueError(f"bad part entry {_quoted(entry)} at position {col} of {_quoted(text)}")
         total += part * mult
         if total > SIZE_CAP:
-            raise ValueError(
-                f"size exceeds the size cap {SIZE_CAP} at position {col + 1} of {_quoted(text)}"
-            )
+            raise ValueError(f"size exceeds the size cap {SIZE_CAP} at position {col} of {_quoted(text)}")
         parts.extend([part] * mult)
     return as_partition(sorted(parts, reverse=True))
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from . import kernels, oracle
 from .boxes import _box, _fiber_word, delta
 from .burge import _characterization, _demoted, _descents, _letter
-from .oblak import _annihilated, _successors
+from .oblak import _successors
 from .partitions import (
     _two_measure,
     is_super_distinct,
@@ -44,7 +44,7 @@ from .partitions import (
     partitions_of,
     to_frequency,
 )
-from .words import _diagonal_hooks, _durfee, _foata_word, _inversions, _path_partition
+from .words import _diagonal_hooks, _foata_word, _inversions, _path_partition
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,12 @@ def _word_step(f, words) -> str:
 
 
 def _oblak_step(f, outputs) -> tuple:
-    """The Oblak output of f: its maximal evaluation, then the output of the state it leaves."""
+    """The Oblak output of f: the process's own first step (size drop checked), then the rest."""
     if not f:
         return ()
-    ev, at = kernels.max_evaluation(f)
-    s = _annihilated(f, at[0])
-    if (drop := kernels.size(f) - kernels.size(s)) != ev:
-        raise ValueError(f"corrupt chain: size drop {drop} != evaluation {ev}")
-    return (ev, *outputs[s])
+    g = list(f)
+    _, ev = next(kernels.oblak_steps(g))
+    return (ev, *outputs[tuple(g)])
 
 
 class Tables:
@@ -233,6 +231,8 @@ def check_khatami(n: int, cfg: SweepConfig, record, tables) -> None:
 
 
 def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:
+    """Foata sends each box word of each super-distinct Q to a word of inv n whose path
+    partition has hooks Q; these partitions are all those of n with hooks Q, one per box point."""
     by_hooks: dict = {}
     for p in partitions_of(n):
         by_hooks.setdefault(_diagonal_hooks(p), set()).add(p)
@@ -245,13 +245,13 @@ def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:
         for coords in _box(d):
             w = _foata_word(d, coords)
             image = _path_partition(w)
+            # |image| is inv(w) and the Durfee side of image counts its diagonal hooks,
+            # so the first clause checks |image| = n and the third its Durfee side
             ok = (
                 ok
                 and _inversions(w) == n  # n is maj of the box word, which Foata sends to inv
-                and sum(image) == n
                 and len(image) == sum(coords)
                 and _diagonal_hooks(image) == q
-                and _durfee(image) == len(q)
             )
             images.add(image)
         ok = ok and len(images) == math.prod(d) and images == by_hooks.get(q, set())

@@ -205,6 +205,6 @@ def test_dominance_maximum_exhaustive_over_gf3():
         sweep_checks("matrix-dominance", max_n=5, field=3)
 
 
-def test_hook_correspondence_to_24():
-    with report("fibers biject onto diagonal-hook classes via the path composite, |Q| <= 24"):
-        sweep_checks("foata-hooks", max_n=24)
+def test_hook_correspondence_to_25():
+    with report("fibers biject onto diagonal-hook classes via the path composite, |Q| <= 25"):
+        sweep_checks("foata-hooks", max_n=25)

@@ -8,7 +8,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgebox import boxes, burge, oracle, sweep
+from burgebox import boxes, burge, kernels, oracle, sweep
 from burgebox.cli import main
 from burgebox.partitions import SIZE_CAP, partition_counts
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
@@ -96,6 +96,8 @@ def test_coords_maxparts_symmetry(capsys):
     assert out.strip() == "(3,3,2)"
     code, out, _ = run(capsys, "symmetry", "10,7,3", "--coords", "2,1,2", "--positions", "2")
     assert out.strip() == "(2,3,2)"
+    code, out, _ = run(capsys, "symmetry", "e", "--coords", "e")
+    assert code == 0 and out.strip() == "()"
 
 
 def test_coords_option_takes_the_form_the_cli_prints(capsys):
@@ -482,6 +484,33 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
     assert code == 1 and "Traceback" not in err
     (line,) = err.splitlines()
     assert line.startswith("error: scanned matrix is not nilpotent")
+
+
+def test_failed_process_step_exits_1(capsys, monkeypatch):
+    # the process's step on (3,1), which it runs on a list, claims evaluation 4
+    # for a size drop of 3
+    real = kernels.max_evaluation
+
+    def planted(f):
+        ev, at = real(f)
+        return ev + (f == [1, 0, 1]), at
+
+    monkeypatch.setattr(kernels, "max_evaluation", planted)
+    code, out, err = run(capsys, "oblak", "3,1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: corrupt chain: size drop 3 != evaluation 4"]
+    code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "thm-main-vs-oblak")
+    assert code == 1 and err == ""
+    assert "  # raised: corrupt chain: size drop 3 != evaluation 4" in out
+
+
+def test_failed_coordinates_self_check_exits_1(capsys, monkeypatch):
+    # Q = (4,2) has a box of the same shape as (3,1)'s own, so the coordinates
+    # parse, but the fiber code there is not the code word of (3,1)
+    monkeypatch.setattr(boxes, "descent_map", lambda p: (4, 2))
+    code, out, err = run(capsys, "coords", "3,1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: code baba of (3, 1) does not parse into the box shape of (4, 2)"]
 
 
 FUZZ_ARGS = st.one_of(

@@ -73,6 +73,7 @@ def test_is_prime_miller_rabin():
 def test_construction_reduces_mod_p():
     m = MatrixGFp([[5, -1], [7, 3]], 5)
     assert m.rows == ((0, 4), (2, 3))
+    assert repr(m) == "MatrixGFp[2x2 mod 5](0 4; 2 3)"
     with pytest.raises(ValueError):
         MatrixGFp([[1, 2], [3]], 5)
     with pytest.raises(ValueError):

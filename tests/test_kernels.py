@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -200,6 +201,15 @@ def test_single_part_and_single_column_up_to_the_size_cap():
             word = encode(f)
             assert decode(word) == f
         assert encode(to_frequency((a,))) == "a" * (a - 1) + "ba"
+
+
+def test_packing_a_long_sequence_takes_one_conversion_each_way():
+    # a single part of 10^5 fills 10^5 fields, a shift per field would take seconds
+    f = (0,) * (SIZE_CAP - 1) + (1,)
+    start = time.perf_counter()
+    assert apply_a(f) == (0,) * SIZE_CAP + (1,)
+    assert apply_b(f) == (1,) + (0,) * (SIZE_CAP - 1) + (1,)
+    assert time.perf_counter() - start < 1.0
 
 
 MALFORMED_FREQS = ((1, -1), (1.5,), ("2",), (True,), (2.0,))

@@ -59,6 +59,13 @@ def test_annihilate_examples():
     assert annihilate((3, 3, 2, 0, 3, 1, 0, 0, 2), 5) == (3, 3, 2, 0, 0, 0, 2)
 
 
+def test_negative_index_is_rejected():
+    with pytest.raises(ValueError, match="evaluation index must be nonnegative"):
+        evaluate((2, 1), -1)
+    with pytest.raises(ValueError, match="annihilation index must be nonnegative"):
+        annihilate((2, 1), -1)
+
+
 @given(freq_st, st.integers(0, 12))
 def test_annihilation_size_drop_is_evaluation(f, i):
     assert size(annihilate(f, i)) == size(f) - evaluate(f, i)
@@ -159,6 +166,12 @@ def test_del_chain_examples():
     assert tiny.states == ((1,), ()) and tiny.valuation == (1,)
     dtiny = del_chain(tiny)
     assert dtiny.states == ((),) and dtiny.valuation == ()
+
+
+def test_del_chain_rejects_a_non_chain():
+    # (2,) is no successor of (2,1); demoted, (1,) is none of (3,)
+    with pytest.raises(ValueError, match="no maximal index carries"):
+        del_chain(OblakChain(((2, 1), (2,), ()), (0, 0)))
 
 
 def test_del_chain_validity_exhaustive():

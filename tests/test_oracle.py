@@ -88,6 +88,8 @@ def test_jordan_type_simple():
     assert jordan_type(jordan_matrix((6,), 2)) == (6,)
     with pytest.raises(ValueError):
         jordan_type(identity(3, 5))
+    with pytest.raises(ValueError, match="non-square"):
+        jordan_type(MatrixGFp([[0, 1]], 3))
 
 
 def test_jordan_type_on_random_conjugates():

@@ -203,6 +203,7 @@ def test_partitions_of_counts():
         ("f:1,2,1,0,1", (5, 3, 2, 2, 1)),
         (" 3 , 1 ", (3, 1)),
         ("1,10,7", (10, 7, 1)),  # multiset semantics: any order accepted
+        ("[ ]", ()),
     ],
 )
 def test_parse_partition(text, expected):

@@ -97,14 +97,18 @@ def test_fault_in_one_word_step_is_reported(name, repro, monkeypatch):
     assert result.first_counterexample == repro
 
 
+# the process's step on (3,1), which it runs on a list, claims evaluation 4 for
+# a size drop of 3
+STEP_PLANT = (kernels, "max_evaluation", list(F), lambda out: (out[0] + 1, out[1]))
+
+
 def test_oblak_table_checks_each_size_drop(monkeypatch):
-    # (3,1) annihilates to (1,1) in place of (1,): a size drop of 1 at evaluation 3
-    plant(monkeypatch, sweep, "_annihilated", F, extra_part)
+    plant(monkeypatch, *STEP_PLANT)
     (result,) = run_sweep(SweepConfig(max_n=4, checks=("thm-main-vs-oblak",)))
     assert result.failures == 1
     assert result.first_counterexample == (
         "burgebox sweep --max-n 4 --checks thm-main-vs-oblak"
-        "  # raised: corrupt chain: size drop 1 != evaluation 3"
+        "  # raised: corrupt chain: size drop 3 != evaluation 4"
     )
 
 
