@@ -5,7 +5,8 @@ tuples with entries already reduced mod p.  Everything is plain integer
 arithmetic, so results are exact for any prime modulus; pivoting uses
 modular inverses via ``pow(x, -1, p)``.  The one elimination on row lists
 is the forward ``rank_profile``; ``row_echelon_basis`` adds a
-back-substitution to it.
+back-substitution to it.  It keeps each pivot row sparse, so reducing a
+vector costs one step per nonzero of each pivot row it meets.
 
 The constructor validates: it checks that p is prime, reduces every entry
 and rejects ragged rows.  Products do work only for nonzero entries: row r
@@ -194,24 +195,30 @@ class MatrixGFp:
 def rank_profile(vectors: Iterable[Sequence[int]], p: int, basis: dict | None = None) -> list:
     """The rank of each prefix of ``vectors``: entry t is the rank of the first t + 1.
 
-    Forward elimination only: a vector is reduced left to right by the kept rows,
-    unreduced mod p until it is kept with pivot 1.  ``basis``, when given,
-    receives the kept rows keyed by pivot column; each is zero left of its pivot.
+    Forward elimination only.  A kept row is stored sparse, with its pivot
+    scaled to 1, as the (column, value) pairs of its nonzero entries right of
+    the pivot.  A copy of each vector is reduced left to right in place, at
+    those columns only, and unreduced mod p until it is kept; the caller's
+    rows are never changed.  ``basis``, when given, receives the kept rows'
+    pairs keyed by pivot column.
     """
     check_prime(p)
     basis = {} if basis is None else basis
     ranks = []
     for v in vectors:
-        for c in range(len(v)):
+        v = list(v)
+        width = len(v)
+        for c in range(width):
             x = v[c] % p
             if not x:
                 continue
             row = basis.get(c)
             if row is None:
                 inv = pow(x, -1, p)
-                basis[c] = [y * inv % p for y in v]
+                basis[c] = [(d, y * inv % p) for d in range(c + 1, width) if (y := v[d] % p)]
                 break
-            v = [a - x * b for a, b in zip(v, row)]
+            for d, y in row:
+                v[d] -= x * y
         ranks.append(len(basis))
     return ranks
 
@@ -221,11 +228,20 @@ def row_echelon_basis(vectors: Iterable[Sequence[int]], p: int) -> list:
 
     Returns a list of tuples (possibly empty); its length is the rank.
     The output is canonical for the span, so two spans are equal iff their
-    bases compare equal.  Each of ``rank_profile``'s rows is cleared at the
-    later pivots, left to right; a kept row is zero left of its pivot.
+    bases compare equal.  ``rank_profile``'s sparse rows are made dense,
+    zero left of the pivot and 1 at it, and each is cleared at the later
+    pivots, left to right.
     """
-    basis: dict = {}
-    rank_profile(vectors, p, basis)
+    vectors = list(vectors)
+    width = len(vectors[0]) if vectors else 0
+    pairs: dict = {}
+    rank_profile(vectors, p, pairs)
+    basis = {}
+    for c, row in pairs.items():
+        basis[c] = dense = [0] * width
+        dense[c] = 1
+        for d, y in row:
+            dense[d] = y
     cols = sorted(basis)
     for i, lead in enumerate(cols):
         for c in cols[i + 1:]:

@@ -26,6 +26,7 @@ A chain is addressed as (i, k): length i, k-th chain of that length
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, product, takewhile
@@ -192,8 +193,20 @@ def _placed(n: int, pairs) -> list:
 
 
 def _draw(table: dict, p: int, rng: random.Random) -> list:
-    """(entries, value) pairs giving every slot of the table a uniform coefficient, in order."""
-    return [(es, rng.randrange(p)) for es in table.values()]
+    """(entries, value) pairs giving every slot of the table a uniform coefficient, in order.
+
+    A coefficient is ``getrandbits(p.bit_length())``, drawn again while it is p
+    or more: exactly what ``rng.randrange(p)`` returns from the same stream
+    (CPython's ``_randbelow_with_getrandbits``), so a seed keeps its matrices.
+    """
+    bits, getrandbits = p.bit_length(), rng.getrandbits
+    pairs = []
+    for es in table.values():
+        r = getrandbits(bits)
+        while r >= p:
+            r = getrandbits(bits)
+        pairs.append((es, r))
+    return pairs
 
 
 def build_commuting(parts: Iterable[int], p: int, values: dict) -> MatrixGFp:
@@ -360,6 +373,7 @@ class RestrictionReport:
     witness_ok: bool
     trials: int
     misses: list = field(default_factory=list)  # (trial index, observed type)
+    elapsed: float = field(default=0.0, compare=False)  # wall seconds of the verification
 
     @property
     def ok(self) -> bool:
@@ -374,6 +388,7 @@ class RestrictionReport:
             "witness_ok": self.witness_ok,
             "trials": self.trials,
             "misses": [[t, list(obs)] for t, obs in self.misses],
+            "elapsed": round(self.elapsed, 6),
             "status": "ok" if self.ok else "fail",
         }
 
@@ -395,6 +410,7 @@ def verify_restriction(
     >= k: with the rows by decreasing offset, one elimination per draw gives
     each as a prefix rank.
     """
+    start = time.perf_counter()
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
@@ -413,7 +429,8 @@ def verify_restriction(
     rng = random.Random(seed)
     draws = [type_of(_draw(table, p, rng)) for _ in range(trials)]
     misses = [(t, got) for t, got in enumerate(draws) if got != expected]
-    return RestrictionReport(pt, p, expected, observed, observed == expected, trials, misses)
+    return RestrictionReport(pt, p, expected, observed, observed == expected, trials, misses,
+                             time.perf_counter() - start)
 
 
 @dataclass

@@ -291,7 +291,7 @@ def tabled(us: float):
 
 
 def restriction_cost(n: int, count: int, cfg: SweepConfig) -> float:
-    return 0.08 * count * oracle.restriction_work(n, cfg.trials)  # µs per unit of verify work
+    return 0.025 * count * oracle.restriction_work(n, cfg.trials)  # µs per unit of verify work
 
 
 def dominance_cost(n: int, count: int, cfg: SweepConfig) -> float:

@@ -8,6 +8,11 @@ column, ``dense_power`` multiplies the identity by repeated squares, and
 canonical span.  Every result goes through the validating ``MatrixGFp``
 constructor.  They are slow and exist only as test oracles.
 
+``gauss_jordan`` is a textbook elimination on dense rows, reduced mod p
+at every step and kept in reduced row-echelon form after each row: the
+oracle for ``rank_profile`` and ``row_echelon_basis``, which keep sparse
+rows and reduce lazily.
+
 ``gf2_matmul`` and ``gf2_rank`` are the GF(2) kernels on bit-packed rows
 (bit c of the int ``rows[r]`` is entry (r, c)) that typed one matrix at a
 time before the bitsliced scan; ``reference_scan.int_row_scan`` runs on
@@ -43,6 +48,28 @@ def gf2_rank(rows):
                 break
             v ^= b
     return len(basis)
+
+
+def gauss_jordan(vectors, p):
+    """The rank of each prefix of the vectors, and the reduced row-echelon basis of their span.
+
+    Inverses are Fermat's, x^(p-2), so p must be prime.
+    """
+    basis = {}  # pivot column -> a row with 1 there and 0 at every other pivot
+    ranks = []
+    for v in vectors:
+        v = [x % p for x in v]
+        for c, row in basis.items():
+            if x := v[c]:
+                v = [(a - x * b) % p for a, b in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            v = [x * inv % p for x in v]
+            basis = {c: [(a - row[lead] * b) % p for a, b in zip(row, v)] for c, row in basis.items()}
+            basis[lead] = v
+        ranks.append(len(basis))
+    return ranks, [tuple(basis[c]) for c in sorted(basis)]
 
 
 def identity(n, p):

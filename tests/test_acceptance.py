@@ -177,9 +177,9 @@ def test_chain_map_shadowing_to_25_and_grid():
         assert grid == [tuple(row) for row in GRID_14_10_5_2]
 
 
-def test_witness_restriction_to_16_over_big_field():
-    with report("witness and 5/5 random images realize the demoted type, |P| <= 16, GF(10007)"):
-        sweep_checks("matrix-restriction", max_n=16, field=10007, trials=5, seed=0)
+def test_witness_restriction_to_17_over_big_field():
+    with report("witness and 5/5 random images realize the demoted type, |P| <= 17, GF(10007)"):
+        sweep_checks("matrix-restriction", max_n=17, field=10007, trials=5, seed=0)
         worked = verify_restriction((4, 4, 3, 2, 2), p=10007, trials=5, seed=0)
         assert to_frequency(worked.witness_observed) == (1, 1, 2, 1)
         assert worked.ok

@@ -128,6 +128,10 @@ def test_verify(capsys):
     data = json.loads(out)
     assert data["status"] == "ok"
     assert data["expected"] == [4, 3, 3, 2, 1]
+    assert data["elapsed"] > 0
+    code, out, _ = run(capsys, "verify", "--partition", "[4^2,3,2^2]", "--trials", "2")
+    assert code == 0
+    assert out == "ok: expected [4,3^2,2,1], witness gave [4,3^2,2,1], 0/2 random misses\n"
 
 
 def test_scan_max(capsys):
@@ -610,7 +614,7 @@ def test_each_check_is_admitted_to_its_measured_frontier():
     assert SWEEP_FRONTIER == {
         "lem-stats": 48, "prop-stats": 48, "prop-characterization": 47, "thm-main-vs-oblak": 48,
         "cor-box": 48, "thm-oblakburge": 48, "prop-khatami": 53, "foata-hooks": 49,
-        "matrix-restriction": 23,
+        "matrix-restriction": 26,
     }
     assert sweep.TABLE_MAX_N == 48
     with pytest.raises(ValueError, match="prop-stats at n = 49: a table of 1091745 partitions"):

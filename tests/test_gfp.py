@@ -12,8 +12,9 @@ from burgebox.gfp import (
     sliced_powers,
     sliced_rank,
 )
-from burgebox.oracle import jordan_type, restriction_type
-from reference_gfp import gf2_matmul, gf2_rank, identity, is_zero
+from burgebox.oracle import jordan_type, random_commuting, restriction_type
+from burgebox.partitions import partitions_of
+from reference_gfp import gauss_jordan, gf2_matmul, gf2_rank, identity, is_zero
 
 
 def det_mod(rows, p):
@@ -137,6 +138,19 @@ def test_rank_profile_is_the_rank_of_each_prefix(p):
         assert ranks == [brute_rank(rows[: t + 1], p) for t in range(len(rows))]
         assert ranks[-1] == MatrixGFp(rows, p).rank() == len(row_echelon_basis(rows, p))
         assert row_echelon_basis(rng.sample(rows, len(rows)), p) == row_echelon_basis(rows, p)
+    for n in range(1, 13):  # against Gauss-Jordan, up to 12 x 12
+        dense = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(rng.randrange(1, 13))]
+        # entries that are multiples of p, or 1 or -1 off one, up to 3p from 0
+        near = [[rng.randrange(-3, 4) * p + rng.choice((0, 0, 1, -1)) for _ in range(n)]
+                for _ in range(rng.randrange(1, 13))]
+        commuting = [list(row) for row in random_commuting(rng.choice(list(partitions_of(n))), p, rng).rows]
+        shifted = [[x + p * rng.randrange(-2, 3) for x in row] for row in commuting]
+        for rows in (dense, near, commuting, shifted):
+            before = [list(row) for row in rows]
+            ranks, rref = gauss_jordan(rows, p)
+            assert rank_profile(rows, p) == ranks
+            assert row_echelon_basis(rows, p) == rref
+            assert rows == before  # the caller's rows are left as they were
     assert rank_profile([], p) == [] and rank_profile([(0, 0)], p) == [0]
     with pytest.raises(ValueError, match="not prime"):
         rank_profile([(1,)], 6)

@@ -94,10 +94,11 @@ def test_verify_restriction_matches_its_composition(p):
     for n in range(10):
         for pt in partitions_of(n):
             for seed in (0, 1):
-                got = verify_restriction(pt, p=p, trials=5, seed=seed).to_dict()
-                assert got == composed_report(pt, p, seed, restriction_type).to_dict()
-                assert got == composed_report(pt, p, seed, dense_restriction_type).to_dict()
-                misses += len(got["misses"])
+                # equal in every field but the wall time, which reports do not compare
+                got = verify_restriction(pt, p=p, trials=5, seed=seed)
+                assert got == composed_report(pt, p, seed, restriction_type)
+                assert got == composed_report(pt, p, seed, dense_restriction_type)
+                misses += len(got.misses)
     assert misses > 0 if p == 3 else misses == 0  # GF(3) is small enough to miss
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -238,12 +239,41 @@ def test_random_commuting_restriction():
             assert restriction_type(b, a) == del_partition(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 10007, 2**61 - 1])
+def test_draw_is_the_randrange_stream(p):
+    # each coefficient is the value rng.randrange(p) gives, and the generator ends in its state
+    for parts in [(1,), (3, 1), (2, 2, 1, 1), (4, 2, 1), P_BIG, (6, 3, 3, 1)]:
+        table = oracle._slot_table(parts)
+        for seed in (0, 1, 2027):
+            rng, twin = random.Random(seed), random.Random(seed)
+            pairs = oracle._draw(table, p, rng)
+            assert [es for es, _ in pairs] == list(table.values())
+            assert [v for _, v in pairs] == [twin.randrange(p) for _ in table]
+            assert rng.getstate() == twin.getstate()
+
+
+def test_random_commuting_is_pinned():
+    # the matrix that seed 7 gave when _draw called rng.randrange: a seed keeps its matrices
+    assert random_commuting((4, 2, 1), 10007, 7).rows == (
+        (0, 950, 8313, 3517, 5991, 9548, 1542),
+        (0, 0, 950, 8313, 0, 5991, 0),
+        (0, 0, 0, 950, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 1186, 8779, 0, 791, 6468),
+        (0, 0, 0, 1186, 0, 0, 0),
+        (0, 0, 0, 2471, 0, 5305, 0),
+    )
+
+
 def test_verify_restriction_report():
     rep = verify_restriction(P_BIG, p=10007, trials=3, seed=0)
     assert rep.ok and rep.witness_ok and rep.misses == []
     assert rep.expected == (4, 3, 3, 2, 1)
     d = rep.to_dict()
     assert d["status"] == "ok" and d["expected"] == [4, 3, 3, 2, 1]
+    # the wall time is reported, and two reports that differ only in it are equal
+    assert rep.elapsed > 0 and d["elapsed"] == round(rep.elapsed, 6)
+    assert rep == dataclasses.replace(rep, elapsed=rep.elapsed + 1)
     rep2 = verify_restriction((6, 3), trials=0)
     assert rep2.trials == 0 and rep2.ok
 
