@@ -1,24 +1,26 @@
 """Named exhaustive property suites, runnable from the command line.
 
-``CHECKS`` maps each name to a check and its cost.  ``run_sweep`` calls the
-check as ``check(n, cfg, record, tables)`` for n = 0 .. max_n, and the check
-calls ``record(ok, repro)`` once per instance of size n.  Each result keeps
-pass/fail counts, wall and CPU time, and the reproducer command of the first
-failing instance, which ``repro()`` builds only then.  All checks are
-deterministic given the configuration.  ``cost(n, p(n), cfg)`` predicts the
-check's µs at size n from weights measured near its frontier, and
-``SweepConfig`` refuses, before any check runs, the first n that takes the
-selected checks over ``SWEEP_BUDGET_US`` in all.
+``CHECKS`` maps each name to a check, its cost and its reproducer.  Eight
+checks are predicates ``check(p, f, cfg, tables) -> bool`` of a partition and
+its frequency sequence: ``run_sweep`` owns their partition loop, walking
+``partitions_of(n)`` once for n = 0 .. max_n, and records one instance per
+partition, with ``reproducer(text, cfg)`` built for the first failing one only.
+``cor-box`` and ``foata-hooks`` record one instance per super-distinct Q, found
+in their own single walk of n: their reproducer is None, and they are called
+as ``check(n, cfg, record, tables)``.  Results keep pass/fail counts, wall and
+CPU time and the first failing reproducer; checks are deterministic given cfg.
+``cost(n, p(n), cfg)`` predicts a check's µs at size n from weights measured
+near its frontier, and ``SweepConfig`` refuses, before any check runs, the
+first n that takes the selected checks over ``SWEEP_BUDGET_US`` in all.
 
 Each check gets its own ``Tables``, made when it starts and dropped when it
 ends: Burge's code word and the Oblak output of each frequency sequence,
 each built by one step of its route from the entry of a smaller sequence.
 The sweep runs n upward, so each partition costs one step of each route it
 reads.  A check that fills its tables with every partition up to max-n is
-refused past ``TABLE_MAX_N``.  No check runs a whole Burge kernel:
-``prop-stats``, ``prop-characterization``, ``thm-main-vs-oblak`` and
-``cor-box`` read every word from the word table, ``cor-box`` compares box
-words with it, and ``foata-hooks`` walks the box coordinates.
+refused past ``TABLE_MAX_N``.  No check runs a whole Burge kernel: every
+word comes from the word table, ``cor-box`` compares box words with it, and
+``foata-hooks`` walks the box coordinates.
 
 ``partitions_of`` yields checked partitions, which pass every public check at
 once, and an ``OblakChain`` is checked when it is made.  Frequency sequences
@@ -152,56 +154,39 @@ class Tables:
         self.words, self.oblak = _Table(_word_step), _Table(_oblak_step)
 
 
-def check_lem_stats(n: int, cfg: SweepConfig, record, tables) -> None:
-    for p in partitions_of(n):
-        f = to_frequency(p)
-        df = _demoted(f)
-        in_b = _letter(f) == "b"
-        ok = (
-            sum(df) == sum(f) - in_b
+def check_lem_stats(p, f, cfg: SweepConfig, tables) -> bool:
+    df = _demoted(f)
+    in_b = _letter(f) == "b"
+    return (sum(df) == sum(f) - in_b
             and kernels.size(df) == kernels.size(f) - _two_measure(f)
-            and _two_measure(df) == _two_measure(f) - (in_b and _letter(df) == "a")
-        )
-        record(ok, lambda: f"burgebox chain {_pstr(p)}")
+            and _two_measure(df) == _two_measure(f) - (in_b and _letter(df) == "a"))
 
 
-def check_prop_stats(n: int, cfg: SweepConfig, record, tables) -> None:
-    for p in partitions_of(n):
-        f = to_frequency(p)
-        w = tables.words[f]
-        descents = _descents(w)
-        ok = (
-            sum(f) == w.count("b")
+def check_prop_stats(p, f, cfg: SweepConfig, tables) -> bool:
+    w = tables.words[f]
+    descents = _descents(w)
+    return (sum(f) == w.count("b")
             and kernels.size(f) == sum(descents)
-            and _two_measure(f) == len(descents)
-        )
-        record(ok, lambda: f"burgebox encode {_pstr(p)}")
+            and _two_measure(f) == len(descents))
 
 
-def check_prop_characterization(n: int, cfg: SweepConfig, record, tables) -> None:
-    for p in partitions_of(n):
-        f = to_frequency(p)
-        tests = _characterization(p, f, _demoted(f), tables.words[f])
-        record(len(set(tests)) == 1, lambda: f"burgebox encode {_pstr(p)}")
+def check_prop_characterization(p, f, cfg: SweepConfig, tables) -> bool:
+    return len(set(_characterization(p, f, _demoted(f), tables.words[f]))) == 1
 
 
-def check_main_vs_oblak(n: int, cfg: SweepConfig, record, tables) -> None:
-    for p in partitions_of(n):
-        f = to_frequency(p)
-        ok = _descents(tables.words[f])[::-1] == tables.oblak[f]
-        record(ok, lambda: f"burgebox dmap {_pstr(p)}  # vs: burgebox oblak {_pstr(p)}")
+def check_main_vs_oblak(p, f, cfg: SweepConfig, tables) -> bool:
+    return _descents(tables.words[f])[::-1] == tables.oblak[f]
 
 
 def check_cor_box(n: int, cfg: SweepConfig, record, tables) -> None:
     fibers: dict = {}  # Q: Counter of (code word, part count) over the partitions mapped to Q
+    supers = []
     for p in partitions_of(n):
         w = tables.words[to_frequency(p)]
         fibers.setdefault(_descents(w)[::-1], Counter())[w, len(p)] += 1
-    supers = [q for q in partitions_of(n) if is_super_distinct(q)]
-    record(
-        set(fibers) == set(supers),
-        lambda: f"burgebox sweep --max-n {n} --checks cor-box",
-    )
+        if is_super_distinct(p):
+            supers.append(p)
+    record(set(fibers) == set(supers), lambda: f"burgebox sweep --max-n {n} --checks cor-box")
     for q in supers:  # one partition of the fiber for each box word at c, with sum(c) parts
         d = delta(q)
         ok = fibers.get(q) == Counter((_fiber_word(d, c), sum(c)) for c in _box(d))
@@ -213,32 +198,28 @@ def check_cor_box(n: int, cfg: SweepConfig, record, tables) -> None:
 # a smaller partition, checked at an earlier n, so by induction on n a sweep passes
 # these steps exactly when del maps each chain of f to a chain of del f with every
 # evaluation one lower, and all chains of f have one valuation.
-def check_oblakburge(n: int, cfg: SweepConfig, record, tables) -> None:
-    for p in partitions_of(n):
-        f = to_frequency(p)
-        df = _demoted(f)
-        ok = f in ((), (1,)) or (
-            kernels.max_evaluation(df)[0] == kernels.max_evaluation(f)[0] - 1
-            and {_demoted(s) for s in _successors(f)} <= _successors(df).keys()
-        )
-        record(ok, lambda: f"burgebox oblak-chains {_pstr(p)}")
+def check_oblakburge(p, f, cfg: SweepConfig, tables) -> bool:
+    df = _demoted(f)
+    return f in ((), (1,)) or (
+        kernels.max_evaluation(df)[0] == kernels.max_evaluation(f)[0] - 1
+        and {_demoted(s) for s in _successors(f)} <= _successors(df).keys()
+    )
 
 
-def check_khatami(n: int, cfg: SweepConfig, record, tables) -> None:
-    for p in partitions_of(n):
-        valuations = {tables.oblak[s] for s in _successors(to_frequency(p))}
-        record(len(valuations) <= 1, lambda: f"burgebox oblak-chains {_pstr(p)}")
+def check_khatami(p, f, cfg: SweepConfig, tables) -> bool:
+    return len({tables.oblak[s] for s in _successors(f)}) <= 1
 
 
 def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:
     """Foata sends each box word of each super-distinct Q to a word of inv n whose path
     partition has hooks Q; these partitions are all those of n with hooks Q, one per box point."""
     by_hooks: dict = {}
+    supers = []
     for p in partitions_of(n):
         by_hooks.setdefault(_diagonal_hooks(p), set()).add(p)
-    for q in partitions_of(n):
-        if not is_super_distinct(q):
-            continue
+        if is_super_distinct(p):
+            supers.append(p)
+    for q in supers:
         d = delta(q)
         images = set()
         ok = True
@@ -247,33 +228,29 @@ def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:
             image = _path_partition(w)
             # |image| is inv(w) and the Durfee side of image counts its diagonal hooks,
             # so the first clause checks |image| = n and the third its Durfee side
-            ok = (
-                ok
-                and _inversions(w) == n  # n is maj of the box word, which Foata sends to inv
-                and len(image) == sum(coords)
-                and _diagonal_hooks(image) == q
-            )
+            ok = (ok
+                  and _inversions(w) == n  # n is maj of the box word, which Foata sends to inv
+                  and len(image) == sum(coords)
+                  and _diagonal_hooks(image) == q)
             images.add(image)
         ok = ok and len(images) == math.prod(d) and images == by_hooks.get(q, set())
         record(ok, lambda: f"burgebox foata {_pstr(q)} --coords {_pstr((1,) * len(q))}")
 
 
-def check_matrix_restriction(n: int, cfg: SweepConfig, record, tables) -> None:
-    field = cfg.field or oracle.GENERIC_PRIME
-    for p in partitions_of(n):
-        report = oracle.verify_restriction(p, p=field, trials=cfg.trials, seed=cfg.seed)
-        record(
-            report.ok,
-            lambda: f"burgebox verify --partition {_pstr(p)} --field {field}"
-            f" --trials {cfg.trials} --seed {cfg.seed}",
-        )
+def restriction_field(cfg: SweepConfig) -> int:
+    return cfg.field or oracle.GENERIC_PRIME
 
 
-def check_matrix_dominance(n: int, cfg: SweepConfig, record, tables) -> None:
-    field = cfg.field or 2
-    for p in partitions_of(n):
-        record(oracle.scan_max_type(p, p=field).ok,
-               lambda: f"burgebox scan-max --partition {_pstr(p)} --field {field}")
+def dominance_field(cfg: SweepConfig) -> int:
+    return cfg.field or 2
+
+
+def check_matrix_restriction(p, f, cfg: SweepConfig, tables) -> bool:
+    return oracle.verify_restriction(p, p=restriction_field(cfg), trials=cfg.trials, seed=cfg.seed).ok
+
+
+def check_matrix_dominance(p, f, cfg: SweepConfig, tables) -> bool:
+    return oracle.scan_max_type(p, p=dominance_field(cfg)).ok
 
 
 def per_partition(us: float):
@@ -296,7 +273,7 @@ def restriction_cost(n: int, count: int, cfg: SweepConfig) -> float:
 
 def dominance_cost(n: int, count: int, cfg: SweepConfig) -> float:
     # µs per matrix: the GF(2) scan types thousands at once; over odd p each n x n one is alone
-    field = cfg.field or 2
+    field = dominance_field(cfg)
     return oracle.scan_work(n, field) * (0.12 if field == 2 else 0.8 * n**3)
 
 
@@ -304,17 +281,23 @@ SWEEP_BUDGET_US = 30 * 10**6  # a sweep predicted to take longer is refused
 TABLE_CAP = 10**6  # partitions a check's tables may hold, about 370 B each with both
 TABLE_MAX_N = next(n for n, entries in enumerate(itertools.accumulate(partition_counts()))
                    if entries > TABLE_CAP) - 1  # the largest max-n whose tables fit the cap
-CHECKS = {  # name: (check, cost); a partition costs more as n grows, hence weights at the frontier
-    "lem-stats": (check_lem_stats, per_partition(30)),
-    "prop-stats": (check_prop_stats, tabled(15)),
-    "prop-characterization": (check_prop_characterization, tabled(33)),
-    "thm-main-vs-oblak": (check_main_vs_oblak, tabled(22)),
-    "cor-box": (check_cor_box, tabled(22)),
-    "thm-oblakburge": (check_oblakburge, per_partition(30)),
-    "prop-khatami": (check_khatami, per_partition(12)),
-    "foata-hooks": (check_foata_hooks, per_partition(24)),
-    "matrix-restriction": (check_matrix_restriction, restriction_cost),
-    "matrix-dominance": (check_matrix_dominance, dominance_cost),
+CHECKS = {  # name: (check, cost, reproducer); weights at the frontier, where a partition costs most
+    "lem-stats": (check_lem_stats, per_partition(30), lambda p, cfg: f"burgebox chain {p}"),
+    "prop-stats": (check_prop_stats, tabled(15), lambda p, cfg: f"burgebox encode {p}"),
+    "prop-characterization": (check_prop_characterization, tabled(33),
+                              lambda p, cfg: f"burgebox encode {p}"),
+    "thm-main-vs-oblak": (check_main_vs_oblak, tabled(22),
+                          lambda p, cfg: f"burgebox dmap {p}  # vs: burgebox oblak {p}"),
+    "cor-box": (check_cor_box, tabled(22), None),
+    "thm-oblakburge": (check_oblakburge, per_partition(30),
+                       lambda p, cfg: f"burgebox oblak-chains {p}"),
+    "prop-khatami": (check_khatami, per_partition(12), lambda p, cfg: f"burgebox oblak-chains {p}"),
+    "foata-hooks": (check_foata_hooks, per_partition(24), None),
+    "matrix-restriction": (check_matrix_restriction, restriction_cost, lambda p, cfg: (
+        f"burgebox verify --partition {p} --field {restriction_field(cfg)}"
+        f" --trials {cfg.trials} --seed {cfg.seed}")),
+    "matrix-dominance": (check_matrix_dominance, dominance_cost, lambda p, cfg: (
+        f"burgebox scan-max --partition {p} --field {dominance_field(cfg)}")),
 }
 
 
@@ -323,21 +306,26 @@ def run_sweep(cfg: SweepConfig) -> list:
 
     Each check gets fresh tables, which go when it ends: no entry is shared
     between checks or sweeps.  A check that raises for some n is one failed
-    instance; the sweep goes on with n + 1, whose steps build any entry the
-    failed n left missing.
+    instance and ends that n; the sweep goes on with n + 1, whose steps build
+    any entry the failed n left missing.
     """
     results = []
     for name in cfg.checks or CHECKS:
-        check, _ = CHECKS[name]
+        check, _, reproducer = CHECKS[name]
         result = CheckResult(name)
         start, cpu = time.perf_counter(), time.process_time()
         tables = Tables()
         for n in range(cfg.max_n + 1):
             try:
-                check(n, cfg, result.record, tables)
+                if reproducer is None:
+                    check(n, cfg, result.record, tables)
+                    continue
+                for p in partitions_of(n):
+                    result.record(check(p, to_frequency(p), cfg, tables),
+                                  lambda: reproducer(_pstr(p), cfg))
             except (ValueError, AssertionError) as exc:
-                repro = f"burgebox sweep --max-n {n} --checks {name}  # raised: {exc}"
-                result.record(False, lambda: repro)
+                raised = f"burgebox sweep --max-n {n} --checks {name}  # raised: {exc}"
+                result.record(False, lambda: raised)
         del tables  # freeing them is part of the check's time
         result.elapsed = time.perf_counter() - start
         result.cpu = time.process_time() - cpu

@@ -216,6 +216,11 @@ def test_parse_partition_rejects(text):
         parse_partition(text)
 
 
+def test_parse_partition_rejects_a_zero_part():
+    with pytest.raises(ValueError, match="part must be positive, got '0\\^2'"):
+        parse_partition("3,0^2")
+
+
 @pytest.mark.parametrize("text,position", [("f:(1,²)", 2), ("f:(¹)", 1), ("f:(3,1,⁴,0)", 3)])
 def test_parse_partition_names_a_bad_frequency_entry(text, position):
     # superscript digits pass str.isdigit() but not int(): the message still names the entry

@@ -4,6 +4,8 @@ The acceptance gate runs the sweep checks, so it is only as strong as they
 are.  Each case below replaces one binding that a check reads with a copy
 that is wrong on one partition alone, (3, 1) unless it says otherwise, and
 expects the check to record a failure whose reproducer names that partition.
+The clause plants break one clause of a check each, so deleting any of those
+clauses fails a test.  ``run_sweep`` walks each size once for every check.
 """
 
 import sys
@@ -78,6 +80,68 @@ def test_planted_fault_is_reported(name, monkeypatch):
     (result,) = run_sweep(SweepConfig(max_n=4, checks=(name,), trials=1))
     assert result.failures >= 1
     assert result.first_counterexample == repro
+
+
+def const(value):
+    return lambda out: value
+
+
+# clause -> (check, plants, max-n, reproducer, failures).  Each fault is wrong on one
+# small partition and breaks that one clause of its check, so the check passes when
+# the clause is deleted; the failure count pins every other partition as passing.
+CLAUSE_PLANTS = {
+    "lem-stats-size-of-del": (
+        "lem-stats", [(kernels, "size", F, lambda s: s + 1)], 4, "burgebox chain 3,1", 1,
+    ),
+    "lem-stats-two-measure-of-del": (  # (1,0,1) in place of (0,2): same sum and size
+        "lem-stats", [(sweep, "_demoted", to_frequency((3, 2)), const((1, 0, 1)))], 5,
+        "burgebox chain 3,2", 1,
+    ),
+    "prop-stats-size": (
+        "prop-stats", [(kernels, "size", F, lambda s: s + 1)], 4, "burgebox encode 3,1", 1,
+    ),
+    "prop-characterization-no-bb": (  # the word of (3,) is aaba; abba has its descents
+        "prop-characterization", [(sweep, "_word_step", to_frequency((3,)), const("abba"))], 3,
+        "burgebox encode 3", 1,
+    ),
+    "foata-hooks-part-count": (  # the box images (3,2) at (1,1) and (2,2,1) at (1,2) swap
+        "foata-hooks",
+        [(sweep, "_path_partition", "babaa", const((2, 2, 1))),
+         (sweep, "_path_partition", "bbaba", const((3, 2)))],
+        5, "burgebox foata 4,1 --coords 1,1", 1,
+    ),
+    # the walk of 4 files (2,2) under hooks (4), so (4) misses it; (3,1) fails after it,
+    # on the hooks of its own image
+    "foata-hooks-every-partition-with-hooks-q": (
+        "foata-hooks", [(sweep, "_diagonal_hooks", (2, 2), const((4,)))], 4,
+        "burgebox foata 4 --coords 1", 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", list(CLAUSE_PLANTS))
+def test_planted_fault_in_one_clause_is_reported(clause, monkeypatch):
+    name, plants, max_n, repro, failures = CLAUSE_PLANTS[clause]
+    for planted in plants:
+        plant(monkeypatch, *planted)
+    (result,) = run_sweep(SweepConfig(max_n=max_n, checks=(name,)))
+    assert (result.failures, result.first_counterexample) == (failures, repro)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_each_check_walks_each_size_once(name, monkeypatch):
+    walks = []
+    real = sweep.partitions_of
+
+    def counted(n):
+        walks.append(n)
+        return real(n)
+
+    monkeypatch.setattr(sweep, "partitions_of", counted)
+    max_n = 4 if name.startswith("matrix-") else 8
+    (result,) = run_sweep(SweepConfig(max_n=max_n, checks=(name,), trials=1))
+    assert result.ok
+    assert walks == list(range(max_n + 1))
 
 
 # (8,) gets the word of (7,1): one part too many, and out of its own fiber
