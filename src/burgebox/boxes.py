@@ -32,7 +32,12 @@ def delta(q: Iterable[int]) -> tuple:
     qt = as_partition(q)
     if not is_super_distinct(qt):
         raise ValueError(f"{qt} is not super-distinct (some gap is < 2)")
-    r = qt[::-1]  # q_k, ..., q_1
+    return _delta(qt)
+
+
+def _delta(q: tuple) -> tuple:
+    """``delta`` of a decreasing tuple, unchecked: a gap below 2 gives a dimension <= 0."""
+    r = q[::-1]  # q_k, ..., q_1
     return r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
 
 

@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("scan-max", cmd_scan_max, "exhaustive dominance-maximum scan over a small field", None)
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--field", type=int, default=2)
+    sp.add_argument("--field", type=int, default=oracle.SCAN_PRIME)
     sp.add_argument("--budget", type=nonnegative_int, default=oracle.DEFAULT_SCAN_BUDGET)
 
     sp = add("sweep", cmd_sweep, "run named exhaustive property suites", None)
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--field", type=int,
         help="field of both matrix checks; by default matrix-restriction uses "
-        f"{oracle.GENERIC_PRIME} and matrix-dominance uses 2",
+        f"{oracle.GENERIC_PRIME} and matrix-dominance uses {oracle.SCAN_PRIME}",
     )
     sp.add_argument("--trials", type=nonnegative_int, default=5)
     sp.add_argument("--seed", type=int, default=0)

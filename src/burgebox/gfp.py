@@ -12,9 +12,8 @@ The constructor validates: it checks that p is prime, reduces every entry
 and rejects ragged rows.  Products do work only for nonzero entries: row r
 of XY adds x * (row k of Y) into an unreduced accumulator for each nonzero
 entry x = X[r][k], then reduces each entry once (``matmul_rows``, which
-also serves callers holding plain row lists).  A product's rows are
-reduced and its modulus already checked, so it is built by ``_trusted``,
-which validates nothing.
+also serves callers holding plain row lists).  A product is built by the
+constructor like any other matrix.
 The oracle's matrices (shift matrices and Toeplitz blocks) are mostly
 zeros; on a dense matrix the product does the same multiplications as a
 row-by-column one.
@@ -176,17 +175,7 @@ class MatrixGFp:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} != {other.nrows}")
-        return MatrixGFp._trusted(matmul_rows(self.rows, other.rows, self.p), self.p)
-
-    @classmethod
-    def _trusted(cls, rows: tuple, p: int) -> "MatrixGFp":
-        """A matrix on a tuple of equal-length tuples already reduced mod a checked prime p."""
-        m = cls.__new__(cls)
-        m.p = p
-        m.rows = rows
-        m.nrows = len(rows)
-        m.ncols = len(rows[0]) if rows else 0
-        return m
+        return MatrixGFp(matmul_rows(self.rows, other.rows, self.p), self.p)
 
     def rank(self) -> int:
         return (rank_profile(self.rows, self.p) or [0])[-1]

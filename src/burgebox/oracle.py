@@ -57,6 +57,7 @@ DEFAULT_SCAN_BUDGET = 2**24
 # The GF(2) scan types at most this many matrices at once, one per bit of each entry int.
 SCAN_LANES = 2**12
 GENERIC_PRIME = 10007
+SCAN_PRIME = 2  # the default field of the dominance scan, the one the bitsliced kernels type
 # verify_restriction refuses more work than this, counted as (trials + 1) max(n, 16)^3.
 # Below n = 16 a draw's fixed costs outweigh n^3: one of size 1 costs 1/200 of one of size 16.
 RESTRICTION_WORK_CAP = 5 * 10**6
@@ -260,12 +261,10 @@ def _witness_values(pt: Partition) -> dict:
             continue
         fz = f[z - 1]
         fz1 = f[z - 2] if z >= 2 else 0
-        for k in range(2, fz + 1):
-            values[ParamSlot(z, k, z, k - 1, 1)] = 1
+        values.update(dict.fromkeys(_jordan_form(z, (fz,)), 1))
         if fz1 > 0:
             values[ParamSlot(z, 1, z - 1, fz1, 1)] = 1
-            for k in range(2, fz1 + 1):
-                values[ParamSlot(z - 1, k, z - 1, k - 1, 1)] = 1
+            values.update(dict.fromkeys(_jordan_form(z - 1, (fz1,)), 1))
             values[ParamSlot(z - 1, 1, z, fz, 1)] = 1
         elif z >= 2:
             values[ParamSlot(z, 1, z, fz, 2)] = 1
@@ -600,7 +599,7 @@ def _row_scan(n: int, forms: list, walked: list, p: int) -> Counter:
 
 def scan_max_type(
     parts: Iterable[int],
-    p: int = 2,
+    p: int = SCAN_PRIME,
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> ScanReport:
     """Enumerate commuting nilpotent matrices up to Levi conjugacy; find the dominant Jordan type.

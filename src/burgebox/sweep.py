@@ -5,9 +5,11 @@ checks are predicates ``check(p, f, cfg, tables) -> bool`` of a partition and
 its frequency sequence: ``run_sweep`` owns their partition loop, walking
 ``partitions_of(n)`` once for n = 0 .. max_n, and records one instance per
 partition, with ``reproducer(text, cfg)`` built for the first failing one only.
-``cor-box`` and ``foata-hooks`` record one instance per super-distinct Q, found
-in their own single walk of n: their reproducer is None, and they are called
-as ``check(n, cfg, record, tables)``.  Results keep pass/fail counts, wall and
+``cor-box`` and ``foata-hooks`` walk n once themselves and index its partitions
+by their Q, the descent-map image or the diagonal hooks; they record one
+instance per Q of that index, which on working code is one per super-distinct
+partition of n.  Their reproducer is None, and they are called as
+``check(n, cfg, record, tables)``.  Results keep pass/fail counts, wall and
 CPU time and the first failing reproducer; checks are deterministic given cfg.
 ``cost(n, p(n), cfg)`` predicts a check's µs at size n from weights measured
 near its frontier, and ``SweepConfig`` refuses, before any check runs, the
@@ -30,23 +32,21 @@ and words are not branded, so on those the checks call the private helpers.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
 
 from . import kernels, oracle
-from .boxes import _box, _fiber_word, delta
+from .boxes import _box, _delta, _fiber_word
 from .burge import _characterization, _demoted, _descents, _letter
 from .oblak import _successors
 from .partitions import (
     _two_measure,
-    is_super_distinct,
     partition_counts,
     partitions_of,
     to_frequency,
 )
-from .words import _diagonal_hooks, _foata_word, _inversions, _path_partition
+from .words import _diagonal_hooks, _foata_word, _path_partition
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class SweepConfig:
             for name in names:
                 try:
                     total += CHECKS[name][1](n, count, self)
-                except ValueError as exc:  # one verify or scan of size n cannot run
+                except ValueError as exc:  # a verify or scan of size n, or a table, is over its cap
                     return f"{name} at n = {n}: {exc}"
                 if total > SWEEP_BUDGET_US:
                     return (f"{name} at n = {n} takes the predicted cost to {total / 1e6:.3g} s,"
@@ -180,16 +180,14 @@ def check_main_vs_oblak(p, f, cfg: SweepConfig, tables) -> bool:
 
 def check_cor_box(n: int, cfg: SweepConfig, record, tables) -> None:
     fibers: dict = {}  # Q: Counter of (code word, part count) over the partitions mapped to Q
-    supers = []
     for p in partitions_of(n):
         w = tables.words[to_frequency(p)]
         fibers.setdefault(_descents(w)[::-1], Counter())[w, len(p)] += 1
-        if is_super_distinct(p):
-            supers.append(p)
-    record(set(fibers) == set(supers), lambda: f"burgebox sweep --max-n {n} --checks cor-box")
-    for q in supers:  # one partition of the fiber for each box word at c, with sum(c) parts
-        d = delta(q)
-        ok = fibers.get(q) == Counter((_fiber_word(d, c), sum(c)) for c in _box(d))
+    # one partition for each box word at c, with sum(c) parts; a Q that is not
+    # super-distinct has a dimension <= 0, so its empty box fails the comparison
+    for q in sorted(fibers, reverse=True):
+        d = _delta(q)
+        ok = fibers[q] == Counter((_fiber_word(d, c), sum(c)) for c in _box(d))
         record(ok, lambda: f"burgebox fiber {_pstr(q)} --json")
 
 
@@ -211,29 +209,20 @@ def check_khatami(p, f, cfg: SweepConfig, tables) -> bool:
 
 
 def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:
-    """Foata sends each box word of each super-distinct Q to a word of inv n whose path
-    partition has hooks Q; these partitions are all those of n with hooks Q, one per box point."""
+    """Foata sends the box words of the hooks Q of a partition of n to words whose path
+    partitions are all those of n with hooks Q, one per box point c, with sum(c) parts.
+    A Q that is not super-distinct has an empty box, so it fails."""
     by_hooks: dict = {}
-    supers = []
     for p in partitions_of(n):
         by_hooks.setdefault(_diagonal_hooks(p), set()).add(p)
-        if is_super_distinct(p):
-            supers.append(p)
-    for q in supers:
-        d = delta(q)
-        images = set()
-        ok = True
-        for coords in _box(d):
-            w = _foata_word(d, coords)
-            image = _path_partition(w)
-            # |image| is inv(w) and the Durfee side of image counts its diagonal hooks,
-            # so the first clause checks |image| = n and the third its Durfee side
-            ok = (ok
-                  and _inversions(w) == n  # n is maj of the box word, which Foata sends to inv
-                  and len(image) == sum(coords)
-                  and _diagonal_hooks(image) == q)
-            images.add(image)
-        ok = ok and len(images) == math.prod(d) and images == by_hooks.get(q, set())
+    for q in sorted(by_hooks, reverse=True):
+        d = _delta(q)
+        images = {c: _path_partition(_foata_word(d, c)) for c in _box(d)}
+        # equal sets make each image a partition of n with hooks Q, and |image| is the
+        # inversion number of its word by the path's construction: so Foata sends maj,
+        # which is n, to inv, and neither the hooks nor inv of an image needs a clause
+        ok = (all(len(image) == sum(c) for c, image in images.items())
+              and set(images.values()) == by_hooks[q])
         record(ok, lambda: f"burgebox foata {_pstr(q)} --coords {_pstr((1,) * len(q))}")
 
 
@@ -242,7 +231,7 @@ def restriction_field(cfg: SweepConfig) -> int:
 
 
 def dominance_field(cfg: SweepConfig) -> int:
-    return cfg.field or 2
+    return cfg.field or oracle.SCAN_PRIME
 
 
 def check_matrix_restriction(p, f, cfg: SweepConfig, tables) -> bool:

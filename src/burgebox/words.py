@@ -25,12 +25,8 @@ from .partitions import Partition, as_partition
 
 def inversions(word: str) -> int:
     """Number of pairs i < j with word[i] = b and word[j] = a."""
-    return _inversions(check_word(word))
-
-
-def _inversions(w: str) -> int:
     inv = bs = 0
-    for ch in w:
+    for ch in check_word(word):
         if ch == "b":
             bs += 1
         else:
@@ -84,11 +80,7 @@ def _path_partition(w: str) -> Partition:
 
 def durfee(parts: Iterable[int]) -> int:
     """Largest d with p_d >= d: the side of the Durfee square."""
-    return _durfee(as_partition(parts))
-
-
-def _durfee(p: Partition) -> int:
-    return sum(x >= i for i, x in enumerate(p, 1))  # the i with p_i >= i
+    return sum(x >= i for i, x in enumerate(as_partition(parts), 1))  # the i with p_i >= i
 
 
 def diagonal_hooks(parts: Iterable[int]) -> Partition:

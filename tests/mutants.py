@@ -1,0 +1,155 @@
+"""Named source mutants of the sweep checks, and a runner that confirms each is killed.
+
+Each entry of ``MUTANTS`` weakens one clause of a check in ``src/burgebox``:
+it replaces ``old``, which occurs exactly once in ``src/``, by ``new``, and
+names the tests that must then fail.  Run from the root of the repository::
+
+    python tests/mutants.py [name ...]
+
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and first runs every named test there unmutated: they must pass.
+Then, for each mutant (all of them by default), it applies the mutant to the
+copy, runs ``pytest -x`` on the mutant's tests and restores the file.  It
+prints ``killed`` when those tests fail, ``SURVIVED`` when they pass and
+``ERROR`` when pytest could not run them, and exits 1 unless every mutant is
+killed.  Only the standard library is used here; pytest is the runner it
+drives.  Its name does not match ``test_*.py``, so pytest does not collect
+it; ``tests/test_mutants.py`` checks in tier-1 that every old text is still
+there to mutate.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    file: str     # relative to the root of the repository
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the root
+
+
+SWEEP = "src/burgebox/sweep.py"
+BURGE = "src/burgebox/burge.py"
+CLAUSE = "tests/test_sweep.py::test_planted_fault_in_one_clause_is_reported"
+PLANTED = "tests/test_sweep.py::test_planted_fault_is_reported"
+NOT_SUPER_DISTINCT = (
+    "tests/test_sweep.py::test_partition_filed_under_a_key_that_is_not_super_distinct_is_reported"
+)
+COR_BOX = "        ok = fibers[q] == Counter((_fiber_word(d, c), sum(c)) for c in _box(d))\n"
+
+MUTANTS = {
+    "lem-stats-size-of-del": Mutant(
+        SWEEP, "\n            and kernels.size(df) == kernels.size(f) - _two_measure(f)", "",
+        (f"{CLAUSE}[lem-stats-size-of-del]",),
+    ),
+    "lem-stats-two-measure-of-del": Mutant(
+        SWEEP, '\n            and _two_measure(df) == _two_measure(f) - (in_b and _letter(df) == "a"))',
+        ")", (f"{CLAUSE}[lem-stats-two-measure-of-del]",),
+    ),
+    "prop-stats-size": Mutant(
+        SWEEP, "\n            and kernels.size(f) == sum(descents)", "",
+        (f"{CLAUSE}[prop-stats-size]",),
+    ),
+    "prop-characterization-no-bb": Mutant(  # the report tests super-distinctness twice
+        BURGE, '        "bb" not in word,\n', "        is_super_distinct(p),\n",
+        (f"{CLAUSE}[prop-characterization-no-bb]",),
+    ),
+    "prop-characterization-descents": Mutant(
+        BURGE, "        _descents(word)[::-1] == p,\n", "        is_super_distinct(p),\n",
+        ("tests/test_sweep.py::test_fault_in_one_word_step_is_reported"
+         "[prop-characterization-burgebox encode 8]",),
+    ),
+    "thm-oblakburge-evaluation": Mutant(
+        SWEEP, "kernels.max_evaluation(df)[0] == kernels.max_evaluation(f)[0] - 1\n        and ", "",
+        (f"{PLANTED}[thm-oblakburge]",),
+    ),
+    "cor-box-word": Mutant(  # only the part counts of each fiber are compared
+        SWEEP, COR_BOX,
+        "        ok = Counter(k for _, k in fibers[q].elements()) == Counter(sum(c) for c in _box(d))\n",
+        (f"{PLANTED}[cor-box]",),
+    ),
+    "cor-box-part-count": Mutant(  # only the code words of each fiber are compared
+        SWEEP, COR_BOX,
+        "        ok = (Counter(w for w, _ in fibers[q].elements())\n"
+        "              == Counter(_fiber_word(d, c) for c in _box(d)))\n",
+        (f"{CLAUSE}[cor-box-part-count]",),
+    ),
+    "cor-box-super-distinct-keys": Mutant(  # a Q with an empty box is skipped
+        SWEEP, "    for q in sorted(fibers, reverse=True):\n",
+        "    for q in sorted((q for q in fibers if min(_delta(q), default=1) > 0), reverse=True):\n",
+        (f"{NOT_SUPER_DISTINCT}[cor-box]",),
+    ),
+    "foata-hooks-part-count": Mutant(
+        SWEEP, "all(len(image) == sum(c) for c, image in images.items())\n              and ", "",
+        (f"{CLAUSE}[foata-hooks-part-count]",),
+    ),
+    "foata-hooks-every-partition-with-hooks-q": Mutant(
+        SWEEP, "\n              and set(images.values()) == by_hooks[q]", "",
+        (f"{CLAUSE}[foata-hooks-every-partition-with-hooks-q]",),
+    ),
+    "foata-hooks-super-distinct-keys": Mutant(  # a Q with an empty box is skipped
+        SWEEP, "    for q in sorted(by_hooks, reverse=True):\n",
+        "    for q in sorted((q for q in by_hooks if min(_delta(q), default=1) > 0), reverse=True):\n",
+        (f"{NOT_SUPER_DISTINCT}[foata-hooks]",),
+    ),
+}
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+
+
+def run_pytest(root: Path, tests) -> int:
+    # no bytecode is written, so a mutated file is never shadowed by a stale .pyc
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names: list) -> int:
+    if unknown := sorted(set(names) - set(MUTANTS)):
+        print(f"unknown mutants: {unknown}", file=sys.stderr)
+        return 2
+    chosen = {name: MUTANTS[name] for name in names or MUTANTS}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        tests = sorted({test for mutant in chosen.values() for test in mutant.tests})
+        if code := run_pytest(root, tests):
+            print(f"ERROR: the named tests do not pass unmutated (pytest exit {code})")
+            return 1
+        killed = 0
+        for name, mutant in chosen.items():
+            path = root / mutant.file
+            text = path.read_text()
+            start = time.perf_counter()
+            if text.count(mutant.old) != 1:
+                status = "ERROR (old text not found exactly once)"
+            else:
+                path.write_text(text.replace(mutant.old, mutant.new))
+                code = run_pytest(root, mutant.tests)
+                path.write_text(text)
+                status = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            killed += status == "killed"
+            print(f"{status}: {name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{killed} of {len(chosen)} mutants killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -367,6 +367,17 @@ def test_field_comes_from_the_flag_alone(capsys, monkeypatch, value):
     assert code == 0 and out.strip() == "[5]"
 
 
+def test_scan_field_default_is_scan_prime(capsys):
+    # scan_max_type, scan-max, the dominance sweep and the sweep's help read one constant
+    assert oracle.scan_max_type((2, 1)).field == oracle.SCAN_PRIME
+    code, out, _ = run(capsys, "scan-max", "--partition", "2,1", "--json")
+    assert code == 0 and json.loads(out)["field"] == oracle.SCAN_PRIME
+    assert sweep.dominance_field(SweepConfig(max_n=0)) == oracle.SCAN_PRIME
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert f"matrix-dominance uses {oracle.SCAN_PRIME}" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--partition", "3,1", "--trials", "-3"],
     ["scan-max", "--partition", "2,1", "--budget", "-1"],
@@ -453,15 +464,15 @@ def test_sweep_config_validation():
 def test_run_sweep_all_checks_tiny():
     # matrix-dominance needs a tiny field (its scan budget is p^slots);
     # everything else runs on a generic-sized one.  There are 12 partitions
-    # with n <= 4; cor-box records one instance per n plus one per
-    # super-distinct Q (6 of them), foata-hooks one per super-distinct Q.
+    # with n <= 4; cor-box and foata-hooks record one instance per
+    # super-distinct Q (6 of them).
     combinatorial = tuple(c for c in CHECKS if c != "matrix-dominance")
     results = run_sweep(SweepConfig(max_n=4, checks=combinatorial, field=101, trials=1))
     results += run_sweep(SweepConfig(max_n=4, checks=("matrix-dominance",), field=2))
     assert [r.name for r in results] == list(CHECKS)
     counts = {r.name: (r.instances, r.failures) for r in results}
     assert counts == {
-        name: {"cor-box": (11, 0), "foata-hooks": (6, 0)}.get(name, (12, 0))
+        name: {"cor-box": (6, 0), "foata-hooks": (6, 0)}.get(name, (12, 0))
         for name in CHECKS
     }
 

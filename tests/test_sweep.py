@@ -5,7 +5,9 @@ are.  Each case below replaces one binding that a check reads with a copy
 that is wrong on one partition alone, (3, 1) unless it says otherwise, and
 expects the check to record a failure whose reproducer names that partition.
 The clause plants break one clause of a check each, so deleting any of those
-clauses fails a test.  ``run_sweep`` walks each size once for every check.
+clauses fails a test; ``tests/mutants.py`` lists those deletions.  ``run_sweep``
+walks each size once for every check.  The box checks record one instance per
+super-distinct partition, and report a partition filed under any other Q.
 """
 
 import sys
@@ -110,11 +112,17 @@ CLAUSE_PLANTS = {
          (sweep, "_path_partition", "bbaba", const((3, 2)))],
         5, "burgebox foata 4,1 --coords 1,1", 1,
     ),
-    # the walk of 4 files (2,2) under hooks (4), so (4) misses it; (3,1) fails after it,
-    # on the hooks of its own image
+    "cor-box-part-count": (  # (4,1) and (3,1,1), the fiber of (4,1), swap code words
+        "cor-box",
+        [(sweep, "_word_step", to_frequency((4, 1)), const(burge.encode(to_frequency((3, 1, 1))))),
+         (sweep, "_word_step", to_frequency((3, 1, 1)), const(burge.encode(to_frequency((4, 1)))))],
+        5, "burgebox fiber 4,1 --json", 1,
+    ),
+    # the walk of 4 files (2,2) under hooks (4), so the box of (4) misses it; no partition
+    # is left under (3,1), which is not visited
     "foata-hooks-every-partition-with-hooks-q": (
         "foata-hooks", [(sweep, "_diagonal_hooks", (2, 2), const((4,)))], 4,
-        "burgebox foata 4 --coords 1", 2,
+        "burgebox foata 4 --coords 1", 1,
     ),
 }
 
@@ -126,6 +134,32 @@ def test_planted_fault_in_one_clause_is_reported(clause, monkeypatch):
         plant(monkeypatch, *planted)
     (result,) = run_sweep(SweepConfig(max_n=max_n, checks=(name,)))
     assert (result.failures, result.first_counterexample) == (failures, repro)
+
+
+@pytest.mark.parametrize("name", ["cor-box", "foata-hooks"])
+def test_box_checks_record_one_instance_per_super_distinct_partition(name):
+    # one instance for each Q that a partition of n maps to: on working code, each
+    # super-distinct partition of n and nothing else
+    supers = 0
+    for n in range(11):
+        supers += sum(map(partitions.is_super_distinct, partitions_of(n)))
+        (result,) = run_sweep(SweepConfig(max_n=n, checks=(name,)))
+        assert (result.instances, result.failures) == (supers, 0)
+
+
+# (2,1,1) is filed under (2,1), which is not super-distinct: the box of (4) misses it,
+# and the box of (2,1) has a dimension 0, so it holds no partition
+@pytest.mark.parametrize("name, planted, repro", [
+    ("cor-box", (sweep, "_descents", burge.encode(to_frequency((2, 1, 1))), const((1, 2))),
+     "burgebox fiber 4 --json"),
+    ("foata-hooks", (sweep, "_diagonal_hooks", (2, 1, 1), const((2, 1))),
+     "burgebox foata 4 --coords 1"),
+], ids=["cor-box", "foata-hooks"])
+def test_partition_filed_under_a_key_that_is_not_super_distinct_is_reported(
+        name, planted, repro, monkeypatch):
+    plant(monkeypatch, *planted)
+    (result,) = run_sweep(SweepConfig(max_n=4, checks=(name,)))
+    assert (result.failures, result.first_counterexample) == (2, repro)
 
 
 @pytest.mark.parametrize("name", list(CHECKS))
