@@ -41,14 +41,19 @@ def _delta(q: tuple) -> tuple:
     return r[:1] + tuple(b - a - 1 for a, b in zip(r, r[1:]))
 
 
+def _in_range(name: str, x, hi: int) -> int:
+    """x, once it is an int, not a bool, in [1, hi]; the ValueError names it."""
+    if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= hi:
+        raise ValueError(f"{name} is {x!r}, not an integer in [1, {hi}]")
+    return x
+
+
 def check_coords(d: tuple, coords: Iterable[int]) -> tuple:
+    """Coordinates as a tuple, once each is an int (not a bool) within its box dimension."""
     c = tuple(coords)
     if len(c) != len(d):
         raise ValueError(f"expected {len(d)} coordinates, got {len(c)}")
-    for j, (cj, dj) in enumerate(zip(c, d), 1):
-        if not 1 <= cj <= dj:
-            raise ValueError(f"coordinate {j} out of range: {cj} not in [1, {dj}]")
-    return c
+    return tuple(_in_range(f"coordinate {j}", cj, dj) for j, (cj, dj) in enumerate(zip(c, d), 1))
 
 
 def fiber_code(q: Iterable[int], coords: Iterable[int]) -> str:
@@ -127,10 +132,7 @@ def symmetry_map(q: Iterable[int], coords: Iterable[int], positions: Iterable[in
     """
     d = delta(q)
     c = check_coords(d, coords)
-    pos = set(positions)
-    for j in pos:
-        if not 1 <= j <= len(d):
-            raise ValueError(f"position {j} out of range [1, {len(d)}]")
+    pos = {_in_range("position", j, len(d)) for j in positions}
     return tuple(
         d[j - 1] - cj + 1 if j in pos else cj for j, cj in enumerate(c, 1)
     )

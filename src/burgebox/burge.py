@@ -49,12 +49,12 @@ from .partitions import (
     FreqSeq,
     _partition,
     _quoted,
-    _reduced,
     _right_set,
     _two_measure,
     as_frequency,
     as_partition,
     is_super_distinct,
+    reduced,
     to_frequency,
 )
 
@@ -243,6 +243,6 @@ def _characterization(p: Partition, f: FreqSeq, df: FreqSeq, word: str) -> tuple
         "bb" not in word,
         all(m == (1 if i in rset else 0) for i, m in enumerate(f, 1)),
         df == f[1:],  # f has no trailing zeros, so neither has f[1:]
-        _partition(df) == _reduced(p),
+        _partition(df) == reduced(p),
         _descents(word)[::-1] == p,
     )

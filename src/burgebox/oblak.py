@@ -22,6 +22,7 @@ one backward pass over a running suffix sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from . import kernels
@@ -31,20 +32,21 @@ from .partitions import FreqSeq, Partition, as_frequency, spreads
 DEFAULT_CHAIN_LIMIT = 10**5
 
 
+def _index(i: int) -> int:
+    """An index, returned once it is an int (not a bool) and at least 0."""
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise ValueError(f"index {i!r} is not a nonnegative integer")
+    return i
+
+
 def evaluate(freq: Iterable[int], i: int) -> int:
-    """Evaluation of f at index i >= 0 (index 0 evaluates as index 1)."""
-    f = as_frequency(freq)
-    if i < 0:
-        raise ValueError("evaluation index must be nonnegative")
-    return kernels.evaluate(f, i)
+    """Evaluation of f at index i, an int >= 0 and not a bool (index 0 evaluates as index 1)."""
+    return kernels.evaluate(as_frequency(freq), _index(i))
 
 
 def annihilate(freq: Iterable[int], i: int) -> FreqSeq:
-    """Annihilation of f at index i >= 0: entries i and i+1 spliced out."""
-    f = as_frequency(freq)
-    if i < 0:
-        raise ValueError("annihilation index must be nonnegative")
-    return _annihilated(f, i)
+    """Annihilation of f at index i, an int >= 0 and not a bool: entries i and i+1 spliced out."""
+    return _annihilated(as_frequency(freq), _index(i))
 
 
 def _annihilated(f: FreqSeq, i: int) -> FreqSeq:
@@ -103,9 +105,10 @@ class OblakChain:
     """One run of the process: states from f down to empty, and the chosen indices.
 
     ``states[r] == annihilate(states[r-1], indices[r-1])`` with each chosen
-    index maximal for the state it acts on.  The states are validated, and
-    their trailing zeros stripped, when the chain is made; the process builds
-    its own chains by ``_trusted``, which checks nothing.
+    index maximal for the state it acts on.  Every chain, the process's own
+    included, is checked when it is made: its states are validated and their
+    trailing zeros stripped, each index is an int >= 0 and not a bool, and one
+    index lies between each two states.  ``is_valid_chain`` checks the steps.
     """
 
     states: tuple
@@ -113,20 +116,14 @@ class OblakChain:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(map(as_frequency, self.states)))
-
-    @classmethod
-    def _trusted(cls, states: tuple, indices: tuple) -> "OblakChain":
-        """A chain on a tuple of validated, stripped states."""
-        chain = cls.__new__(cls)
-        object.__setattr__(chain, "states", states)
-        object.__setattr__(chain, "indices", indices)
-        return chain
+        object.__setattr__(self, "indices", tuple(map(_index, self.indices)))
+        if len(self.states) != len(self.indices) + 1:
+            raise ValueError(f"{len(self.states)} states need one index between each two,"
+                             f" got {len(self.indices)} indices")
 
     @property
     def valuation(self) -> Partition:
         """Recorded evaluations, recomputed by the kernels from size drops as a self-check."""
-        if min(self.indices, default=0) < 0:
-            raise ValueError("evaluation index must be nonnegative")
         states, vals = self.states, []
         for r, i in enumerate(self.indices):
             drop = kernels.size(states[r]) - kernels.size(states[r + 1])
@@ -142,22 +139,20 @@ class OblakChain:
 def is_valid_chain(chain: OblakChain) -> bool:
     """Recompute every step of a chain: maximal choices, matching states."""
     states = chain.states
-    if len(states) != len(chain.indices) + 1 or states[-1] != ():
-        return False
-    return all(
+    return states[-1] == () and all(
         i in kernels.max_evaluation(states[r])[1] and _annihilated(states[r], i) == states[r + 1]
         for r, i in enumerate(chain.indices)
     )
 
 
 def is_valid_index_sequence(freq: Iterable[int], indices: Iterable[int]) -> bool:
-    """True when the given indices drive f to empty via maximal choices."""
-    state = as_frequency(freq)
-    for i in indices:
-        if i not in kernels.max_evaluation(state)[1]:
-            return False
-        state = _annihilated(state, i)
-    return state == ()
+    """True when the given indices drive f to empty via maximal choices.
+
+    Every index is checked, as the chain checks it, before the first step is taken.
+    """
+    f = as_frequency(freq)
+    checked = tuple(map(_index, indices))
+    return is_valid_chain(OblakChain(accumulate(checked, _annihilated, initial=f), checked))
 
 
 def oblak_chain(freq: Iterable[int]) -> OblakChain:
@@ -168,7 +163,7 @@ def oblak_chain(freq: Iterable[int]) -> OblakChain:
     for i, _ in kernels.oblak_steps(f):
         indices.append(i)
         states.append(tuple(f))
-    return OblakChain._trusted(tuple(states), tuple(indices))
+    return OblakChain(states, indices)
 
 
 def oblak(freq: Iterable[int]) -> Partition:
@@ -201,7 +196,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
         if not state:
             if len(out) >= limit:
                 raise ValueError(f"chain enumeration for {f} exceeds limit {limit}")
-            out.append(OblakChain._trusted(tuple(states), tuple(indices)))
+            out.append(OblakChain(states, indices))
             return
         for nxt, i in _successors(state).items():
             rec(nxt, states + [nxt], indices + [i])
@@ -228,7 +223,7 @@ def del_chain(chain: OblakChain) -> OblakChain:
         if i is None:
             raise ValueError(f"no maximal index carries {here} to {nxt}; not a chain")
         indices.append(i)
-    return OblakChain._trusted(states, tuple(indices))
+    return OblakChain(states, indices)
 
 
 def check_commuting_square(freq: Iterable[int], i: int) -> bool:

@@ -79,7 +79,7 @@ def chain_layout(parts: Iterable[int]) -> dict:
     return layout
 
 
-def _successors(pt: Partition) -> list:
+def _next_rows(pt: Partition) -> list:
     """B of type P as its successor map: (Bv)[r] = v[nxt[r]], where nxt[r] = n ends a chain."""
     n, ends = sum(pt), set(accumulate(pt))
     return [n if r + 1 in ends else r + 1 for r in range(n)]
@@ -87,7 +87,7 @@ def _successors(pt: Partition) -> list:
 
 def jordan_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
     """Block-diagonal nilpotent matrix with superdiagonal ones, sizes descending."""
-    nxt = _successors(as_partition(parts))
+    nxt = _next_rows(as_partition(parts))
     superdiagonal = [(r, c) for r, c in enumerate(nxt) if c < len(nxt)]
     return MatrixGFp(_placed(len(nxt), [(superdiagonal, 1)]), p)
 
@@ -171,7 +171,7 @@ def _slot_table(pt: Partition, reduced: bool = True) -> dict:
     BE, at (prv[r], c).  Commuting is linear, so this covers every matrix placed
     from the table.
     """
-    nxt = _successors(pt)
+    nxt = _next_rows(pt)
     n = len(nxt)
     prv = {c: r for r, c in enumerate(nxt)}  # a chain start is no key
     layout = chain_layout(pt)

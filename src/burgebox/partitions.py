@@ -171,11 +171,7 @@ def is_super_distinct(parts: Iterable[int]) -> bool:
 
 def reduced(parts: Iterable[int]) -> Partition:
     """P - 1: subtract one from every part and drop the zeros."""
-    return _reduced(as_partition(parts))
-
-
-def _reduced(p: Partition) -> Partition:
-    return tuple(x - 1 for x in p if x > 1)
+    return tuple(x - 1 for x in as_partition(parts) if x > 1)
 
 
 def dominates(parts: Iterable[int], other: Iterable[int]) -> bool:

@@ -46,7 +46,7 @@ from .partitions import (
     partitions_of,
     to_frequency,
 )
-from .words import _diagonal_hooks, _foata_word, _path_partition
+from .words import _foata_word, _path_partition, diagonal_hooks
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:
     A Q that is not super-distinct has an empty box, so it fails."""
     by_hooks: dict = {}
     for p in partitions_of(n):
-        by_hooks.setdefault(_diagonal_hooks(p), set()).add(p)
+        by_hooks.setdefault(diagonal_hooks(p), set()).add(p)
     for q in sorted(by_hooks, reverse=True):
         d = _delta(q)
         images = {c: _path_partition(_foata_word(d, c)) for c in _box(d)}

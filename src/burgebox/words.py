@@ -91,10 +91,7 @@ def diagonal_hooks(parts: Iterable[int]) -> Partition:
     result is a super-distinct partition of |P|.  One pointer walks the
     column counts up from the last part, so the cost is O(len P).
     """
-    return _diagonal_hooks(as_partition(parts))
-
-
-def _diagonal_hooks(p: Partition) -> Partition:
+    p = as_partition(parts)
     hooks = []
     col = len(p)  # parts >= i, for the current i
     for i, x in enumerate(p, 1):

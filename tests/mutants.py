@@ -1,4 +1,4 @@
-"""Named source mutants of the sweep checks, and a runner that confirms each is killed.
+"""Named source mutants of the sweep and chain checks, and a runner that confirms each is killed.
 
 Each entry of ``MUTANTS`` weakens one clause of a check in ``src/burgebox``:
 it replaces ``old``, which occurs exactly once in ``src/``, by ``new``, and
@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 SWEEP = "src/burgebox/sweep.py"
 BURGE = "src/burgebox/burge.py"
+OBLAK = "src/burgebox/oblak.py"
 CLAUSE = "tests/test_sweep.py::test_planted_fault_in_one_clause_is_reported"
 PLANTED = "tests/test_sweep.py::test_planted_fault_is_reported"
 NOT_SUPER_DISTINCT = (
@@ -49,6 +50,9 @@ NOT_SUPER_DISTINCT = (
 COR_BOX = "        ok = fibers[q] == Counter((_fiber_word(d, c), sum(c)) for c in _box(d))\n"
 
 MUTANTS = {
+    "lem-stats-part-count-of-del": Mutant(
+        SWEEP, "sum(df) == sum(f) - in_b", "True", (f"{CLAUSE}[lem-stats-part-count-of-del]",),
+    ),
     "lem-stats-size-of-del": Mutant(
         SWEEP, "\n            and kernels.size(df) == kernels.size(f) - _two_measure(f)", "",
         (f"{CLAUSE}[lem-stats-size-of-del]",),
@@ -56,6 +60,12 @@ MUTANTS = {
     "lem-stats-two-measure-of-del": Mutant(
         SWEEP, '\n            and _two_measure(df) == _two_measure(f) - (in_b and _letter(df) == "a"))',
         ")", (f"{CLAUSE}[lem-stats-two-measure-of-del]",),
+    ),
+    "prop-stats-part-count": Mutant(
+        SWEEP, 'sum(f) == w.count("b")', "True", (f"{CLAUSE}[prop-stats-part-count]",),
+    ),
+    "prop-stats-descent-count": Mutant(
+        SWEEP, "_two_measure(f) == len(descents)", "True", (f"{CLAUSE}[prop-stats-descent-count]",),
     ),
     "prop-stats-size": Mutant(
         SWEEP, "\n            and kernels.size(f) == sum(descents)", "",
@@ -102,6 +112,18 @@ MUTANTS = {
         SWEEP, "    for q in sorted(by_hooks, reverse=True):\n",
         "    for q in sorted((q for q in by_hooks if min(_delta(q), default=1) > 0), reverse=True):\n",
         (f"{NOT_SUPER_DISTINCT}[foata-hooks]",),
+    ),
+    "oblak-chain-index-count": Mutant(  # a chain may have too few or too many indices
+        OBLAK, "        if len(self.states) != len(self.indices) + 1:\n", "        if False:\n",
+        ("tests/test_oblak.py::test_chain_needs_one_index_between_each_two_states",),
+    ),
+    "oblak-index-bool": Mutant(  # True and False pass as the indices 1 and 0
+        OBLAK, " or isinstance(i, bool) or i < 0:", " or i < 0:",
+        ("tests/test_oblak.py::test_chain_index_must_be_a_nonnegative_integer[True]",),
+    ),
+    "oblak-index-negative": Mutant(
+        OBLAK, "isinstance(i, bool) or i < 0:", "isinstance(i, bool):",
+        ("tests/test_oblak.py::test_chain_index_must_be_a_nonnegative_integer[-1]",),
     ),
 }
 

@@ -17,6 +17,7 @@ from burgebox.partitions import (
     to_frequency,
     to_partition,
 )
+from burgebox.words import foata_fiber
 
 
 def test_delta_examples():
@@ -141,8 +142,21 @@ def test_symmetry_is_involution():
 
 
 def test_symmetry_rejects_bad_positions():
-    with pytest.raises(ValueError):
-        symmetry_map((10, 7, 3), (1, 1, 1), (4,))
+    for position in (4, 0, True, 1.0):
+        with pytest.raises(ValueError, match=f"position is {position!r}, not an integer in"):
+            symmetry_map((10, 7, 3), (1, 1, 1), (position,))
+
+
+@pytest.mark.parametrize("coords, message", [
+    ((True, 1, 1), "coordinate 1 is True, not an integer"),
+    ((1.0, 1, 1), "coordinate 1 is 1.0, not an integer"),
+    ((1, "1", 1), "coordinate 2 is '1', not an integer"),
+], ids=["True", "1.0", "'1'"])
+@pytest.mark.parametrize("take", [fiber_code, foata_fiber, lambda q, c: symmetry_map(q, c, ())],
+                         ids=["fiber_code", "foata_fiber", "symmetry_map"])
+def test_coordinate_that_is_a_bool_or_not_an_int_is_rejected(take, coords, message):
+    with pytest.raises(ValueError, match=message):
+        take((10, 7, 3), coords)
 
 
 def test_fiber_bijection_swapped_box():

@@ -60,10 +60,18 @@ def test_annihilate_examples():
 
 
 def test_negative_index_is_rejected():
-    with pytest.raises(ValueError, match="evaluation index must be nonnegative"):
+    with pytest.raises(ValueError, match="index -1 is not a nonnegative integer"):
         evaluate((2, 1), -1)
-    with pytest.raises(ValueError, match="annihilation index must be nonnegative"):
+    with pytest.raises(ValueError, match="index -1 is not a nonnegative integer"):
         annihilate((2, 1), -1)
+
+
+@pytest.mark.parametrize("i", [True, 1.5], ids=["True", "1.5"])
+@pytest.mark.parametrize("check", [evaluate, annihilate, lambda f, i: is_valid_index_sequence(f, (i,))],
+                         ids=["evaluate", "annihilate", "is_valid_index_sequence"])
+def test_index_that_is_a_bool_or_not_an_int_is_rejected(check, i):
+    with pytest.raises(ValueError, match=f"index {i!r} is not a nonnegative integer"):
+        check((2, 1), i)
 
 
 @given(freq_st, st.integers(0, 12))
@@ -248,7 +256,7 @@ def test_chain_valuation_validates_states_and_indices():
     c = oblak_chain((2, 1))
     with pytest.raises(ValueError, match="nonnegative integer"):
         OblakChain(((2, -1),) + c.states[1:], c.indices).valuation
-    with pytest.raises(ValueError, match="index must be nonnegative"):
+    with pytest.raises(ValueError, match="index -1 is not a nonnegative integer"):
         OblakChain(c.states, (-1,) + c.indices[1:]).valuation
     assert c.indices == (0,)  # index 0 evaluates as index 1, as in ``evaluate``
     assert c.valuation == OblakChain(c.states, (1,)).valuation == oblak((2, 1)) == (4,)
@@ -266,3 +274,20 @@ def test_chain_states_are_checked_when_made():
     assert dataclasses.replace(c, states=((2, 1, 0), ())) == c
     with pytest.raises(ValueError, match="nonnegative integer"):
         dataclasses.replace(c, states=((2, True), ()))
+
+
+@pytest.mark.parametrize("i", ["x", True, 1.5, -1], ids=["x", "True", "1.5", "-1"])
+def test_chain_index_must_be_a_nonnegative_integer(i):
+    with pytest.raises(ValueError, match=f"index {i!r} is not a nonnegative integer"):
+        OblakChain(((2, 1), ()), (i,))
+    c = oblak_chain((2, 1))
+    with pytest.raises(ValueError, match="is not a nonnegative integer"):
+        dataclasses.replace(c, indices=(i,))
+
+
+def test_chain_needs_one_index_between_each_two_states():
+    for states, indices in [(((2, 1),), (0,)), (((2, 1), ()), ()), (((2, 1), ()), (0, 0)), ((), ())]:
+        with pytest.raises(ValueError, match="need one index between each two"):
+            OblakChain(states, indices)
+    c = OblakChain([(2, 1), ()], [0])
+    assert c.indices == (0,) and c == oblak_chain((2, 1))

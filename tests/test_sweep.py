@@ -95,9 +95,20 @@ CLAUSE_PLANTS = {
     "lem-stats-size-of-del": (
         "lem-stats", [(kernels, "size", F, lambda s: s + 1)], 4, "burgebox chain 3,1", 1,
     ),
+    "lem-stats-part-count-of-del": (  # (0,1) in place of (2,): same size and two-measure
+        "lem-stats", [(sweep, "_demoted", to_frequency((2, 1)), const((0, 1)))], 4,
+        "burgebox chain 2,1", 1,
+    ),
     "lem-stats-two-measure-of-del": (  # (1,0,1) in place of (0,2): same sum and size
         "lem-stats", [(sweep, "_demoted", to_frequency((3, 2)), const((1, 0, 1)))], 5,
         "burgebox chain 3,2", 1,
+    ),
+    "prop-stats-part-count": (  # the word of (3,) is aaba; abba has its descents
+        "prop-stats", [(sweep, "_word_step", to_frequency((3,)), const("abba"))], 3,
+        "burgebox encode 3", 1,
+    ),
+    "prop-stats-descent-count": (  # only this clause reads the two-measure
+        "prop-stats", [(sweep, "_two_measure", F, lambda m: m + 1)], 4, "burgebox encode 3,1", 1,
     ),
     "prop-stats-size": (
         "prop-stats", [(kernels, "size", F, lambda s: s + 1)], 4, "burgebox encode 3,1", 1,
@@ -121,7 +132,7 @@ CLAUSE_PLANTS = {
     # the walk of 4 files (2,2) under hooks (4), so the box of (4) misses it; no partition
     # is left under (3,1), which is not visited
     "foata-hooks-every-partition-with-hooks-q": (
-        "foata-hooks", [(sweep, "_diagonal_hooks", (2, 2), const((4,)))], 4,
+        "foata-hooks", [(sweep, "diagonal_hooks", (2, 2), const((4,)))], 4,
         "burgebox foata 4 --coords 1", 1,
     ),
 }
@@ -152,7 +163,7 @@ def test_box_checks_record_one_instance_per_super_distinct_partition(name):
 @pytest.mark.parametrize("name, planted, repro", [
     ("cor-box", (sweep, "_descents", burge.encode(to_frequency((2, 1, 1))), const((1, 2))),
      "burgebox fiber 4 --json"),
-    ("foata-hooks", (sweep, "_diagonal_hooks", (2, 1, 1), const((2, 1))),
+    ("foata-hooks", (sweep, "diagonal_hooks", (2, 1, 1), const((2, 1))),
      "burgebox foata 4 --coords 1"),
 ], ids=["cor-box", "foata-hooks"])
 def test_partition_filed_under_a_key_that_is_not_super_distinct_is_reported(
