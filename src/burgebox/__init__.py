@@ -2,7 +2,7 @@
 
 The package ties together five layers:
 
-* ``partitions`` — partitions, frequency sequences, spreads, dominance;
+* ``partitions`` — partitions, frequency sequences, dominance, text forms;
 * ``burge`` — the code-word correspondence and the descent map;
 * ``oblak`` — the greedy evaluation/annihilation process and its chains;
 * ``boxes`` / ``words`` — descent-map fibers as coordinate boxes, and the
@@ -15,7 +15,6 @@ from .boxes import (
     coordinates_of,
     delta,
     fiber,
-    fiber_bijection,
     fiber_code,
     max_parts_partition,
     symmetry_map,
@@ -26,32 +25,21 @@ from .burge import (
     apply_b,
     apply_del,
     burge_chain,
-    characterize_superdistinct,
     decode,
-    des,
     descent_map,
-    descent_set,
     encode,
-    in_class_b,
-    maj,
 )
 from .gfp import MatrixGFp
 from .oblak import (
     OblakChain,
     annihilate,
     check_commuting_square,
-    del_chain,
-    equivalent_indices,
     evaluate,
-    left_admissible,
     maximal_indices,
     oblak,
     oblak_all_chains,
-    oblak_chain,
-    right_admissible,
 )
 from .oracle import (
-    jordan_matrix,
     jordan_type,
     random_commuting,
     restriction_type,
@@ -60,24 +48,19 @@ from .oracle import (
     witness_matrix,
 )
 from .partitions import (
-    Spread,
     as_frequency,
     as_partition,
     dominates,
     format_partition,
     is_super_distinct,
-    left_set,
     length,
     parse_partition,
     partitions_of,
     reduced,
-    right_set,
     size,
-    spreads,
     to_frequency,
     to_partition,
-    two_measure,
 )
-from .words import diagonal_hooks, durfee, foata_fiber, inversions, path_to_partition
+from .words import diagonal_hooks, durfee, foata_fiber, path_to_partition
 
 __version__ = "0.1.0"

@@ -137,27 +137,3 @@ def symmetry_map(q: Iterable[int], coords: Iterable[int], positions: Iterable[in
         d[j - 1] - cj + 1 if j in pos else cj for j, cj in enumerate(c, 1)
     )
 
-
-def fiber_bijection(q: Iterable[int], r: Iterable[int], sigma: Iterable[int]) -> list:
-    """Pair the fibers of Q and R along a permutation of equal box dimensions.
-
-    ``sigma`` is a permutation of 1..k with delta(R)[j] = delta(Q)[sigma(j)];
-    the element of the Q-fiber at (i_j)_j pairs with the element of the
-    R-fiber at (i_sigma(j))_j.  Paired partitions have equal part counts.
-    Returns ((coords_q, part_q), (coords_r, part_r)) pairs.
-    """
-    qt = as_partition(q)
-    dq, dr = delta(qt), delta(r)
-    s = tuple(sigma)
-    if sorted(s) != list(range(1, len(dq) + 1)) or len(dr) != len(dq):
-        raise ValueError(f"sigma {s} is not a permutation of 1..{len(dq)}")
-    for j in range(len(dr)):
-        if dr[j] != dq[s[j] - 1]:
-            raise ValueError(
-                f"box mismatch at position {j + 1}: delta(R)={dr}, permuted delta(Q) wants {dq[s[j] - 1]}"
-            )
-    pairs = []
-    for coords_q, part_q in fiber(qt):  # in lexicographic coordinate order
-        coords_r = tuple(coords_q[i - 1] for i in s)
-        pairs.append(((coords_q, part_q), (coords_r, _element(dr, coords_r))))
-    return pairs

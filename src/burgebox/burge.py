@@ -75,16 +75,6 @@ def check_word(word: str) -> str:
     return w
 
 
-def is_code_word(word: str) -> bool:
-    """True when the word lies in (a*b)*a: it ends with a single a."""
-    return bool(_CODE_RE.match(check_word(word)))
-
-
-def in_class_b(freq: Iterable[int]) -> bool:
-    """True when 1 is in R(f), i.e. 1 sits in a spread of odd size."""
-    return _letter(as_frequency(freq)) == "b"
-
-
 def _letter(f: FreqSeq) -> str:
     """Class letter of a validated f, from the parity of the spread at index 1."""
     return "ab"[(f.index(0) if 0 in f else len(f)) % 2]
@@ -174,26 +164,14 @@ def decode(word: str) -> FreqSeq:
     return kernels.promoted(w)
 
 
-def descent_set(word: str) -> tuple:
-    """Positions i with word[i] = b and word[i+1] = a, ascending, 1-based."""
-    return _descents(check_word(word))
-
-
 def _descents(w: str) -> tuple:
+    """Positions i with w[i] = b and w[i+1] = a, ascending, 1-based, in a checked word."""
     out = []
     i = w.find("ba")
     while i >= 0:
         out.append(i + 1)
         i = w.find("ba", i + 2)
     return tuple(out)
-
-
-def des(word: str) -> int:
-    return len(descent_set(word))
-
-
-def maj(word: str) -> int:
-    return sum(descent_set(word))
 
 
 def descent_map(parts: Iterable[int]) -> Partition:
@@ -206,36 +184,14 @@ def descent_map(parts: Iterable[int]) -> Partition:
     return _descents(encode(to_frequency(parts)))[::-1]
 
 
-@dataclass(frozen=True)
-class SuperDistinctReport:
-    """Seven equivalent tests of super-distinctness, evaluated independently."""
-
-    super_distinct: bool          # parts differ pairwise by >= 2
-    length_equals_two_measure: bool
-    code_has_no_bb: bool
-    freq_is_right_set_indicator: bool  # f_i = 1 on R(f), 0 elsewhere
-    del_is_shift: bool            # apply_del(f) = (f_2, f_3, ...)
-    del_is_reduction: bool        # partition of apply_del(f) = P - 1
-    descent_map_fixes: bool       # descent_map(P) = P
-
-    def values(self) -> tuple:
-        return tuple(vars(self).values())  # the fields, in declaration order
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.values())) == 1
-
-
-def characterize_superdistinct(parts: Iterable[int]) -> SuperDistinctReport:
-    """The seven tests on P, from one validation and one code word."""
-    p = as_partition(parts)
-    f = to_frequency(p)
-    df = _demoted(f)
-    return SuperDistinctReport(*_characterization(p, f, df, _word(f, df)))
-
-
 def _characterization(p: Partition, f: FreqSeq, df: FreqSeq, word: str) -> tuple:
-    """The seven tests, in ``SuperDistinctReport`` order, on P, f, del f and the code word."""
+    """Seven tests of super-distinctness on P, its f, del f and its code word; all agree.
+
+    In order: the parts differ pairwise by >= 2; the length equals the
+    two-measure; the code word has no bb; f_i = 1 on R(f) and 0 elsewhere;
+    del f = (f_2, f_3, ...); the partition of del f is P - 1; and the
+    descent map fixes P.
+    """
     rset = _right_set(f)
     return (
         is_super_distinct(p),

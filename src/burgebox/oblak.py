@@ -22,12 +22,11 @@ one backward pass over a running suffix sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable
 
 from . import kernels
-from .burge import _demoted, apply_del
-from .partitions import FreqSeq, Partition, as_frequency, spreads
+from .burge import apply_del
+from .partitions import FreqSeq, Partition, as_frequency
 
 DEFAULT_CHAIN_LIMIT = 10**5
 
@@ -64,31 +63,6 @@ def maximal_indices(freq: Iterable[int]) -> tuple:
     return kernels.max_evaluation(as_frequency(freq))[1]
 
 
-def right_admissible(freq: Iterable[int]) -> frozenset:
-    """Indices i >= 1 with f_i > 0 that are not the right end of a nontrivial spread."""
-    return frozenset(i for s in spreads(freq) for i in range(s.lo, s.hi + s.trivial))
-
-
-def left_admissible(freq: Iterable[int]) -> frozenset:
-    """Indices i >= 0 with f_{i+1} > 0 such that i+1 is not the left end of a nontrivial spread."""
-    return frozenset(i for s in spreads(freq) for i in range(s.lo - s.trivial, s.hi))
-
-
-def equivalent_indices(freq: Iterable[int]) -> list:
-    """Partition of the index range [0, max support + 1] by equal annihilation.
-
-    Equal annihilations force equal evaluations, so classes agree on both.
-    The returned classes are sorted lists ordered by smallest member; the
-    last class is unbounded (it stands for everything from its smallest
-    member on, where annihilation no longer changes f).
-    """
-    f = as_frequency(freq)
-    groups: dict = {}
-    for i in range(0, len(f) + 2):
-        groups.setdefault(_annihilated(f, i), []).append(i)
-    return sorted(groups.values())
-
-
 def _successors(f: FreqSeq) -> dict:
     """Successor states of a validated f -> the smallest maximal index annihilating to each.
 
@@ -108,7 +82,7 @@ class OblakChain:
     index maximal for the state it acts on.  Every chain, the process's own
     included, is checked when it is made: its states are validated and their
     trailing zeros stripped, each index is an int >= 0 and not a bool, and one
-    index lies between each two states.  ``is_valid_chain`` checks the steps.
+    index lies between each two states.  The steps themselves are not checked.
     """
 
     states: tuple
@@ -134,36 +108,6 @@ class OblakChain:
                 )
             vals.append(ev)
         return tuple(vals)
-
-
-def is_valid_chain(chain: OblakChain) -> bool:
-    """Recompute every step of a chain: maximal choices, matching states."""
-    states = chain.states
-    return states[-1] == () and all(
-        i in kernels.max_evaluation(states[r])[1] and _annihilated(states[r], i) == states[r + 1]
-        for r, i in enumerate(chain.indices)
-    )
-
-
-def is_valid_index_sequence(freq: Iterable[int], indices: Iterable[int]) -> bool:
-    """True when the given indices drive f to empty via maximal choices.
-
-    Every index is checked, as the chain checks it, before the first step is taken.
-    """
-    f = as_frequency(freq)
-    checked = tuple(map(_index, indices))
-    return is_valid_chain(OblakChain(accumulate(checked, _annihilated, initial=f), checked))
-
-
-def oblak_chain(freq: Iterable[int]) -> OblakChain:
-    """Deterministic run: always the smallest maximal index."""
-    f = list(as_frequency(freq))
-    states = [tuple(f)]
-    indices = []
-    for i, _ in kernels.oblak_steps(f):
-        indices.append(i)
-        states.append(tuple(f))
-    return OblakChain(states, indices)
 
 
 def oblak(freq: Iterable[int]) -> Partition:
@@ -205,34 +149,16 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
     return out
 
 
-def del_chain(chain: OblakChain) -> OblakChain:
-    """Image of a chain under apply_del, state by state.
-
-    When the penultimate state is (1) the final step collapses (its
-    evaluation was 1), so that state is dropped; otherwise every state maps
-    across.  The returned chain carries a freshly derived valid index
-    sequence for the new states.
-    """
-    states = chain.states
-    if len(states) >= 2 and states[-2] == (1,):
-        states = states[:-1]
-    states = tuple(map(_demoted, states))
-    indices = []
-    for here, nxt in zip(states, states[1:]):
-        i = _successors(here).get(nxt)
-        if i is None:
-            raise ValueError(f"no maximal index carries {here} to {nxt}; not a chain")
-        indices.append(i)
-    return OblakChain(states, indices)
-
-
 def check_commuting_square(freq: Iterable[int], i: int) -> bool:
     """Does annihilation at i commute with apply_del, evaluation dropping by 1?
 
-    Guaranteed when i is left admissible for f or right admissible for
-    apply_del(f); may hold or fail otherwise.  Demotion goes through the
-    public ``apply_del``, which keeps this module's binding of it in use for
-    the benchmark's tracer (ROADMAP item 6).
+    Guaranteed when i is left admissible for f: f_(i+1) > 0, and i+1 is not
+    the low end of a spread (a maximal run of nonzero entries) of two or more
+    indices.  Also guaranteed when i is right admissible for g = apply_del(f):
+    i >= 1, g_i > 0, and i is not the high end of such a spread of g.  It may
+    hold or fail otherwise.  Demotion goes through the public ``apply_del``,
+    which keeps this module's binding of it in use for the benchmark's tracer
+    (ROADMAP item 6).
     """
     f = as_frequency(freq)
     df = apply_del(f)

@@ -85,13 +85,6 @@ def _next_rows(pt: Partition) -> list:
     return [n if r + 1 in ends else r + 1 for r in range(n)]
 
 
-def jordan_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
-    """Block-diagonal nilpotent matrix with superdiagonal ones, sizes descending."""
-    nxt = _next_rows(as_partition(parts))
-    superdiagonal = [(r, c) for r, c in enumerate(nxt) if c < len(nxt)]
-    return MatrixGFp(_placed(len(nxt), [(superdiagonal, 1)]), p)
-
-
 class ParamSlot(NamedTuple):
     """One free Toeplitz coefficient a_h of the block coupling chains (i,k) -> (j,l)."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, groupby, zip_longest
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import kernels
 
@@ -27,17 +27,6 @@ FreqSeq = tuple
 PART_CAP = 10**6
 # parse_partition lists every part, so it bounds the total size before doing so.
 SIZE_CAP = 10**5
-
-
-class Spread(NamedTuple):
-    """A maximal interval [lo, hi] of the support of a frequency sequence."""
-
-    lo: int
-    hi: int
-
-    @property
-    def trivial(self) -> bool:
-        return self.lo == self.hi
 
 
 class _Checked(tuple):  # a checked partition: only as_partition and partitions_of build one
@@ -116,7 +105,7 @@ def support(freq: Iterable[int]) -> tuple:
 
 
 def _runs(f: FreqSeq) -> Iterator[tuple]:
-    """(lo, hi) of each maximal run of non-zero entries of a validated f, 1-based."""
+    """(lo, hi) of each spread, a maximal run of non-zero entries, of a validated f, 1-based."""
     lo = 0
     for i, m in enumerate(f, 1):
         if not m:
@@ -129,37 +118,13 @@ def _runs(f: FreqSeq) -> Iterator[tuple]:
         yield lo, len(f)  # f has no trailing zeros
 
 
-def spreads(freq: Iterable[int]) -> list:
-    """Maximal intervals of the support, as Spread(lo, hi), sorted by lo."""
-    return [Spread(lo, hi) for lo, hi in _runs(as_frequency(freq))]
-
-
-def left_set(freq: Iterable[int]) -> frozenset:
-    """L(f): every other support index of each spread, starting at its low end."""
-    return frozenset(
-        i for lo, hi in _runs(as_frequency(freq)) for i in range(lo, hi + 1, 2)
-    )
-
-
-def right_set(freq: Iterable[int]) -> frozenset:
-    """R(f): every other support index of each spread, starting at its high end."""
-    return _right_set(as_frequency(freq))
-
-
 def _right_set(f: FreqSeq) -> frozenset:
+    """R(f) of a validated f: every other index of each spread, starting at its high end."""
     return frozenset(j for lo, hi in _runs(f) for j in range(hi, lo - 1, -2))
 
 
-def two_measure(freq: Iterable[int]) -> int:
-    """Maximum length of a super-distinct subpartition.
-
-    Equals the largest subset of the support with no two consecutive
-    indices, which is ceil(len/2) summed over the spreads.
-    """
-    return _two_measure(as_frequency(freq))
-
-
 def _two_measure(f: FreqSeq) -> int:
+    """Maximum length of a super-distinct subpartition of a validated f: ceil(len/2) per spread."""
     return sum((hi - lo + 2) // 2 for lo, hi in _runs(f))
 
 

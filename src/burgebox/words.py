@@ -1,4 +1,4 @@
-"""Word statistics and the lattice-path route from fibers to hook lengths.
+"""The Foata transform and the lattice-path route from fibers to hook lengths.
 
 The two-letter Foata transformation has a closed form on words of the
 box-code shape, sending major index to inversion number.  Read right to
@@ -21,17 +21,6 @@ from typing import Iterable
 from .boxes import check_coords, delta
 from .burge import check_word
 from .partitions import Partition, as_partition
-
-
-def inversions(word: str) -> int:
-    """Number of pairs i < j with word[i] = b and word[j] = a."""
-    inv = bs = 0
-    for ch in check_word(word):
-        if ch == "b":
-            bs += 1
-        else:
-            inv += bs
-    return inv
 
 
 def foata_fiber(q: Iterable[int], coords: Iterable[int]) -> str:

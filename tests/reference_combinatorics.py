@@ -7,9 +7,15 @@ They are slow (the maximal-index search is quadratic in the support) and
 exist only as a test oracle for ``test_kernels.py``.  The recursive
 partition enumerator and the diagonal hooks with each leg counted afresh
 are the ones the package's iterative and linear versions replaced.
+
+The spreads, L(f) and R(f), the admissible indices, index equivalence, the
+chain checks, the image of a chain under demotion and the word statistics
+(descent set, major index, inversions) were once package functions that
+only tests called; they live here, built on the references above them.
 """
 
-from burgebox.partitions import as_frequency, as_partition, left_set, right_set, size
+from burgebox.oblak import OblakChain
+from burgebox.partitions import as_frequency, as_partition, size
 
 
 def partitions_of(n):
@@ -36,6 +42,28 @@ def diagonal_hooks(parts):
     p = as_partition(parts)
     durfee = max((i for i, x in enumerate(p, 1) if x >= i), default=0)
     return tuple(p[i - 1] - i + sum(1 for x in p if x >= i) - i + 1 for i in range(1, durfee + 1))
+
+
+def spreads(freq):
+    """(lo, hi) of each maximal run of nonzero entries of f, 1-based, in ascending order."""
+    out, lo = [], 0
+    for i, m in enumerate(as_frequency(freq) + (0,), 1):
+        if m and not lo:
+            lo = i
+        elif not m and lo:
+            out.append((lo, i - 1))
+            lo = 0
+    return out
+
+
+def left_set(freq):
+    """L(f): every other support index of each spread, starting at its low end."""
+    return frozenset(i for lo, hi in spreads(freq) for i in range(lo, hi + 1, 2))
+
+
+def right_set(freq):
+    """R(f): every other support index of each spread, starting at its high end."""
+    return frozenset(j for lo, hi in spreads(freq) for j in range(hi, lo - 1, -2))
 
 
 def in_class_b(freq):
@@ -137,3 +165,84 @@ def oblak(freq):
         assert size(states[r]) - size(states[r + 1]) == ev
         vals.append(ev)
     return tuple(vals)
+
+
+def right_admissible(freq):
+    """Indices i >= 1 with f_i > 0 that are not the high end of a spread of two or more indices."""
+    return frozenset(i for lo, hi in spreads(freq) for i in range(lo, hi + (lo == hi)))
+
+
+def left_admissible(freq):
+    """Indices i >= 0 with f_(i+1) > 0 such that i+1 is not the low end of a spread of two or more."""
+    return frozenset(i for lo, hi in spreads(freq) for i in range(lo - (lo == hi), hi))
+
+
+def equivalent_indices(freq):
+    """The indices 0..(max support + 1) grouped by equal annihilation, each group sorted, by least member.
+
+    The last group stands for every index from its least member on, where
+    annihilation no longer changes f.
+    """
+    f = as_frequency(freq)
+    groups = {}
+    for i in range(len(f) + 2):
+        groups.setdefault(annihilate(f, i), []).append(i)
+    return sorted(groups.values())
+
+
+def is_valid_chain(chain):
+    """Every step recomputed: each index maximal for its state and annihilating it to the next."""
+    s = chain.states
+    return s[-1] == () and all(
+        i in maximal_indices(s[r]) and annihilate(s[r], i) == s[r + 1]
+        for r, i in enumerate(chain.indices)
+    )
+
+
+def is_valid_index_sequence(freq, indices):
+    """True when the indices drive f to empty via maximal choices."""
+    states = [as_frequency(freq)]
+    for i in indices:
+        states.append(annihilate(states[-1], i))
+    return is_valid_chain(OblakChain(states, indices))
+
+
+def del_chain(chain):
+    """Image of a chain under apply_del, state by state, as a chain of smallest carrying indices.
+
+    When the penultimate state is (1) the final step collapses (its
+    evaluation was 1), so that state is dropped; every other state maps
+    across.  ValueError when no maximal index carries one image to the next.
+    """
+    states = chain.states
+    if len(states) >= 2 and states[-2] == (1,):
+        states = states[:-1]
+    states = [apply_del(s) for s in states]
+    indices = []
+    for here, nxt in zip(states, states[1:]):
+        carrying = [i for i in maximal_indices(here) if annihilate(here, i) == nxt]
+        if not carrying:
+            raise ValueError(f"no maximal index carries {here} to {nxt}; not a chain")
+        indices.append(carrying[0])
+    return OblakChain(states, indices)
+
+
+def descent_set(word):
+    """Positions i with word[i] = b and word[i+1] = a, ascending, 1-based."""
+    return tuple(i for i in range(1, len(word)) if word[i - 1:i + 1] == "ba")
+
+
+def maj(word):
+    """The major index: the sum of the descent set."""
+    return sum(descent_set(word))
+
+
+def inversions(word):
+    """Number of pairs i < j with word[i] = b and word[j] = a."""
+    inv = bs = 0
+    for ch in word:
+        if ch == "b":
+            bs += 1
+        else:
+            inv += bs
+    return inv

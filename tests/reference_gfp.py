@@ -13,6 +13,9 @@ at every step and kept in reduced row-echelon form after each row: the
 oracle for ``rank_profile`` and ``row_echelon_basis``, which keep sparse
 rows and reduce lazily.
 
+``jordan_matrix`` is the nilpotent Jordan matrix of a type, built entry by
+entry; the package places it only inside its commutator builders.
+
 ``gf2_matmul`` and ``gf2_rank`` are the GF(2) kernels on bit-packed rows
 (bit c of the int ``rows[r]`` is entry (r, c)) that typed one matrix at a
 time before the bitsliced scan; ``reference_scan.int_row_scan`` runs on
@@ -20,7 +23,20 @@ them, and ``test_gfp.py`` checks them against ``MatrixGFp``.
 """
 
 from burgebox.gfp import MatrixGFp, row_echelon_basis
-from burgebox.partitions import to_partition
+from burgebox.partitions import as_partition, to_partition
+
+
+def jordan_matrix(parts, p):
+    """Block-diagonal nilpotent matrix of type P with superdiagonal ones, sizes descending."""
+    pt = as_partition(parts)
+    n = sum(pt)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for block in pt:
+        for r in range(start, start + block - 1):
+            rows[r][r + 1] = 1
+        start += block
+    return MatrixGFp(rows, p)
 
 
 def gf2_matmul(x, y):

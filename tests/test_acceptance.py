@@ -15,10 +15,11 @@ from contextlib import contextmanager
 
 from burgebox.boxes import delta, fiber, fiber_code
 from burgebox.burge import apply_del, burge_chain, descent_map, encode
-from burgebox.oblak import del_chain, oblak, oblak_all_chains, oblak_chain
+from burgebox.oblak import oblak, oblak_all_chains
 from burgebox.oracle import verify_restriction
 from burgebox.partitions import partitions_of, to_frequency, to_partition
 from burgebox.sweep import SweepConfig, run_sweep
+from reference_combinatorics import del_chain
 
 
 @contextmanager
@@ -167,7 +168,7 @@ def test_choice_independence_to_24():
 def test_chain_map_shadowing_to_25_and_grid():
     with report("chain map valid with valuation decrement, |f| <= 25, plus grid"):
         sweep_checks("thm-oblakburge", max_n=25)
-        chain = oblak_chain(to_frequency((14, 10, 5, 2, 2, 2, 1)))
+        chain = oblak_all_chains(to_frequency((14, 10, 5, 2, 2, 2, 1)))[0]
         grid = []
         while True:
             grid.append(chain.states)

@@ -4,31 +4,29 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_combinatorics as ref
 from burgebox.burge import (
+    _characterization,
+    _descents,
     apply_a,
     apply_b,
     apply_del,
     burge_chain,
-    characterize_superdistinct,
     check_word,
     decode,
-    des,
     descent_map,
-    descent_set,
     encode,
-    in_class_b,
-    is_code_word,
-    maj,
 )
 from burgebox.partitions import (
+    _two_measure,
     as_frequency,
+    as_partition,
     length,
     partitions_of,
     reduced,
     size,
     to_frequency,
     to_partition,
-    two_measure,
 )
 
 freq_st = st.lists(st.integers(0, 5), max_size=10).map(as_frequency)
@@ -40,6 +38,18 @@ def all_code_words(max_len):
     for n in range(2, max_len + 1):
         for bits in itertools.product("ab", repeat=n - 2):
             yield "".join(bits) + "ba"
+
+
+def in_class_b(f):
+    """Class B: the code word of f starts with b."""
+    return encode(f)[0] == "b"
+
+
+def characterization(parts):
+    """The seven tests of super-distinctness that ``prop-characterization`` makes, on P."""
+    p = as_partition(parts)
+    f = to_frequency(p)
+    return _characterization(p, f, apply_del(f), encode(f))
 
 
 def test_in_class_b_examples():
@@ -103,10 +113,10 @@ def test_decode_build_states():
 
 
 def test_word_validation():
-    assert is_code_word("aaba")
-    assert not is_code_word("aa")
-    assert not is_code_word("abaa")
-    assert not is_code_word("")
+    assert decode("aaba") == (0, 0, 1)  # a leading run of a's is fine
+    for word in ("aa", "abaa", ""):
+        with pytest.raises(ValueError, match="single trailing 'a'"):
+            decode(word)
     assert decode("ABBABA") == (1, 1, 0, 0, 1)  # case-insensitive
     assert decode("011010") == (1, 1, 0, 0, 1)  # 0 = a, 1 = b
     with pytest.raises(ValueError):
@@ -150,13 +160,12 @@ def test_chain_structure():
 
 
 def test_descent_statistics_examples():
-    assert descent_set("babaaabbba") == (1, 3, 9)
-    assert des("babaaabbba") == 3
-    assert maj("babaaabbba") == 13
-    assert descent_set("a") == ()
-    assert des("a") == 0 and maj("a") == 0
-    assert descent_set("ababbaba") == (2, 5, 7)
-    assert maj("ababbaba") == 14 == sum((7, 4, 2, 1))
+    assert _descents("babaaabbba") == ref.descent_set("babaaabbba") == (1, 3, 9)
+    assert ref.maj("babaaabbba") == 13
+    assert _descents("a") == ref.descent_set("a") == ()
+    assert ref.maj("a") == 0
+    assert _descents("ababbaba") == ref.descent_set("ababbaba") == (2, 5, 7)
+    assert ref.maj("ababbaba") == 14 == sum((7, 4, 2, 1))
 
 
 def test_descent_map_examples():
@@ -184,13 +193,13 @@ def test_statistic_laws_small():
             df = apply_del(f)
             drop = 1 if in_class_b(f) else 0
             assert length(df) == length(f) - drop
-            assert size(df) == size(f) - two_measure(f)
+            assert size(df) == size(f) - _two_measure(f)
             two_drop = 1 if in_class_b(f) and not in_class_b(df) else 0
-            assert two_measure(df) == two_measure(f) - two_drop
+            assert _two_measure(df) == _two_measure(f) - two_drop
             w = encode(f)
             assert length(f) == w.count("b")
-            assert size(f) == maj(w)
-            assert two_measure(f) == des(w) == w.count("ba")
+            assert size(f) == ref.maj(w)
+            assert _two_measure(f) == len(ref.descent_set(w)) == w.count("ba")
 
 
 def test_descent_map_recursion():
@@ -229,12 +238,12 @@ def test_descent_map_is_the_unique_recursive_map():
 
 
 def test_characterize_examples():
-    assert characterize_superdistinct((10, 7, 3)).values() == (True,) * 7
-    assert characterize_superdistinct((4, 3)).values() == (False,) * 7
-    assert characterize_superdistinct(()).values() == (True,) * 7
+    assert characterization((10, 7, 3)) == (True,) * 7
+    assert characterization((4, 3)) == (False,) * 7
+    assert characterization(()) == (True,) * 7
 
 
 def test_characterize_consistent_exhaustive():
     for n in range(19):
         for p in partitions_of(n):
-            assert characterize_superdistinct(p).consistent, p
+            assert len(set(characterization(p))) == 1, p

@@ -69,6 +69,10 @@ def test_is_prime_miller_rabin():
         is_prime(MR_LIMIT)
     with pytest.raises(ValueError):
         MatrixGFp([[1]], MR_LIMIT + 2)
+    # the least strong pseudoprime to all 13 bases, written out so that a
+    # limit moved past it fails here: the bases alone would call it prime
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
 
 
 def test_construction_reduces_mod_p():

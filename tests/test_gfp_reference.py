@@ -8,7 +8,6 @@ from burgebox.burge import apply_del
 from burgebox.gfp import MatrixGFp
 from burgebox.oracle import (
     RestrictionReport,
-    jordan_matrix,
     jordan_type,
     random_commuting,
     restriction_type,
@@ -16,7 +15,14 @@ from burgebox.oracle import (
     witness_matrix,
 )
 from burgebox.partitions import partitions_of, to_frequency, to_partition
-from reference_gfp import dense_matmul, dense_power, dense_restriction_type, identity, is_zero
+from reference_gfp import (
+    dense_matmul,
+    dense_power,
+    dense_restriction_type,
+    identity,
+    is_zero,
+    jordan_matrix,
+)
 from reference_scan import jordan_type as reference_jordan_type
 
 FIELDS = (2, 3, 10007)

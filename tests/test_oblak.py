@@ -8,17 +8,10 @@ from burgebox.oblak import (
     OblakChain,
     annihilate,
     check_commuting_square,
-    del_chain,
-    equivalent_indices,
     evaluate,
-    is_valid_chain,
-    is_valid_index_sequence,
-    left_admissible,
     maximal_indices,
     oblak,
     oblak_all_chains,
-    oblak_chain,
-    right_admissible,
 )
 from burgebox.partitions import (
     as_frequency,
@@ -28,8 +21,21 @@ from burgebox.partitions import (
     to_frequency,
     to_partition,
 )
+from reference_combinatorics import (
+    del_chain,
+    equivalent_indices,
+    is_valid_chain,
+    is_valid_index_sequence,
+    left_admissible,
+    right_admissible,
+)
 
 freq_st = st.lists(st.integers(0, 4), max_size=9).map(as_frequency)
+
+
+def oblak_chain(f):
+    """The run that always takes the smallest maximal index: the first chain, as they come sorted."""
+    return oblak_all_chains(f)[0]
 
 
 def all_freqs(max_size):
@@ -67,8 +73,7 @@ def test_negative_index_is_rejected():
 
 
 @pytest.mark.parametrize("i", [True, 1.5], ids=["True", "1.5"])
-@pytest.mark.parametrize("check", [evaluate, annihilate, lambda f, i: is_valid_index_sequence(f, (i,))],
-                         ids=["evaluate", "annihilate", "is_valid_index_sequence"])
+@pytest.mark.parametrize("check", [evaluate, annihilate], ids=["evaluate", "annihilate"])
 def test_index_that_is_a_bool_or_not_an_int_is_rejected(check, i):
     with pytest.raises(ValueError, match=f"index {i!r} is not a nonnegative integer"):
         check((2, 1), i)

@@ -12,7 +12,6 @@ from burgebox.oracle import (
     _slot_count,
     build_commuting,
     chain_layout,
-    jordan_matrix,
     jordan_type,
     param_slots,
     random_commuting,
@@ -23,7 +22,7 @@ from burgebox.oracle import (
 )
 from burgebox.partitions import format_partition, partitions_of, to_frequency, to_partition
 from burgebox.sweep import SWEEP_BUDGET_US, SweepConfig, dominance_cost
-from reference_gfp import dense_power, identity, is_zero
+from reference_gfp import dense_power, identity, is_zero, jordan_matrix
 from reference_scan import int_row_scan, reference_scan
 
 P_BIG = (4, 4, 3, 2, 2)

@@ -5,30 +5,29 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_combinatorics as ref
 from burgebox import partitions
 from burgebox.partitions import (
     PART_CAP,
     SIZE_CAP,
-    Spread,
+    _right_set,
+    _runs,
+    _two_measure,
     as_frequency,
     as_partition,
     dominates,
     format_frequency,
     format_partition,
     is_super_distinct,
-    left_set,
     length,
     parse_partition,
     partition_counts,
     partitions_of,
     reduced,
-    right_set,
     size,
-    spreads,
     support,
     to_frequency,
     to_partition,
-    two_measure,
 )
 
 partition_st = st.lists(st.integers(1, 64), max_size=64).map(
@@ -83,42 +82,38 @@ def test_size_length_examples():
 
 
 def test_spreads_examples():
-    assert spreads((2, 1, 0, 3, 2, 2, 0, 0, 1)) == [
-        Spread(1, 2),
-        Spread(4, 6),
-        Spread(9, 9),
-    ]
-    assert spreads(()) == []
-    assert spreads((0, 1)) == [Spread(2, 2)]
-    assert spreads((0, 1))[0].trivial
+    f = (2, 1, 0, 3, 2, 2, 0, 0, 1)
+    assert list(_runs(f)) == ref.spreads(f) == [(1, 2), (4, 6), (9, 9)]
+    assert list(_runs(())) == ref.spreads(()) == []
+    assert list(_runs((0, 1))) == ref.spreads((0, 1)) == [(2, 2)]
 
 
 def test_left_right_sets_examples():
     f = (2, 1, 0, 3, 2, 2, 0, 0, 1)
-    assert left_set(f) == {1, 4, 6, 9}
-    assert right_set(f) == {2, 4, 6, 9}
+    assert ref.left_set(f) == {1, 4, 6, 9}
+    assert _right_set(f) == ref.right_set(f) == {2, 4, 6, 9}
     g = (2, 2, 1, 3, 1, 0, 4, 0, 0, 2, 1)
-    assert left_set(g) == {1, 3, 5, 7, 10}
-    assert right_set(g) == {1, 3, 5, 7, 11}
-    assert left_set(()) == frozenset() and right_set(()) == frozenset()
+    assert ref.left_set(g) == {1, 3, 5, 7, 10}
+    assert _right_set(g) == ref.right_set(g) == {1, 3, 5, 7, 11}
+    assert ref.left_set(()) == _right_set(()) == ref.right_set(()) == frozenset()
 
 
 def test_two_measure_examples():
-    assert two_measure(to_frequency((8, 7, 4, 4, 3, 2, 2, 1))) == 3
-    assert two_measure(()) == 0
-    assert two_measure((2, 1, 0, 3, 2, 2, 0, 0, 1)) == 4
+    assert _two_measure(to_frequency((8, 7, 4, 4, 3, 2, 2, 1))) == 3
+    assert _two_measure(()) == 0
+    assert _two_measure((2, 1, 0, 3, 2, 2, 0, 0, 1)) == 4
 
 
 @given(partition_st)
 def test_two_measure_matches_brute_force(p):
     f = to_frequency(p)
-    assert two_measure(f) == brute_two_measure(f)
+    assert _two_measure(f) == brute_two_measure(f)
 
 
 @given(partition_st)
 def test_left_right_sets_sized_by_two_measure(p):
     f = to_frequency(p)
-    assert len(left_set(f)) == len(right_set(f)) == two_measure(f)
+    assert len(ref.left_set(f)) == len(_right_set(f)) == len(ref.right_set(f)) == _two_measure(f)
 
 
 def test_is_super_distinct_examples():
@@ -131,9 +126,9 @@ def test_is_super_distinct_examples():
 @given(partition_st)
 def test_two_measure_bounds_and_superdistinct(p):
     f = to_frequency(p)
-    assert 0 <= two_measure(f) <= length(f)
-    assert (two_measure(f) == 0) == (p == ())
-    assert (two_measure(f) == length(f)) == is_super_distinct(p)
+    assert 0 <= _two_measure(f) <= length(f)
+    assert (_two_measure(f) == 0) == (p == ())
+    assert (_two_measure(f) == length(f)) == is_super_distinct(p)
 
 
 def test_reduced_examples():

