@@ -17,6 +17,11 @@ lower nilpotent Jordan form, one representative per partition of f_i.
 This module builds those matrices explicitly over GF(p), constructs the
 all-ones-on-pivots witness whose image certifies the restriction type, and
 exhaustively scans small commutators for the dominance-maximum Jordan type.
+Every matrix is placed from one slot table per partition: one walk over the
+chains lists each slot's entries, and one comparison of sets whose elements
+carry their slot proves every slot disjoint from the others and commuting
+with B.  The scan's maximum is its lexicographically first type, checked
+against the rest, since a type that dominates another also comes first.
 
 Jordan chains are laid out with sizes descending and equal sizes adjacent.
 A chain is addressed as (i, k): length i, k-th chain of that length
@@ -44,8 +49,8 @@ from .gfp import (
 )
 from .partitions import (
     Partition,
+    _dominates,
     as_partition,
-    dominates,
     format_partition,
     partition_counts,
     partitions_of,
@@ -67,24 +72,6 @@ RESTRICTION_WORK_CAP = 5 * 10**6
 # Layout and construction
 # ---------------------------------------------------------------------------
 
-def chain_layout(parts: Iterable[int]) -> dict:
-    """Offsets of the Jordan chains of P: maps (i, k) -> first row index."""
-    f = to_frequency(parts)
-    layout = {}
-    off = 0
-    for i in range(len(f), 0, -1):
-        for k in range(1, f[i - 1] + 1):
-            layout[(i, k)] = off
-            off += i
-    return layout
-
-
-def _next_rows(pt: Partition) -> list:
-    """B of type P as its successor map: (Bv)[r] = v[nxt[r]], where nxt[r] = n ends a chain."""
-    n, ends = sum(pt), set(accumulate(pt))
-    return [n if r + 1 in ends else r + 1 for r in range(n)]
-
-
 class ParamSlot(NamedTuple):
     """One free Toeplitz coefficient a_h of the block coupling chains (i,k) -> (j,l)."""
 
@@ -99,80 +86,64 @@ class ParamSlot(NamedTuple):
         """An entry of a same-size leading-coefficient matrix (a_1, i = j)."""
         return self.i == self.j and self.h == 1
 
-    @property
-    def forced_zero(self) -> bool:
-        """Slots pinned to zero inside the maximal nilpotent subalgebra.
-
-        These are the upper-and-diagonal entries of the same-size
-        leading-coefficient matrices.
-        """
-        return self.leading and self.k <= self.l
-
-
-def param_slots(parts: Iterable[int], reduced: bool = True) -> list:
-    """All Toeplitz coefficient slots of the commutator of B.
-
-    ``reduced=True`` drops the slots forced to zero in the maximal
-    nilpotent subalgebra; ``reduced=False`` parameterizes the full
-    commutator algebra.
-    """
-    f = to_frequency(parts)
-    supp = [i for i in range(1, len(f) + 1) if f[i - 1]]
-    slots = []
-    for i in supp:
-        for k in range(1, f[i - 1] + 1):
-            for j in supp:
-                for l in range(1, f[j - 1] + 1):
-                    for h in range(1, min(i, j) + 1):
-                        slot = ParamSlot(i, k, j, l, h)
-                        if reduced and slot.forced_zero:
-                            continue
-                        slots.append(slot)
-    return slots
-
 
 def _slot_count(f) -> int:
-    """``len(param_slots(P, reduced=False))`` from the frequencies f of P, without listing slots.
+    """The number of slots in the full table of P, from its frequencies f, without listing slots.
 
-    Chains of lengths i and j are coupled by min(i, j) slots.
+    Chains of lengths i and j are coupled by min(i, j) slots, one for each
+    t <= min(i, j).  So the count is the sum over t of c_t^2, with c_t the
+    number of chains of length t or more.
     """
-    supp = [(i, m) for i, m in enumerate(f, 1) if m]
-    return sum(m * mj * min(i, j) for i, m in supp for j, mj in supp)
+    return sum(c * c for c in accumulate(reversed(f)))
 
 
-def _slot_entries(slot: ParamSlot, layout: dict) -> list:
-    """Matrix positions carrying the coefficient a_h of a block.
+def _slot_listing(pt: Partition, reduced: bool) -> dict:
+    """Every Toeplitz coefficient slot of the commutator of B of type P, mapped to its entries.
 
-    Within the block, a_h lives on the diagonal at column offset
-    h - 1 + max(0, j - i) from the row position.
+    Slots run over the chains (i, k), by length i ascending and then k, then
+    over the chains (j, l) alike, then over h = 1 .. min(i, j).  Within its
+    block, a_h lies on the diagonal from column h - 1 + max(0, j - i) to the
+    block's last column.  ``reduced=True`` drops the slots forced to zero in
+    the maximal nilpotent subalgebra, a_1 of (i,k) -> (i,l) with k <= l: the
+    upper-and-diagonal entries of the same-size leading-coefficient matrices.
+    ``reduced=False`` lists the full commutator algebra.
     """
-    r0 = layout[(slot.i, slot.k)]
-    c0 = layout[(slot.j, slot.l)]
-    shift = slot.h - 1 + max(0, slot.j - slot.i)
-    return [
-        (r0 + r, c0 + r + shift)
-        for r in range(slot.i)
-        if r + shift < slot.j
-    ]
+    chains, r0, k = [], 0, 0  # (i, k, first row), laid out as the parts of P
+    for i in pt:
+        k = k + 1 if chains and chains[-1][0] == i else 1
+        chains.append((i, k, r0))
+        r0 += i
+    chains.sort()
+    table = {}
+    for i, k, r0 in chains:
+        rows = range(r0, r0 + i)
+        for j, l, c0 in chains:
+            c1 = c0 + max(0, j - i) - 1
+            for h in range(1 + (reduced and i == j and k <= l), min(i, j) + 1):
+                table[ParamSlot(i, k, j, l, h)] = list(zip(rows, range(c1 + h, c0 + j)))
+    return table
 
 
 def _slot_table(pt: Partition, reduced: bool = True) -> dict:
-    """The slots of ``param_slots(P, reduced)``, in order, mapped to their entries.
+    """``_slot_listing(P, reduced)``, proved disjoint and to commute with B of type P.
 
-    The entries are proved disjoint and to commute with B of type P.  A slot's
-    0/1 pattern E commutes with B when EB, with its ones at (r, nxt[c]), equals
-    BE, at (prv[r], c).  Commuting is linear, so this covers every matrix placed
-    from the table.
+    B shifts each Jordan chain: (Bv)[r] = v[r + 1], or 0 where r + 1 starts
+    a chain or is n.  A slot's 0/1 pattern E commutes with B when EB, with
+    its ones at (r, c + 1), equals BE, at (r - 1, c).  Each one is tagged
+    with its slot's index, so one comparison of two sets proves every slot.
+    Commuting is linear, so this covers every matrix placed from the table.
     """
-    nxt = _next_rows(pt)
-    n = len(nxt)
-    prv = {c: r for r, c in enumerate(nxt)}  # a chain start is no key
-    layout = chain_layout(pt)
-    table = {s: _slot_entries(s, layout) for s in param_slots(pt, reduced)}
-    if sum(map(len, table.values())) != len(set().union(*table.values())) or any(
-        {(r, nxt[c]) for r, c in es if nxt[c] < n} != {(prv[r], c) for r, c in es if r in prv}
-        for es in table.values()
-    ):
+    table = _slot_listing(pt, reduced)
+    starts = set(accumulate(pt, initial=0))  # and n, which starts no chain
+    entries = table.values()
+    eb, be = set(), set()
+    for s, es in enumerate(entries):
+        for r, c in es:
+            if c + 1 not in starts:
+                eb.add((s, r, c + 1))
+            if r not in starts:
+                be.add((s, r - 1, c))
+    if sum(map(len, entries)) != len(set().union(*entries)) or eb != be:
         raise AssertionError("slot placement does not commute with the base matrix")
     return table
 
@@ -319,15 +290,22 @@ def _rank_sequence(m, x, p: int) -> tuple | None:
 
 
 def _type_of_ranks(ranks) -> Partition:
-    """Jordan type from r_0 = n, r_1, ..., a rank sequence ending at 0.
+    """Jordan type from r_0 = n, r_1, ..., a rank sequence of trusted ints ending at 0.
 
     r_k is the rank of the k-th power of a nilpotent map on an
-    n-dimensional space, or dim(B^k W) for B restricted to W.
+    n-dimensional space, or dim(B^k W) for B restricted to W.  There are
+    r_{k-1} - r_k blocks of size k or more, so the type is read from the
+    longest blocks down.  A negative multiplicity, which no nilpotent map
+    has, raises ValueError.
     """
-    ranks = [*ranks, 0]
-    return to_partition(
-        ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, len(ranks) - 1)
-    )
+    parts, longer = [], 0  # the blocks longer than k
+    for k in range(len(ranks) - 1, 0, -1):
+        m = ranks[k - 1] - ranks[k] - longer
+        if m < 0:
+            raise ValueError(f"rank sequence {tuple(ranks)} gives a negative multiplicity")
+        parts += [k] * m
+        longer += m
+    return tuple(parts)
 
 
 def restriction_type(b: MatrixGFp, a: MatrixGFp) -> Partition:
@@ -433,6 +411,7 @@ class ScanReport:
     histogram: dict                # Jordan type -> matrices of that type, types descending
     max_type: Partition | None     # dominance maximum, when one exists
     expected: Partition
+    elapsed: float = field(default=0.0, compare=False)  # wall seconds of the scan
 
     @property
     def types(self) -> list:
@@ -452,6 +431,8 @@ class ScanReport:
             "histogram": {format_partition(t): c for t, c in self.histogram.items()},
             "max_type": list(self.max_type) if self.max_type is not None else None,
             "expected": list(self.expected),
+            "elapsed": round(self.elapsed, 6),
+            "us_per_matrix": round(self.elapsed / self.scanned * 1e6, 3),
             "status": "ok" if self.ok else "fail",
         }
 
@@ -590,6 +571,16 @@ def _row_scan(n: int, forms: list, walked: list, p: int) -> Counter:
     return keys
 
 
+def _dominance_max(types: list) -> Partition | None:
+    """The dominance maximum of distinct partitions of one size, listed descending; None if none.
+
+    A partition that dominates another comes before it lexicographically,
+    so only the first can be the maximum.
+    """
+    top = types[0]
+    return top if all(_dominates(top, t) for t in types[1:]) else None
+
+
 def scan_max_type(
     parts: Iterable[int],
     p: int = SCAN_PRIME,
@@ -608,8 +599,11 @@ def scan_max_type(
     Every matrix built is nilpotent: one that is not raises AssertionError.
     Each is typed by its rank sequence: over GF(2) ``SCAN_LANES`` matrices at
     a time by the bitsliced kernels (``_sliced_scan``), over odd p one at a
-    time on row lists with ``rank_profile`` and ``matmul_rows``.
+    time on row lists with ``rank_profile`` and ``matmul_rows``.  The
+    maximum is the lexicographically first type, checked against the rest
+    (``_dominance_max``).
     """
+    start = time.perf_counter()
     pt = as_partition(parts)
     check_prime(p)
     n = sum(pt)
@@ -623,8 +617,6 @@ def scan_max_type(
     ]
     walked = [es for s, es in table.items() if not s.leading]
     keys = _sliced_scan(n, forms, walked) if p == 2 else _row_scan(n, forms, walked, p)
-    # checked once here, so that each dominates() call below takes its types as they are
-    types = ((as_partition(_type_of_ranks(k)), c) for k, c in keys.items())
-    histogram = dict(sorted(types, reverse=True))
-    max_type = next((t for t in histogram if all(dominates(t, s) for s in histogram)), None)
-    return ScanReport(pt, p, scanned, histogram, max_type, descent_map(pt))
+    histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
+    return ScanReport(pt, p, scanned, histogram, _dominance_max(list(histogram)), descent_map(pt),
+                      time.perf_counter() - start)

@@ -15,7 +15,8 @@ checked partition is a ``_Checked`` tuple, which passes ``as_partition`` at once
 from __future__ import annotations
 
 import re
-from itertools import accumulate, groupby, zip_longest
+from itertools import accumulate, groupby
+from operator import ge
 from typing import Iterable, Iterator
 
 from . import kernels
@@ -98,12 +99,6 @@ def length(freq: Iterable[int]) -> int:
     return sum(as_frequency(freq))
 
 
-def support(freq: Iterable[int]) -> tuple:
-    """Indices i >= 1 with f_i != 0, ascending."""
-    f = as_frequency(freq)
-    return tuple(i for i, m in enumerate(f, 1) if m)
-
-
 def _runs(f: FreqSeq) -> Iterator[tuple]:
     """(lo, hi) of each spread, a maximal run of non-zero entries, of a validated f, 1-based."""
     lo = 0
@@ -151,8 +146,17 @@ def dominates(parts: Iterable[int], other: Iterable[int]) -> bool:
         raise ValueError(
             f"dominance is defined within a size class: |{p}| != |{r}|"
         )
-    # past its last part, a prefix sum stays at the common size
-    return all(a >= b for a, b in zip_longest(accumulate(p), accumulate(r), fillvalue=sum(p)))
+    return _dominates(p, r)
+
+
+def _dominates(p: Partition, r: Partition) -> bool:
+    """``dominates`` of two checked partitions of one size.
+
+    Past its last part a prefix sum stays at the common size, so p, if no
+    longer than r, needs only its own prefixes checked; if longer, its prefix
+    at r's length falls short of that size.
+    """
+    return len(p) <= len(r) and all(map(ge, accumulate(p), accumulate(r)))
 
 
 def partitions_of(n: int) -> Iterator[tuple]:

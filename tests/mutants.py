@@ -1,4 +1,4 @@
-"""Named source mutants of the sweep and chain checks, and a runner that confirms each is killed.
+"""Named source mutants of the sweep, chain and oracle checks, and a runner that confirms each is killed.
 
 Each entry of ``MUTANTS`` weakens one clause of a check in ``src/burgebox``:
 it replaces ``old``, which occurs exactly once in ``src/``, by ``new``, and
@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 SWEEP = "src/burgebox/sweep.py"
 BURGE = "src/burgebox/burge.py"
 OBLAK = "src/burgebox/oblak.py"
+ORACLE = "src/burgebox/oracle.py"
 CLAUSE = "tests/test_sweep.py::test_planted_fault_in_one_clause_is_reported"
 PLANTED = "tests/test_sweep.py::test_planted_fault_is_reported"
 NOT_SUPER_DISTINCT = (
@@ -124,6 +125,20 @@ MUTANTS = {
     "oblak-index-negative": Mutant(
         OBLAK, "isinstance(i, bool) or i < 0:", "isinstance(i, bool):",
         ("tests/test_oblak.py::test_chain_index_must_be_a_nonnegative_integer[-1]",),
+    ),
+    "oracle-slot-proof-untagged": Mutant(  # the ones of every slot are compared as one pattern
+        ORACLE, "                eb.add((s, r, c + 1))\n            if r not in starts:\n"
+        "                be.add((s, r - 1, c))\n",
+        "                eb.add((r, c + 1))\n            if r not in starts:\n                be.add((r - 1, c))\n",
+        ("tests/test_oracle.py::test_slot_proof_is_per_slot",),
+    ),
+    "oracle-slot-proof-disjoint": Mutant(  # two slots may share an entry
+        ORACLE, "sum(map(len, entries)) != len(set().union(*entries)) or ", "",
+        ("tests/test_oracle.py::test_slot_fault_is_caught_on_every_oracle_path[bad1-<lambda>]",),
+    ),
+    "oracle-max-type-unchecked": Mutant(  # the first type is taken as the maximum unchecked
+        ORACLE, "    return top if all(_dominates(top, t) for t in types[1:]) else None\n",
+        "    return top\n", ("tests/test_oracle.py::test_dominance_max_is_the_brute_force_maximum",),
     ),
 }
 

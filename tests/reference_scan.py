@@ -8,6 +8,10 @@ It also counts the matrices that fail ``A^n == 0``.  It is slow (a matrix
 product per power per matrix) and exists only as a test oracle for
 ``test_oracle.py``.
 
+``param_slots``, ``chain_layout`` and ``slot_entries`` list the slot table
+slot by slot, as ``oracle._slot_table`` did before it listed the table in
+one walk over the chains; ``slot_table`` is that listing.
+
 ``int_row_scan`` is the GF(2) Levi walk that the bitsliced scan replaced:
 the same leading Jordan forms and Gray walk, one matrix at a time as a list
 of int rows, typed by its own loop over ``gf2_rank`` and ``gf2_matmul``.
@@ -18,15 +22,13 @@ from itertools import product
 
 from burgebox.gfp import MatrixGFp
 from burgebox.oracle import (
+    ParamSlot,
     _gray_walk,
     _jordan_form,
     _placed,
     _scan_size,
-    _slot_entries,
     _slot_table,
     _type_of_ranks,
-    chain_layout,
-    param_slots,
 )
 from burgebox.partitions import (
     as_partition,
@@ -36,6 +38,63 @@ from burgebox.partitions import (
     to_partition,
 )
 from reference_gfp import gf2_matmul, gf2_rank, is_zero
+
+
+def chain_layout(parts):
+    """Offsets of the Jordan chains of P: maps (i, k) -> first row index."""
+    f = to_frequency(parts)
+    layout = {}
+    off = 0
+    for i in range(len(f), 0, -1):
+        for k in range(1, f[i - 1] + 1):
+            layout[(i, k)] = off
+            off += i
+    return layout
+
+
+def param_slots(parts, reduced=True):
+    """All Toeplitz coefficient slots of the commutator of B.
+
+    ``reduced=True`` drops the slots forced to zero in the maximal
+    nilpotent subalgebra, the upper-and-diagonal entries of the same-size
+    leading-coefficient matrices; ``reduced=False`` parameterizes the full
+    commutator algebra.
+    """
+    f = to_frequency(parts)
+    supp = [i for i in range(1, len(f) + 1) if f[i - 1]]
+    slots = []
+    for i in supp:
+        for k in range(1, f[i - 1] + 1):
+            for j in supp:
+                for l in range(1, f[j - 1] + 1):
+                    for h in range(1, min(i, j) + 1):
+                        slot = ParamSlot(i, k, j, l, h)
+                        if reduced and slot.leading and k <= l:
+                            continue
+                        slots.append(slot)
+    return slots
+
+
+def slot_entries(slot, layout):
+    """Matrix positions carrying the coefficient a_h of a block.
+
+    Within the block, a_h lives on the diagonal at column offset
+    h - 1 + max(0, j - i) from the row position.
+    """
+    r0 = layout[(slot.i, slot.k)]
+    c0 = layout[(slot.j, slot.l)]
+    shift = slot.h - 1 + max(0, slot.j - slot.i)
+    return [
+        (r0 + r, c0 + r + shift)
+        for r in range(slot.i)
+        if r + shift < slot.j
+    ]
+
+
+def slot_table(parts, reduced=True):
+    """Each slot of ``param_slots(P, reduced)``, in order, mapped to its ``slot_entries``."""
+    layout = chain_layout(parts)
+    return {s: slot_entries(s, layout) for s in param_slots(parts, reduced)}
 
 
 def jordan_type(m):
@@ -67,7 +126,7 @@ def reference_scan(parts, p=2, budget=2**24, mode="auto"):
     slots = param_slots(pt, reduced=(mode == "reduced"))
     assert p ** len(slots) <= budget
     layout = chain_layout(pt)
-    entries = [_slot_entries(s, layout) for s in slots]
+    entries = [slot_entries(s, layout) for s in slots]
     types = set()
     scanned = rejected = 0
 

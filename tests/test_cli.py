@@ -285,13 +285,13 @@ def test_sweep_trials_are_bounded_before_any_check(capsys, checks):
 
 
 def test_planted_slot_fault_fails_the_restriction_sweep(capsys, monkeypatch):
-    real = oracle._slot_entries
+    real = oracle._slot_listing
     bad = oracle.ParamSlot(3, 1, 1, 1, 1)  # a_1 of (3,1) -> (1,1): only (3,1) has it at n <= 4
     monkeypatch.setattr(
-        oracle, "_slot_entries",
-        lambda slot, layout: (
-            [(r + 1, c) for r, c in real(slot, layout)] if slot == bad else real(slot, layout)
-        ),
+        oracle, "_slot_listing",
+        lambda pt, reduced: {
+            s: [(r + 1, c) for r, c in es] if s == bad else es for s, es in real(pt, reduced).items()
+        },
     )
     code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "matrix-restriction")
     assert code == 1 and err == ""
@@ -492,8 +492,10 @@ def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
 
 
 def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
-    # with no slot marked leading, the diagonal a_1 slots join the free walk
-    # and the scan meets a non-nilpotent matrix
+    # with the forced-zero slots listed and no slot leading, the diagonal a_1
+    # slots join the free walk and the scan meets a non-nilpotent matrix
+    real = oracle._slot_listing
+    monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: real(pt, False))
     monkeypatch.setattr(oracle.ParamSlot, "leading", property(lambda slot: False))
     code, _, err = run(capsys, "scan-max", "--partition", "2,1")
     assert code == 1 and "Traceback" not in err

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -9,21 +10,27 @@ from burgebox.burge import apply_del
 from burgebox.gfp import MatrixGFp
 from burgebox.oracle import (
     ParamSlot,
+    _dominance_max,
     _slot_count,
+    _type_of_ranks,
     build_commuting,
-    chain_layout,
     jordan_type,
-    param_slots,
     random_commuting,
     restriction_type,
     scan_max_type,
     verify_restriction,
     witness_matrix,
 )
-from burgebox.partitions import format_partition, partitions_of, to_frequency, to_partition
+from burgebox.partitions import (
+    dominates,
+    format_partition,
+    partitions_of,
+    to_frequency,
+    to_partition,
+)
 from burgebox.sweep import SWEEP_BUDGET_US, SweepConfig, dominance_cost
 from reference_gfp import dense_power, identity, is_zero, jordan_matrix
-from reference_scan import int_row_scan, reference_scan
+from reference_scan import chain_layout, int_row_scan, param_slots, reference_scan, slot_table
 
 P_BIG = (4, 4, 3, 2, 2)
 
@@ -308,6 +315,16 @@ def test_scan_max_small():
     assert scan_max_type((), p=2).ok
 
 
+def test_scan_report_times_the_scan():
+    rep = scan_max_type((2, 2, 1), p=2)
+    d = rep.to_dict()
+    # the wall time and its share per matrix are reported, and two reports
+    # that differ only in it are equal
+    assert rep.elapsed > 0 and d["elapsed"] == round(rep.elapsed, 6)
+    assert d["us_per_matrix"] == round(rep.elapsed / rep.scanned * 1e6, 3) > 0
+    assert rep == dataclasses.replace(rep, elapsed=rep.elapsed + 1)
+
+
 def test_scan_budget():
     # (2,2,1): p(2) p(1) = 2 leading Jordan forms times 2^8 free slots
     with pytest.raises(ValueError, match="needs more matrices than the scan budget 511"):
@@ -355,11 +372,24 @@ def test_scan_histogram_sums_to_scanned(p, max_n):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p):
-    # with no slot leading, the diagonal a_1 slots join the free walk, which
-    # then builds non-nilpotent matrices and must raise, not miscount
+    # with the forced-zero slots listed and no slot leading, the diagonal a_1
+    # slots join the free walk, which then builds non-nilpotent matrices and
+    # must raise, not miscount
+    real = oracle._slot_listing
+    monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: real(pt, False))
     monkeypatch.setattr(ParamSlot, "leading", property(lambda slot: False))
     with pytest.raises(AssertionError, match="scanned matrix is not nilpotent"):
         scan_max_type((2, 1), p=p)
+
+
+def plant_entries(monkeypatch, moved):
+    """Make ``oracle._slot_listing`` list ``moved[slot](entries)`` for each slot of ``moved``."""
+    real = oracle._slot_listing
+
+    def planted(pt, reduced):
+        return {s: moved[s](es) if s in moved else es for s, es in real(pt, reduced).items()}
+
+    monkeypatch.setattr(oracle, "_slot_listing", planted)
 
 
 @pytest.mark.parametrize(
@@ -372,11 +402,7 @@ def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p):
     ],
 )
 def test_slot_fault_is_caught_on_every_oracle_path(monkeypatch, bad, wrong):
-    real = oracle._slot_entries
-    monkeypatch.setattr(
-        oracle, "_slot_entries",
-        lambda slot, layout: wrong(real(slot, layout)) if slot == bad else real(slot, layout),
-    )
+    plant_entries(monkeypatch, {bad: wrong})
     for path in (
         lambda: verify_restriction((3, 1), p=10007, trials=1),
         lambda: scan_max_type((3, 1), p=2),
@@ -392,18 +418,47 @@ def test_slot_fault_is_caught_on_every_oracle_path(monkeypatch, bad, wrong):
 def test_slot_proof_is_per_slot(monkeypatch):
     # the single chain of (3,), with (0, 1) moved from the a_2 diagonal to
     # the a_1 pattern: neither pattern commutes with B, but their sum, the
-    # all-ones upper triangle, does, so a probe with every slot set to 1
-    # would pass
-    real = oracle._slot_entries
-    moved = {
-        ParamSlot(3, 1, 3, 1, 1): [(0, 0), (1, 1), (2, 2), (0, 1)],
-        ParamSlot(3, 1, 3, 1, 2): [(1, 2)],
-    }
-    monkeypatch.setattr(
-        oracle, "_slot_entries", lambda slot, layout: moved.get(slot) or real(slot, layout)
-    )
-    with pytest.raises(AssertionError, match="does not commute"):
-        scan_max_type((3,), p=2)
+    # all-ones upper triangle, does, so a probe with every slot set to 1, or
+    # one comparison of the ones of every slot untagged, would pass.  The full
+    # table, which build_commuting reads, holds both slots; the scan's reduced
+    # table holds only a_2
+    plant_entries(monkeypatch, {
+        ParamSlot(3, 1, 3, 1, 1): lambda entries: [(0, 0), (1, 1), (2, 2), (0, 1)],
+        ParamSlot(3, 1, 3, 1, 2): lambda entries: [(1, 2)],
+    })
+    for path in (lambda: build_commuting((3,), 2, {}), lambda: scan_max_type((3,), p=2)):
+        with pytest.raises(AssertionError, match="does not commute"):
+            path()
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_slot_table_is_the_reference_listing(reduced):
+    # the one walk over the chains lists the slots of the slot-by-slot
+    # reference in its order, each with the same entries
+    for n in range(13):
+        for q in partitions_of(n):
+            got = oracle._slot_table(q, reduced)
+            assert list(got.items()) == list(slot_table(q, reduced).items()), q
+
+
+def test_dominance_max_is_the_brute_force_maximum():
+    # every histogram of up to 4 types of each n <= 7, and every one of n <= 6;
+    # the maximum is the type that dominates every type, if there is one
+    for n in range(8):
+        types = list(partitions_of(n))
+        for size in range(1, len(types) + 1 if n <= 6 else 5):
+            for chosen in itertools.combinations(types, size):
+                brute = [t for t in chosen if all(dominates(t, s) for s in chosen)]
+                assert _dominance_max(list(chosen)) == (brute[0] if brute else None), chosen
+    assert _dominance_max([(3, 1, 1, 1), (2, 2, 2)]) is None
+    assert _dominance_max([(2, 2, 2)]) == (2, 2, 2)
+
+
+def test_type_of_ranks_rejects_a_negative_multiplicity():
+    assert _type_of_ranks((4, 2, 0)) == (2, 2)
+    assert _type_of_ranks((5, 3, 1, 0)) == (3, 2)
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        _type_of_ranks((3, 1, 1, 0))
 
 
 def test_build_commuting_slot_placement():

@@ -25,7 +25,6 @@ from burgebox.partitions import (
     partitions_of,
     reduced,
     size,
-    support,
     to_frequency,
     to_partition,
 )
@@ -33,6 +32,11 @@ from burgebox.partitions import (
 partition_st = st.lists(st.integers(1, 64), max_size=64).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+def support(freq):
+    """Indices i >= 1 with f_i != 0, ascending."""
+    return tuple(i for i, m in enumerate(as_frequency(freq), 1) if m)
 
 
 def brute_two_measure(freq):
