@@ -9,14 +9,17 @@ demotions or promotions on the sequence packed into one int, one field of
 w bits per entry, so that each operator application is a fixed run of
 big-int operations.  The lone units above all other entries move one index
 per letter, so both keep them out of the int: a large part alone costs no
-more per letter than a small one.  The public functions in ``burge`` and
-``oblak`` validate their input and return immutable tuples.
+more per letter than a small one.  ``oblak_step`` is the one checked Oblak
+step: ``oblak_steps`` and the sweep's Oblak table both run it.  The public
+functions in ``burge`` and ``oblak`` validate their input and return
+immutable tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
+from operator import mul
 
 
 def _strip(f: list) -> None:
@@ -194,22 +197,25 @@ def annihilate(f: list, i: int) -> None:
 
 def size(f) -> int:
     """|f| = sum of i * f_i."""
-    return sum(i * m for i, m in enumerate(f, 1))
+    return sum(map(mul, f, count(1)))
+
+
+def oblak_step(f: list, before: int) -> tuple:
+    """Annihilate a nonempty f of size ``before`` at its first maximal index: (index, evaluation).
+
+    A size drop other than the evaluation fails the self-check: AssertionError.
+    """
+    ev, indices = max_evaluation(f)
+    annihilate(f, indices[0])
+    if (drop := before - size(f)) != ev:
+        raise AssertionError(f"corrupt chain: size drop {drop} != evaluation {ev}")
+    return indices[0], ev
 
 
 def oblak_steps(f: list):
-    """Run the Oblak process on f at the smallest maximal index, down to empty.
-
-    Yields (index, evaluation) after each annihilation, once the size drop
-    has been checked against the evaluation: a drop that differs is a
-    failed self-check, so it raises AssertionError.
-    """
-    before = size(f)
+    """Run ``oblak_step`` on f down to empty, yielding (index, evaluation) of each step."""
+    n = size(f)
     while f:
-        ev, indices = max_evaluation(f)
-        annihilate(f, indices[0])
-        after = size(f)
-        if before - after != ev:
-            raise AssertionError(f"corrupt chain: size drop {before - after} != evaluation {ev}")
-        yield indices[0], ev
-        before = after
+        i, ev = oblak_step(f, n)
+        n -= ev
+        yield i, ev

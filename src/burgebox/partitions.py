@@ -99,28 +99,26 @@ def length(freq: Iterable[int]) -> int:
     return sum(as_frequency(freq))
 
 
-def _runs(f: FreqSeq) -> Iterator[tuple]:
-    """(lo, hi) of each spread, a maximal run of non-zero entries, of a validated f, 1-based."""
-    lo = 0
-    for i, m in enumerate(f, 1):
-        if not m:
-            if lo:
-                yield lo, i - 1
-                lo = 0
-        elif not lo:
-            lo = i
-    if lo:
-        yield lo, len(f)  # f has no trailing zeros
-
-
 def _right_set(f: FreqSeq) -> frozenset:
     """R(f) of a validated f: every other index of each spread, starting at its high end."""
-    return frozenset(j for lo, hi in _runs(f) for j in range(hi, lo - 1, -2))
+    out, j = [], len(f)
+    while j > 0:
+        if f[j - 1]:
+            out.append(j)
+            j -= 1  # skip one: j - 1 is the next of j's spread, or a zero
+        j -= 1
+    return frozenset(out)
 
 
 def _two_measure(f: FreqSeq) -> int:
     """Maximum length of a super-distinct subpartition of a validated f: ceil(len/2) per spread."""
-    return sum((hi - lo + 2) // 2 for lo, hi in _runs(f))
+    total = run = 0  # run: the length of the spread so far
+    for m in f:
+        if m:
+            run += 1
+        else:
+            total, run = total + ((run + 1) >> 1), 0
+    return total + ((run + 1) >> 1)  # f has no trailing zeros
 
 
 def is_super_distinct(parts: Iterable[int]) -> bool:

@@ -19,7 +19,8 @@ Each check gets its own ``Tables``, made when it starts and dropped when it
 ends: Burge's code word and the Oblak output of each frequency sequence,
 each built by one step of its route from the entry of a smaller sequence.
 The sweep runs n upward, so each partition costs one step of each route it
-reads.  A check that fills its tables with every partition up to max-n is
+reads; ``prop-characterization`` hands its one demotion of f to the word
+step.  A check that fills its tables with every partition up to max-n is
 refused past ``TABLE_MAX_N``.  No check runs a whole Burge kernel: every
 word comes from the word table, ``cor-box`` compares box words with it, and
 ``foata-hooks`` walks the box coordinates.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import kernels, oracle
@@ -133,9 +134,9 @@ class _Table(dict):
         return value
 
 
-def _word_step(f, words) -> str:
-    """Burge's code word of f: its class letter, then the word of del f."""
-    return _letter(f) + words[_demoted(f)] if f else "a"
+def _word_step(f, words, df=None) -> str:
+    """Burge's code word of f: its class letter, then the word of del f, df if given."""
+    return _letter(f) + words[_demoted(f) if df is None else df] if f else "a"
 
 
 def _oblak_step(f, outputs) -> tuple:
@@ -143,7 +144,7 @@ def _oblak_step(f, outputs) -> tuple:
     if not f:
         return ()
     g = list(f)
-    _, ev = next(kernels.oblak_steps(g))
+    ev = kernels.oblak_step(g, kernels.size(f))[1]
     return (ev, *outputs[tuple(g)])
 
 
@@ -155,11 +156,11 @@ class Tables:
 
 
 def check_lem_stats(p, f, cfg: SweepConfig, tables) -> bool:
-    df = _demoted(f)
+    df, two = _demoted(f), _two_measure(f)
     in_b = _letter(f) == "b"
     return (sum(df) == sum(f) - in_b
-            and kernels.size(df) == kernels.size(f) - _two_measure(f)
-            and _two_measure(df) == _two_measure(f) - (in_b and _letter(df) == "a"))
+            and kernels.size(df) == kernels.size(f) - two
+            and _two_measure(df) == two - (in_b and _letter(df) == "a"))
 
 
 def check_prop_stats(p, f, cfg: SweepConfig, tables) -> bool:
@@ -171,7 +172,9 @@ def check_prop_stats(p, f, cfg: SweepConfig, tables) -> bool:
 
 
 def check_prop_characterization(p, f, cfg: SweepConfig, tables) -> bool:
-    return len(set(_characterization(p, f, _demoted(f), tables.words[f]))) == 1
+    df = _demoted(f)  # one demotion, for the word step and the seven tests
+    tables.words[f] = w = _word_step(f, tables.words, df)
+    return len(set(_characterization(p, f, df, w))) == 1
 
 
 def check_main_vs_oblak(p, f, cfg: SweepConfig, tables) -> bool:
@@ -179,10 +182,10 @@ def check_main_vs_oblak(p, f, cfg: SweepConfig, tables) -> bool:
 
 
 def check_cor_box(n: int, cfg: SweepConfig, record, tables) -> None:
-    fibers: dict = {}  # Q: Counter of (code word, part count) over the partitions mapped to Q
+    fibers = defaultdict(Counter)  # Q: Counter of (code word, part count) of the partitions at Q
     for p in partitions_of(n):
         w = tables.words[to_frequency(p)]
-        fibers.setdefault(_descents(w)[::-1], Counter())[w, len(p)] += 1
+        fibers[_descents(w)[::-1]][w, len(p)] += 1
     # one partition for each box word at c, with sum(c) parts; a Q that is not
     # super-distinct has a dimension <= 0, so its empty box fails the comparison
     for q in sorted(fibers, reverse=True):

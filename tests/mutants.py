@@ -1,7 +1,9 @@
-"""Named source mutants of the sweep, chain and oracle checks, and a runner that confirms each is killed.
+"""Named source mutants of the sweep, chain and oracle checks and of the kernels they read,
+and a runner that confirms each is killed.
 
-Each entry of ``MUTANTS`` weakens one clause of a check in ``src/burgebox``:
-it replaces ``old``, which occurs exactly once in ``src/``, by ``new``, and
+Each entry of ``MUTANTS`` weakens one clause of a check in ``src/burgebox``,
+breaks one step of a kernel or takes a lone unit's fast path away: it
+replaces ``old``, which occurs exactly once in ``src/``, by ``new``, and
 names the tests that must then fail.  Run from the root of the repository::
 
     python tests/mutants.py [name ...]
@@ -43,23 +45,26 @@ SWEEP = "src/burgebox/sweep.py"
 BURGE = "src/burgebox/burge.py"
 OBLAK = "src/burgebox/oblak.py"
 ORACLE = "src/burgebox/oracle.py"
+KERNELS = "src/burgebox/kernels.py"
+PARTITIONS = "src/burgebox/partitions.py"
 CLAUSE = "tests/test_sweep.py::test_planted_fault_in_one_clause_is_reported"
 PLANTED = "tests/test_sweep.py::test_planted_fault_is_reported"
 NOT_SUPER_DISTINCT = (
     "tests/test_sweep.py::test_partition_filed_under_a_key_that_is_not_super_distinct_is_reported"
 )
 COR_BOX = "        ok = fibers[q] == Counter((_fiber_word(d, c), sum(c)) for c in _box(d))\n"
+LONE_UNIT = "tests/test_kernels.py::test_lone_unit_of_one_part_leaves_the_packed_int_both_ways"
 
 MUTANTS = {
     "lem-stats-part-count-of-del": Mutant(
         SWEEP, "sum(df) == sum(f) - in_b", "True", (f"{CLAUSE}[lem-stats-part-count-of-del]",),
     ),
     "lem-stats-size-of-del": Mutant(
-        SWEEP, "\n            and kernels.size(df) == kernels.size(f) - _two_measure(f)", "",
+        SWEEP, "\n            and kernels.size(df) == kernels.size(f) - two", "",
         (f"{CLAUSE}[lem-stats-size-of-del]",),
     ),
     "lem-stats-two-measure-of-del": Mutant(
-        SWEEP, '\n            and _two_measure(df) == _two_measure(f) - (in_b and _letter(df) == "a"))',
+        SWEEP, '\n            and _two_measure(df) == two - (in_b and _letter(df) == "a"))',
         ")", (f"{CLAUSE}[lem-stats-two-measure-of-del]",),
     ),
     "prop-stats-part-count": Mutant(
@@ -139,6 +144,31 @@ MUTANTS = {
     "oracle-max-type-unchecked": Mutant(  # the first type is taken as the maximum unchecked
         ORACLE, "    return top if all(_dominates(top, t) for t in types[1:]) else None\n",
         "    return top\n", ("tests/test_oracle.py::test_dominance_max_is_the_brute_force_maximum",),
+    ),
+    "two-measure-last-spread-floor": Mutant(  # a last spread of odd length counts one short
+        PARTITIONS, "return total + ((run + 1) >> 1)", "return total + (run >> 1)",
+        ("tests/test_partitions.py::test_two_measure_examples",),
+    ),
+    "right-set-no-skip": Mutant(  # every support index is in R(f)
+        PARTITIONS, "            j -= 1  # skip one: j - 1 is the next of j's spread, or a zero\n", "",
+        ("tests/test_partitions.py::test_left_right_sets_examples",),
+    ),
+    "size-counts-from-zero": Mutant(  # f_1 weighs 0, f_2 weighs 1, ...
+        KERNELS, "sum(map(mul, f, count(1)))", "sum(map(mul, f, count(0)))",
+        ("tests/test_partitions.py::test_size_length_examples",),
+    ),
+    "oblak-step-size-drop-unchecked": Mutant(
+        KERNELS, "    if (drop := before - size(f)) != ev:\n"
+        '        raise AssertionError(f"corrupt chain: size drop {drop} != evaluation {ev}")\n', "",
+        ("tests/test_sweep.py::test_oblak_table_checks_each_size_drop",),
+    ),
+    "encode-lone-units-packed": Mutant(  # the same words, each letter O(largest part) bits
+        KERNELS, "    while m > 1 and f[m - 1] == 1 and not f[m - 2]:\n", "    while False:\n",
+        (LONE_UNIT,),
+    ),
+    "decode-lone-units-packed": Mutant(  # the same sequences, each letter O(largest part) bits
+        KERNELS, "            while t > 0 and F >> w * t == 1 and not (F >> w * (t - 1)) & low:\n",
+        "            while False:\n", (LONE_UNIT,),
     ),
 }
 

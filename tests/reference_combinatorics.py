@@ -12,10 +12,13 @@ The spreads, L(f) and R(f), the admissible indices, index equivalence, the
 chain checks, the image of a chain under demotion and the word statistics
 (descent set, major index, inversions) were once package functions that
 only tests called; they live here, built on the references above them.
+The size and the two-measure are counted afresh, with no package kernel.
 """
 
+import itertools
+
 from burgebox.oblak import OblakChain
-from burgebox.partitions import as_frequency, as_partition, size
+from burgebox.partitions import as_frequency, as_partition
 
 
 def partitions_of(n):
@@ -54,6 +57,33 @@ def spreads(freq):
             out.append((lo, i - 1))
             lo = 0
     return out
+
+
+def size(freq):
+    """|f| = sum of i * f_i, one product at a time."""
+    return sum(i * m for i, m in enumerate(as_frequency(freq), 1))
+
+
+def two_measure(freq):
+    """The largest subset of the support with no two consecutive indices.
+
+    Exhaustive over subsets when the support is small, a take-or-skip
+    recursion otherwise.
+    """
+    supp = tuple(i for i, m in enumerate(as_frequency(freq), 1) if m)
+    if len(supp) <= 14:
+        for r in range(len(supp), 0, -1):
+            for sub in itertools.combinations(supp, r):
+                if all(b - a >= 2 for a, b in zip(sub, sub[1:])):
+                    return r
+        return 0
+    best = [0] * (len(supp) + 1)
+    for k in range(len(supp) - 1, -1, -1):
+        nxt = k + 1
+        if nxt < len(supp) and supp[nxt] == supp[k] + 1:
+            nxt += 1
+        best[k] = max(best[k + 1], 1 + best[nxt])
+    return best[0]
 
 
 def left_set(freq):

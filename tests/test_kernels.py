@@ -5,13 +5,23 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 import reference_combinatorics as ref
 from burgebox import kernels, sweep
 from burgebox.boxes import coordinates_of, fiber
 from burgebox.burge import apply_a, apply_b, apply_del, burge_chain, decode, descent_map, encode
 from burgebox.oblak import maximal_indices, oblak, oblak_all_chains
-from burgebox.partitions import SIZE_CAP, is_super_distinct, partitions_of, to_frequency, to_partition
+from burgebox.partitions import (
+    SIZE_CAP,
+    _right_set,
+    _two_measure,
+    as_frequency,
+    is_super_distinct,
+    partitions_of,
+    to_frequency,
+    to_partition,
+)
 from burgebox.words import diagonal_hooks, durfee
 
 ACCEPTANCE_BOUND = 25
@@ -38,13 +48,21 @@ def assert_burge_agrees(f):
     assert apply_a(f) == ref.apply_a(f), f
     assert apply_b(f) == ref.apply_b(f), f
     assert in_class_b(f) == ref.in_class_b(f), f
+    assert _right_set(f) == ref.right_set(f), f
+    assert _two_measure(f) == ref.two_measure(f), f
 
 
 def assert_oblak_agrees(f):
     assert maximal_indices(f) == ref.maximal_indices(f), f
+    states, indices = ref.oblak_chain(f)
     chain = oblak_chain(f)
-    assert (chain.states, chain.indices) == ref.oblak_chain(f), f
+    assert (chain.states, chain.indices) == (states, indices), f
     assert oblak(f) == ref.oblak(f) == chain.valuation, f
+    assert kernels.size(f) == ref.size(f), f
+    for r, i in enumerate(indices):  # each step alone, from the reference's state
+        g = list(states[r])
+        assert kernels.oblak_step(g, ref.size(states[r])) == (i, ref.evaluate(states[r], i)), f
+        assert tuple(g) == ref.annihilate(states[r], i) == states[r + 1], f
 
 
 def all_freqs(max_n):
@@ -61,6 +79,18 @@ def test_burge_kernels_match_reference_exhaustive():
 def test_oblak_kernels_match_reference_exhaustive():
     for f in all_freqs(ACCEPTANCE_BOUND):
         assert_oblak_agrees(f)
+
+
+# interior zeros, long supports and spreads of every length, past what a sweep visits
+@given(st.lists(st.integers(0, 5), max_size=300).map(as_frequency))
+def test_statistic_kernels_match_reference_on_sequences(f):
+    assert _right_set(f) == ref.right_set(f)
+    assert _two_measure(f) == ref.two_measure(f)
+    assert kernels.size(f) == ref.size(f)
+    if f:
+        g, i = list(f), ref.maximal_indices(f)[0]
+        assert kernels.oblak_step(g, ref.size(f)) == (i, ref.evaluate(f, i))
+        assert tuple(g) == ref.annihilate(f, i)
 
 
 def test_sweep_tables_match_the_whole_kernels_exhaustive():
@@ -200,6 +230,18 @@ def test_single_part_and_single_column_up_to_the_size_cap():
             word = encode(f)
             assert decode(word) == f
         assert encode(to_frequency((a,))) == "a" * (a - 1) + "ba"
+
+
+def test_lone_unit_of_one_part_leaves_the_packed_int_both_ways():
+    # the unit of (SIZE_CAP,) moves one index a letter outside the int; packed, each
+    # letter would cost O(SIZE_CAP) bits, and encode or decode take seconds
+    f = to_frequency((SIZE_CAP,))
+    start = time.perf_counter()
+    word = encode(f)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert decode(word) == f
+    assert time.perf_counter() - start < 1.0
 
 
 def test_packing_a_long_sequence_takes_one_conversion_each_way():

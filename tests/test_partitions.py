@@ -11,7 +11,6 @@ from burgebox.partitions import (
     PART_CAP,
     SIZE_CAP,
     _right_set,
-    _runs,
     _two_measure,
     as_frequency,
     as_partition,
@@ -32,32 +31,6 @@ from burgebox.partitions import (
 partition_st = st.lists(st.integers(1, 64), max_size=64).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
-
-
-def support(freq):
-    """Indices i >= 1 with f_i != 0, ascending."""
-    return tuple(i for i, m in enumerate(as_frequency(freq), 1) if m)
-
-
-def brute_two_measure(freq):
-    # largest subset of the support with no two consecutive indices:
-    # exhaustive over subsets when small, take-or-skip recursion otherwise
-    supp = support(freq)
-    if len(supp) <= 14:
-        best = 0
-        for r in range(len(supp), 0, -1):
-            for sub in itertools.combinations(supp, r):
-                if all(b - a >= 2 for a, b in zip(sub, sub[1:])):
-                    return r
-        return best
-
-    best = [0] * (len(supp) + 1)
-    for k in range(len(supp) - 1, -1, -1):
-        nxt = k + 1
-        if nxt < len(supp) and supp[nxt] == supp[k] + 1:
-            nxt += 1
-        best[k] = max(best[k + 1], 1 + best[nxt])
-    return best[0]
 
 
 def test_to_frequency_examples():
@@ -87,9 +60,9 @@ def test_size_length_examples():
 
 def test_spreads_examples():
     f = (2, 1, 0, 3, 2, 2, 0, 0, 1)
-    assert list(_runs(f)) == ref.spreads(f) == [(1, 2), (4, 6), (9, 9)]
-    assert list(_runs(())) == ref.spreads(()) == []
-    assert list(_runs((0, 1))) == ref.spreads((0, 1)) == [(2, 2)]
+    assert ref.spreads(f) == [(1, 2), (4, 6), (9, 9)]
+    assert ref.spreads(()) == []
+    assert ref.spreads((0, 1)) == [(2, 2)]
 
 
 def test_left_right_sets_examples():
@@ -111,7 +84,7 @@ def test_two_measure_examples():
 @given(partition_st)
 def test_two_measure_matches_brute_force(p):
     f = to_frequency(p)
-    assert _two_measure(f) == brute_two_measure(f)
+    assert _two_measure(f) == ref.two_measure(f)
 
 
 @given(partition_st)
