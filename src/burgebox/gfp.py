@@ -75,7 +75,7 @@ def sliced_powers(a: Sequence[Sequence[int]]):
     """A, A^2, A^3, ... over GF(2) in every lane, without end.
 
     Entry (r, c) of XA is the XOR over k of X[r][k] AND A[k][c], taken over
-    the nonzero entries of A, listed once.
+    the nonzero entries of A, listed once; a zero row of X gives a zero row.
     """
     width = len(a)
     nonzero = [[(c, v) for c, v in enumerate(row) if v] for row in a]
@@ -85,10 +85,11 @@ def sliced_powers(a: Sequence[Sequence[int]]):
         out = []
         for row in power:
             acc = [0] * width
-            for u, ys in zip(row, nonzero):
-                if u:
-                    for c, v in ys:
-                        acc[c] ^= u & v
+            if any(row):
+                for u, ys in zip(row, nonzero):
+                    if u:
+                        for c, v in ys:
+                            acc[c] ^= u & v
             out.append(acc)
         power = out
 
@@ -97,16 +98,19 @@ def sliced_rank(rows: Sequence[Sequence[int]]) -> list:
     """The rank over GF(2) in every lane, as bit-planes: bit j of plane b is bit b of lane j's rank.
 
     Forward elimination with a pivot mask per column: ``kept[c]`` holds, in
-    the lanes of ``have[c]``, a kept row with its pivot at column c.  A row
-    is reduced left to right; in the lanes where it meets a column with no
-    pivot yet, it is kept there and leaves the elimination.
+    the lanes of ``have[c]``, a kept row with its pivot at column c, made
+    when the column gets its first pivot.  A nonzero row is reduced left to
+    right; in the lanes where it meets a column with no pivot yet, it is
+    kept there and leaves the elimination.
     """
     width = len(rows[0]) if rows else 0
-    have, kept = [0] * width, [[0] * width for _ in range(width)]
+    have, kept = [0] * width, [None] * width
     for row in rows:
+        if not any(row):
+            continue
         v = list(row)
-        for c in range(width):
-            if not (x := v[c]):
+        for c, x in enumerate(v):  # v[c] is read after the reductions of columns < c
+            if not x:
                 continue
             w = kept[c]
             if old := x & have[c]:
@@ -114,6 +118,8 @@ def sliced_rank(rows: Sequence[Sequence[int]]) -> list:
                     if e := w[d] & old:
                         v[d] ^= e
             if new := x ^ old:
+                if w is None:
+                    w = kept[c] = [0] * width
                 have[c] |= new
                 for d in range(c + 1, width):
                     if e := v[d] & new:

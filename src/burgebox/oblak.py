@@ -63,13 +63,14 @@ def maximal_indices(freq: Iterable[int]) -> tuple:
     return kernels.max_evaluation(as_frequency(freq))[1]
 
 
-def _successors(f: FreqSeq) -> dict:
-    """Successor states of a validated f -> the smallest maximal index annihilating to each.
+def _successors(f: FreqSeq, indices: tuple) -> dict:
+    """Successor states of a validated f -> the smallest of its maximal ``indices`` giving each.
 
-    The items come in ascending index order.
+    ``indices`` is ``kernels.max_evaluation(f)[1]``, which the caller has
+    already read; the items come in ascending index order.
     """
     out: dict = {}
-    for i in kernels.max_evaluation(f)[1]:
+    for i in indices:
         out.setdefault(_annihilated(f, i), i)
     return out
 
@@ -142,7 +143,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
                 raise ValueError(f"chain enumeration for {f} exceeds limit {limit}")
             out.append(OblakChain(states, indices))
             return
-        for nxt, i in _successors(state).items():
+        for nxt, i in _successors(state, kernels.max_evaluation(state)[1]).items():
             rec(nxt, states + [nxt], indices + [i])
 
     rec(f, [f], [])

@@ -18,10 +18,12 @@ This module builds those matrices explicitly over GF(p), constructs the
 all-ones-on-pivots witness whose image certifies the restriction type, and
 exhaustively scans small commutators for the dominance-maximum Jordan type.
 Every matrix is placed from one slot table per partition: one walk over the
-chains lists each slot's entries, and one comparison of sets whose elements
-carry their slot proves every slot disjoint from the others and commuting
-with B.  The scan's maximum is its lexicographically first type, checked
-against the rest, since a type that dominates another also comes first.
+chains lists each slot's entries, and one comparison of two sets of ints,
+each the position of a one offset by its slot's tag, proves every slot
+commuting with B; a count of the entries proves them disjoint.  The scan
+counts its space from the frequencies before it lists a slot.  Its maximum
+is its lexicographically first type, checked against the rest, since a type
+that dominates another also comes first.
 
 Jordan chains are laid out with sizes descending and equal sizes adjacent.
 A chain is addressed as (i, k): length i, k-th chain of that length
@@ -34,7 +36,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, product, takewhile
+from itertools import accumulate, islice, product
 from math import prod
 from typing import Iterable, NamedTuple
 
@@ -50,9 +52,9 @@ from .gfp import (
 from .partitions import (
     Partition,
     _dominates,
+    _next_count,
     as_partition,
     format_partition,
-    partition_counts,
     partitions_of,
     to_frequency,
     to_partition,
@@ -73,18 +75,19 @@ RESTRICTION_WORK_CAP = 5 * 10**6
 # ---------------------------------------------------------------------------
 
 class ParamSlot(NamedTuple):
-    """One free Toeplitz coefficient a_h of the block coupling chains (i,k) -> (j,l)."""
+    """One free Toeplitz coefficient a_h of the block coupling chains (i,k) -> (j,l).
+
+    a_1 of a block with i = j is an entry of the leading-coefficient matrix A_i.
+    The table's own keys are made by ``tuple.__new__``, skipping the
+    Python-level ``ParamSlot.__new__``; a plain (i, k, j, l, h) tuple looks
+    up the same slot.
+    """
 
     i: int
     k: int
     j: int
     l: int
     h: int
-
-    @property
-    def leading(self) -> bool:
-        """An entry of a same-size leading-coefficient matrix (a_1, i = j)."""
-        return self.i == self.j and self.h == 1
 
 
 def _slot_count(f) -> int:
@@ -114,13 +117,13 @@ def _slot_listing(pt: Partition, reduced: bool) -> dict:
         chains.append((i, k, r0))
         r0 += i
     chains.sort()
-    table = {}
+    table, new = {}, tuple.__new__
     for i, k, r0 in chains:
         rows = range(r0, r0 + i)
         for j, l, c0 in chains:
-            c1 = c0 + max(0, j - i) - 1
-            for h in range(1 + (reduced and i == j and k <= l), min(i, j) + 1):
-                table[ParamSlot(i, k, j, l, h)] = list(zip(rows, range(c1 + h, c0 + j)))
+            end, m = c0 + j, i if i < j else j  # a_1 starts min(i, j) columns before the end
+            for h in range(1 + (reduced and i == j and k <= l), m + 1):
+                table[new(ParamSlot, (i, k, j, l, h))] = list(zip(rows, range(end - m + h - 1, end)))
     return table
 
 
@@ -130,19 +133,24 @@ def _slot_table(pt: Partition, reduced: bool = True) -> dict:
     B shifts each Jordan chain: (Bv)[r] = v[r + 1], or 0 where r + 1 starts
     a chain or is n.  A slot's 0/1 pattern E commutes with B when EB, with
     its ones at (r, c + 1), equals BE, at (r - 1, c).  Each one is tagged
-    with its slot's index, so one comparison of two sets proves every slot.
-    Commuting is linear, so this covers every matrix placed from the table.
+    with its slot's index s, as the int (s n + r) n + c for the one at (r, c),
+    so one comparison of two sets of ints proves every slot.  Commuting is
+    linear, so this covers every matrix placed from the table.
     """
     table = _slot_listing(pt, reduced)
-    starts = set(accumulate(pt, initial=0))  # and n, which starts no chain
+    n = sum(pt)
+    inner = [True] * (n + 1)  # False where a chain starts, and at n
+    for s in accumulate(pt, initial=0):
+        inner[s] = False
     entries = table.values()
-    eb, be = set(), set()
-    for s, es in enumerate(entries):
+    eb, be, tag = set(), set(), 0
+    for es in entries:
         for r, c in es:
-            if c + 1 not in starts:
-                eb.add((s, r, c + 1))
-            if r not in starts:
-                be.add((s, r - 1, c))
+            if inner[c + 1]:
+                eb.add(tag + r * n + c + 1)
+            if inner[r]:
+                be.add(tag + r * n + c - n)
+        tag += n * n
     if sum(map(len, entries)) != len(set().union(*entries)) or eb != be:
         raise AssertionError("slot placement does not commute with the base matrix")
     return table
@@ -454,9 +462,14 @@ def _gray_walk(count: int, p: int):
 
 
 def _jordan_form(i: int, lam: Partition) -> list:
-    """The a_1 slots that, set to 1, make the chains of length i a lower Jordan form of type lam."""
+    """The a_1 slots, as plain tuples, whose ones make the chains of length i a Jordan form lam."""
     starts = accumulate(lam, initial=0)
-    return [ParamSlot(i, k + 1, i, k, 1) for s, b in zip(starts, lam) for k in range(s + 1, s + b)]
+    return [(i, k + 1, i, k, 1) for s, b in zip(starts, lam) for k in range(s + 1, s + b)]
+
+
+def _walked(table: dict) -> list:
+    """The entries of every slot of the table but the leading ones (a_1 with i = j), in order."""
+    return [es for (i, _, j, _, h), es in table.items() if h > 1 or i != j]
 
 
 def _scan_size(f, p: int, budget: int) -> int:
@@ -464,14 +477,18 @@ def _scan_size(f, p: int, budget: int) -> int:
 
     Over odd p each n x n matrix is typed alone and counts n^3 times against the
     budget.  The leading blocks take prod p(f_i) Jordan forms.  p(m) only grows,
-    so the counts are listed while they fit: a huge f_i costs a few steps.
+    so p(0), p(1), ... are counted up to the largest f_i or the first over the
+    cap, whichever comes first: a huge f_i costs a few steps.
     """
     free = _slot_count(f) - sum(m * m for m in f)
     weight = 1 if p == 2 else sum(i * m for i, m in enumerate(f, 1)) ** 3 or 1
     # p**free <= budget; p >= 2, so past budget's bit length it is over
     cap = budget // weight // p**free if free <= budget.bit_length() else 0
-    counts = list(islice(takewhile(cap.__ge__, partition_counts()), max(f, default=0) + 1))
-    leading = prod(counts[m] if m < len(counts) else cap + 1 for m in f)
+    top, counts = max(f, default=0), [1]
+    while len(counts) <= top and counts[-1] <= cap:
+        counts.append(_next_count(counts))
+    # stopped past the cap: p(top) is over it too; else every p(f_i) is counted
+    leading = counts[-1] if counts[-1] > cap else prod(map(counts.__getitem__, f))
     if leading > cap:
         raise ValueError(f"scan of {format_partition(to_partition(f))} over GF({p}) needs more"
                          f" matrices than the scan budget {budget}"
@@ -497,15 +514,16 @@ def _count_lanes(a: list, n: int, lanes: int, keys: Counter) -> None:
         if not any(map(any, power)):
             break
         planes, going = sliced_rank(power), []
+        sides = [(1 << b, plane, ~plane) for b, plane in enumerate(planes)]
         for key, lanes in groups:
             while lanes:
-                j = (lanes & -lanes).bit_length() - 1
+                low = lanes & -lanes
                 same, rank = lanes, 0
-                for b, plane in enumerate(planes):
-                    if plane >> j & 1:
-                        same, rank = same & plane, rank | 1 << b
+                for bit, plane, off in sides:
+                    if plane & low:
+                        same, rank = same & plane, rank | bit
                     else:
-                        same &= ~plane
+                        same &= off
                 lanes ^= same
                 if rank:
                     going.append(((*key, rank), same))
@@ -591,16 +609,20 @@ def scan_max_type(
     L = prod GL(f_i), mixing the chains of each length, commutes with B and
     keeps Jordan types; conjugating by it moves each leading block A_i by a
     similarity and leaves the other slots free.  So the walk gives each A_i
-    one lower nilpotent Jordan form per partition of f_i, and walks every
-    non-leading slot of the slot table through GF(p) in Gray-code order, one
-    slot change per step.  ``scanned`` is the size of that space,
-    prod p(f_i) p^free; it is checked against ``budget`` (n^3 times over odd
-    p) before any slot is listed, and ValueError is raised when it is over.
-    Every matrix built is nilpotent: one that is not raises AssertionError.
-    Each is typed by its rank sequence: over GF(2) ``SCAN_LANES`` matrices at
-    a time by the bitsliced kernels (``_sliced_scan``), over odd p one at a
-    time on row lists with ``rank_profile`` and ``matmul_rows``.  The
-    maximum is the lexicographically first type, checked against the rest
+    one lower nilpotent Jordan form per partition of f_i (a lone chain of
+    length i has only the empty one), and walks every non-leading slot of the
+    proved slot table (``_walked``) through GF(p) in Gray-code order, one slot
+    change per step.  ``scanned`` is the size of that space, prod p(f_i)
+    p^free, counted by ``_scan_size`` from the frequencies alone, with p(m)
+    counted only up to the largest f_i or the budget; it is checked against
+    ``budget`` (n^3 times over odd p) before any slot is listed, and
+    ValueError is raised when it is over.  Every matrix built is nilpotent:
+    one that is not raises AssertionError.  Each is typed by its rank
+    sequence: over GF(2) ``SCAN_LANES`` matrices at a time by the bitsliced
+    kernels (``_sliced_scan``), over odd p one at a time on row lists with
+    ``rank_profile`` and ``matmul_rows``.  The histogram maps each sequence's
+    type to its count, types descending, and the maximum is the
+    lexicographically first type, checked against the rest
     (``_dominance_max``).
     """
     start = time.perf_counter()
@@ -610,13 +632,13 @@ def scan_max_type(
     f = to_frequency(pt)
     scanned = _scan_size(f, p, budget)
     table = _slot_table(pt)
-    forms = [
+    forms = [  # a lone chain of its length has one Jordan form, with no slot set
         [[rc for s in _jordan_form(i, lam) for rc in table[s]] for lam in partitions_of(m)]
         for i, m in enumerate(f, 1)
-        if m
+        if m > 1
     ]
-    walked = [es for s, es in table.items() if not s.leading]
+    walked = _walked(table)
     keys = _sliced_scan(n, forms, walked) if p == 2 else _row_scan(n, forms, walked, p)
-    histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
+    histogram = dict(sorted(zip(map(_type_of_ranks, keys), keys.values()), reverse=True))
     return ScanReport(pt, p, scanned, histogram, _dominance_max(list(histogram)), descent_map(pt),
                       time.perf_counter() - start)

@@ -187,11 +187,18 @@ def partition_counts() -> Iterator[int]:
     counts = [1]
     while True:
         yield counts[-1]
-        k, total, j = len(counts), 0, 1
-        while (g := j * (3 * j - 1) // 2) <= k:
-            total += (-1) ** (j + 1) * (counts[k - g] + (counts[k - g - j] if g + j <= k else 0))
-            j += 1
-        counts.append(total)
+        counts.append(_next_count(counts))
+
+
+def _next_count(counts: list) -> int:
+    """p(k) from counts = [p(0), ..., p(k - 1)]: the sum over the pentagonal numbers g <= k."""
+    k, total, j, g = len(counts), 0, 1, 1  # g = j (3j - 1) / 2, and g + j pairs with it
+    while g <= k:
+        t = counts[k - g] + (counts[k - g - j] if g + j <= k else 0)
+        total += t if j & 1 else -t
+        j += 1
+        g += 3 * j - 2
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -200,15 +200,15 @@ def check_cor_box(n: int, cfg: SweepConfig, record, tables) -> None:
 # these steps exactly when del maps each chain of f to a chain of del f with every
 # evaluation one lower, and all chains of f have one valuation.
 def check_oblakburge(p, f, cfg: SweepConfig, tables) -> bool:
+    if f in ((), (1,)):
+        return True
     df = _demoted(f)
-    return f in ((), (1,)) or (
-        kernels.max_evaluation(df)[0] == kernels.max_evaluation(f)[0] - 1
-        and {_demoted(s) for s in _successors(f)} <= _successors(df).keys()
-    )
+    (ev, at), (dev, dat) = kernels.max_evaluation(f), kernels.max_evaluation(df)
+    return dev == ev - 1 and {_demoted(s) for s in _successors(f, at)} <= _successors(df, dat).keys()
 
 
 def check_khatami(p, f, cfg: SweepConfig, tables) -> bool:
-    return len({tables.oblak[s] for s in _successors(f)}) <= 1
+    return len({tables.oblak[s] for s in _successors(f, kernels.max_evaluation(f)[1])}) <= 1
 
 
 def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:

@@ -87,7 +87,7 @@ MUTANTS = {
          "[prop-characterization-burgebox encode 8]",),
     ),
     "thm-oblakburge-evaluation": Mutant(
-        SWEEP, "kernels.max_evaluation(df)[0] == kernels.max_evaluation(f)[0] - 1\n        and ", "",
+        SWEEP, "dev == ev - 1 and ", "",
         (f"{PLANTED}[thm-oblakburge]",),
     ),
     "cor-box-word": Mutant(  # only the part counts of each fiber are compared
@@ -132,14 +132,31 @@ MUTANTS = {
         ("tests/test_oblak.py::test_chain_index_must_be_a_nonnegative_integer[-1]",),
     ),
     "oracle-slot-proof-untagged": Mutant(  # the ones of every slot are compared as one pattern
-        ORACLE, "                eb.add((s, r, c + 1))\n            if r not in starts:\n"
-        "                be.add((s, r - 1, c))\n",
-        "                eb.add((r, c + 1))\n            if r not in starts:\n                be.add((r - 1, c))\n",
+        ORACLE, "                eb.add(tag + r * n + c + 1)\n            if inner[r]:\n"
+        "                be.add(tag + r * n + c - n)\n",
+        "                eb.add(r * n + c + 1)\n            if inner[r]:\n                be.add(r * n + c - n)\n",
         ("tests/test_oracle.py::test_slot_proof_is_per_slot",),
+    ),
+    "oracle-slot-proof-tag-overlaps": Mutant(  # slot s + 1's ones at row r share s's codes at r + 1
+        ORACLE, "        tag += n * n\n", "        tag += n\n",
+        ("tests/test_oracle.py::test_slot_proof_matches_a_per_slot_check_on_every_moved_entry",),
     ),
     "oracle-slot-proof-disjoint": Mutant(  # two slots may share an entry
         ORACLE, "sum(map(len, entries)) != len(set().union(*entries)) or ", "",
         ("tests/test_oracle.py::test_slot_fault_is_caught_on_every_oracle_path[bad1-<lambda>]",),
+    ),
+    "oracle-scan-count-unbounded": Mutant(  # p(m) is counted to the largest f_i, past the cap
+        ORACLE, "    while len(counts) <= top and counts[-1] <= cap:\n",
+        "    while len(counts) <= top:\n",
+        ("tests/test_cli.py::test_scan_max_over_budget_exits_at_once[[1^100000]]",),
+    ),
+    "oracle-jordan-form-upper": Mutant(  # the forms set a_1 of (i, k) -> (i, k + 1), above the diagonal
+        ORACLE, "[(i, k + 1, i, k, 1) for s, b in", "[(i, k, i, k + 1, 1) for s, b in",
+        ("tests/test_oracle.py::test_scan_matches_reference_scan",),
+    ),
+    "oracle-walk-skips-wide-a1": Mutant(  # a_1 of chains of different lengths is never walked
+        ORACLE, "if h > 1 or i != j]", "if h > 1]",
+        ("tests/test_oracle.py::test_sliced_scan_matches_int_row_scan",),
     ),
     "oracle-max-type-unchecked": Mutant(  # the first type is taken as the maximum unchecked
         ORACLE, "    return top if all(_dominates(top, t) for t in types[1:]) else None\n",

@@ -14,7 +14,8 @@ one walk over the chains; ``slot_table`` is that listing.
 
 ``int_row_scan`` is the GF(2) Levi walk that the bitsliced scan replaced:
 the same leading Jordan forms and Gray walk, one matrix at a time as a list
-of int rows, typed by its own loop over ``gf2_rank`` and ``gf2_matmul``.
+of int rows, typed by its own loop over ``gf2_rank`` and ``gf2_matmul``.  It
+picks the walked slots with ``leading`` and counts the matrices it walks.
 """
 
 from collections import Counter
@@ -26,7 +27,6 @@ from burgebox.oracle import (
     _gray_walk,
     _jordan_form,
     _placed,
-    _scan_size,
     _slot_table,
     _type_of_ranks,
 )
@@ -52,6 +52,11 @@ def chain_layout(parts):
     return layout
 
 
+def leading(slot):
+    """An entry of a same-size leading-coefficient matrix: a_1 with i = j."""
+    return slot.i == slot.j and slot.h == 1
+
+
 def param_slots(parts, reduced=True):
     """All Toeplitz coefficient slots of the commutator of B.
 
@@ -69,7 +74,7 @@ def param_slots(parts, reduced=True):
                 for l in range(1, f[j - 1] + 1):
                     for h in range(1, min(i, j) + 1):
                         slot = ParamSlot(i, k, j, l, h)
-                        if reduced and slot.leading and k <= l:
+                        if reduced and leading(slot) and k <= l:
                             continue
                         slots.append(slot)
     return slots
@@ -95,6 +100,19 @@ def slot_table(parts, reduced=True):
     """Each slot of ``param_slots(P, reduced)``, in order, mapped to its ``slot_entries``."""
     layout = chain_layout(parts)
     return {s: slot_entries(s, layout) for s in param_slots(parts, reduced)}
+
+
+def slot_commutes(parts, entries):
+    """Whether the 0/1 pattern E at ``entries`` alone commutes with B of type P.
+
+    B sends basis vector r + 1 to r within a chain, so EB has its ones at
+    (r, c + 1) and BE at (r - 1, c), each kept only inside a chain.
+    """
+    layout = chain_layout(parts)
+    starts = set(layout.values()) | {sum(parts)}
+    eb = {(r, c + 1) for r, c in entries if c + 1 not in starts}
+    be = {(r - 1, c) for r, c in entries if r not in starts}
+    return eb == be
 
 
 def jordan_type(m):
@@ -163,20 +181,19 @@ def reference_scan(parts, p=2, budget=2**24, mode="auto"):
     return mode, scanned, rejected, ordered, max_type
 
 
-def int_row_scan(parts, budget=2**24):
+def int_row_scan(parts):
     """(scanned, histogram) of the GF(2) Levi walk, one matrix at a time on int rows."""
     pt = as_partition(parts)
     n = sum(pt)
     f = to_frequency(pt)
-    scanned = _scan_size(f, 2, budget)
     table = _slot_table(pt)
     forms = [
         [[rc for s in _jordan_form(i, lam) for rc in table[s]] for lam in partitions_of(m)]
         for i, m in enumerate(f, 1)
         if m
     ]
-    walked = [[(r, 1 << c) for r, c in es] for s, es in table.items() if not s.leading]
-    keys = Counter()
+    walked = [[(r, 1 << c) for r, c in es] for s, es in table.items() if not leading(s)]
+    keys, scanned = Counter(), 0
     for lead in product(*forms):
         rows = _placed(n, [(es, 1) for es in lead])
         rows = [sum(x << c for c, x in enumerate(row)) for row in rows]
@@ -190,5 +207,6 @@ def int_row_scan(parts, budget=2**24):
                 ranks.append(gf2_rank(power))
                 power = gf2_matmul(power, rows)
             keys[tuple(ranks)] += 1
+            scanned += 1
     histogram = dict(sorted(((_type_of_ranks(k), c) for k, c in keys.items()), reverse=True))
     return scanned, histogram

@@ -480,10 +480,10 @@ def test_run_sweep_all_checks_tiny():
 def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
     real = sweep._successors
 
-    def planted(f):
+    def planted(f, indices):
         if f == (1, 0, 1):  # (3,1)
             raise ValueError(f"planted fault at {f}")
-        return real(f)
+        return real(f, indices)
 
     monkeypatch.setattr(sweep, "_successors", planted)
     code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "thm-oblakburge")
@@ -492,11 +492,11 @@ def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
 
 
 def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
-    # with the forced-zero slots listed and no slot leading, the diagonal a_1
+    # with the forced-zero slots listed and every slot walked, the diagonal a_1
     # slots join the free walk and the scan meets a non-nilpotent matrix
     real = oracle._slot_listing
     monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: real(pt, False))
-    monkeypatch.setattr(oracle.ParamSlot, "leading", property(lambda slot: False))
+    monkeypatch.setattr(oracle, "_walked", lambda table: list(table.values()))
     code, _, err = run(capsys, "scan-max", "--partition", "2,1")
     assert code == 1 and "Traceback" not in err
     (line,) = err.splitlines()

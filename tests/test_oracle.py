@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -30,7 +31,15 @@ from burgebox.partitions import (
 )
 from burgebox.sweep import SWEEP_BUDGET_US, SweepConfig, dominance_cost
 from reference_gfp import dense_power, identity, is_zero, jordan_matrix
-from reference_scan import chain_layout, int_row_scan, param_slots, reference_scan, slot_table
+from reference_scan import (
+    chain_layout,
+    int_row_scan,
+    leading,
+    param_slots,
+    reference_scan,
+    slot_commutes,
+    slot_table,
+)
 
 P_BIG = (4, 4, 3, 2, 2)
 
@@ -338,6 +347,25 @@ def test_scan_budget():
     assert r.scanned == 7 and r.ok
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_scan_size_is_the_levi_space_and_its_budget_boundary(p):
+    # prod p(f_i) p^free, counted from listings; over GF(3) a matrix counts n^3
+    # times against the budget; a budget of exactly that weight admits the scan
+    for n in range(11):
+        weight = 1 if p == 2 else n**3 or 1
+        for q in partitions_of(n):
+            f = to_frequency(q)
+            forms = math.prod(len(list(partitions_of(m))) for m in f)
+            size = forms * p ** sum(not leading(s) for s in param_slots(q))
+            assert oracle._scan_size(f, p, size * weight) == size, q
+            budget = size * weight - 1
+            message = (f"scan of {format_partition(q)} over GF({p}) needs more matrices than"
+                       f" the scan budget {budget}" + (f", each counted n^3 = {weight} times"
+                                                       if weight > 1 else ""))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                oracle._scan_size(f, p, budget)
+
+
 @pytest.mark.parametrize("reduced", [False])
 def test_slot_count_formula_matches_slot_list(reduced):
     for n in range(11):
@@ -372,12 +400,12 @@ def test_scan_histogram_sums_to_scanned(p, max_n):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p):
-    # with the forced-zero slots listed and no slot leading, the diagonal a_1
+    # with the forced-zero slots listed and every slot walked, the diagonal a_1
     # slots join the free walk, which then builds non-nilpotent matrices and
     # must raise, not miscount
     real = oracle._slot_listing
     monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: real(pt, False))
-    monkeypatch.setattr(ParamSlot, "leading", property(lambda slot: False))
+    monkeypatch.setattr(oracle, "_walked", lambda table: list(table.values()))
     with pytest.raises(AssertionError, match="scanned matrix is not nilpotent"):
         scan_max_type((2, 1), p=p)
 
@@ -429,6 +457,28 @@ def test_slot_proof_is_per_slot(monkeypatch):
     for path in (lambda: build_commuting((3,), 2, {}), lambda: scan_max_type((3,), p=2)):
         with pytest.raises(AssertionError, match="does not commute"):
             path()
+
+
+def test_slot_proof_matches_a_per_slot_check_on_every_moved_entry(monkeypatch):
+    # each entry of each slot of the full table, moved to each cell of the matrix
+    # in turn: the proof raises exactly when some slot's pattern, checked alone,
+    # does not commute with B, or two slots share an entry
+    for n in range(2, 5):
+        for q in partitions_of(n):
+            clean = oracle._slot_listing(q, False)
+            for s, es in clean.items():
+                for e, cell in itertools.product(range(len(es)), itertools.product(range(n), repeat=2)):
+                    table = {**clean, s: es[:e] + [cell] + es[e + 1:]}
+                    entries = [rc for moved in table.values() for rc in moved]
+                    holds = len(set(entries)) == len(entries) and all(
+                        slot_commutes(q, moved) for moved in table.values())
+                    monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: table)
+                    try:
+                        oracle._slot_table(q, False)
+                        proved = True
+                    except AssertionError:
+                        proved = False
+                    assert proved == holds, (q, s, e, cell)
 
 
 @pytest.mark.parametrize("reduced", [True, False])

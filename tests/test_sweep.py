@@ -240,8 +240,9 @@ def test_fault_on_a_non_first_chain_is_reported(monkeypatch):
     bad = to_frequency((4, 1, 1))
     real = sweep._successors
 
-    def planted(f):
-        return {(3,) if s == (2,) else s: i for s, i in real(f).items()} if f == bad else real(f)
+    def planted(f, indices):
+        steps = real(f, indices)
+        return {(3,) if s == (2,) else s: i for s, i in steps.items()} if f == bad else steps
 
     monkeypatch.setattr(sweep, "_successors", planted)
     (result,) = run_sweep(SweepConfig(max_n=6, checks=("thm-oblakburge",)))
@@ -269,10 +270,10 @@ def test_one_step_checks_agree_with_the_chain_forms_to_12():
 def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
     real = sweep._successors
 
-    def planted(f):
+    def planted(f, indices):
         if f == F:
             raise ValueError(f"planted fault at {f}")
-        return real(f)
+        return real(f, indices)
 
     monkeypatch.setattr(sweep, "_successors", planted)
     (result,) = run_sweep(SweepConfig(max_n=5, checks=("thm-oblakburge",)))
