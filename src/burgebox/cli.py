@@ -26,11 +26,11 @@ from .oblak import (
     oblak_all_chains,
 )
 from .partitions import (
+    _partition,
     format_frequency,
     format_partition,
     parse_partition,
     to_frequency,
-    to_partition,
 )
 from .sweep import CHECKS, SweepConfig, run_sweep
 
@@ -59,13 +59,13 @@ def _coords(text: str) -> tuple:
 
 
 def cmd_encode(args):
-    f = to_frequency(parse_partition(args.partition))
-    word = burge.encode(f)
-    return {"partition": list(to_partition(f)), "word": word}, word
+    p = parse_partition(args.partition)
+    word = burge.encode(to_frequency(p))
+    return {"partition": list(p), "word": word}, word
 
 
 def cmd_decode(args):
-    p = to_partition(burge.decode(args.word))
+    p = _partition(burge.decode(args.word))  # decode returns a checked frequency sequence
     return {"word": burge.check_word(args.word), "partition": list(p)}, format_partition(p)
 
 

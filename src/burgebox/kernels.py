@@ -47,28 +47,39 @@ def demote(f: list) -> None:
 
 @lru_cache(maxsize=64)
 def _masks(w: int, m: int) -> tuple:
-    """Bit 0 of each of m fields of w bits; the low w - 1 bits of each; the top
-    bit of each; bit 0 of the even fields; bit 0 of the odd ones."""
+    """The low w - 1 bits of each of m fields of w bits; the top bit of each;
+    bit 0 of the even fields; bit 0 of the odd ones."""
     ones = ((1 << w * m) - 1) // ((1 << w) - 1)
     even = ((1 << w * (m + m % 2)) - 1) // ((1 << 2 * w) - 1)
     half = ones << (w - 1)
-    return ones, half - ones, half, even, ones ^ even
+    return half - ones, half, even, ones ^ even
 
 
 def _pack(fields, w: int) -> int:
     """The entries in fields of w bits, the first on top, in one conversion (not a shift each)."""
-    codes = {x: format(x, f"0{w}b") for x in set(fields)}  # each distinct entry once
+    spec = f"0{w}b"
+    codes = {x: format(x, spec) for x in set(fields)}  # each distinct entry once
     return int("".join(map(codes.__getitem__, fields)) or "0", 2)
 
 
 # Packed form: f in m fields of w = sum(f).bit_length() + 1 bits.  No entry
-# exceeds the number of parts, so the top bit of each field is free: adding
-# keep carries into it exactly on the nonzero entries, and no carry crosses
-# fields.  n then holds every bit of each nonzero field, so a spread is a run
-# of ones in n.  A carry into the low end of the runs that start on an even
-# field clears exactly those runs (rev); every run transfers from the fields
-# of its start's parity.  Demotion stores f_1 in the top field, so that each
-# spread starts at its top index; promotion stores f_1 in the bottom field.
+# exceeds the number of parts, so the top bit of each field is free.  The
+# loops keep G = F + keep, each field holding its entry plus 2^(w-1) - 1, so
+# the top bit of a field is set exactly on the nonzero entries and no carry
+# crosses fields; s, those bits shifted down to bit 0 of each field, is one
+# flag per nonzero entry.  n = s * (2^w - 1), that is (s << w) - s, fills
+# each flagged field with ones, so a spread is a run of ones in n.  The flags
+# with none in the field below, on even fields, start the runs that start on
+# an even field; adding them to n carries through exactly those runs, so
+# odd ^ n ^ (n + starts), masked by s, holds the fields of each run that
+# have its start's parity: d, one bit per transfer.  Each transfer moves one
+# from its field to the next field up, so G + d * (2^w - 1) = G - d + (d << w)
+# applies them all.  Demotion stores f_1 in the top field, so that each
+# spread starts at its top index.  A transfer out of index 1 (f_1 gives to
+# no f_0) carries past the top field, where no mask reads it, so the letter
+# loop leaves it there; & full drops it before the lone-unit code reads the
+# entries.  Promotion stores f_1 in the bottom field; its b-step clears that
+# field's flag and adds one.
 # A lone unit (f_j = 1, f_(j-1) = 0) over all other entries is a spread of
 # its own.  Demotion packs it only once it is one index above the packed top,
 # which falls at most one index per letter, or runs it down to e_2 in a's.
@@ -85,23 +96,23 @@ def letters(f) -> str:
         m -= 2
         while m and not f[m - 1]:
             m -= 1
-    ones, keep, half, even, odd = _masks(w, m)
-    full, top, w1 = (1 << w * m) - 1, w * (m - 1), w - 1
-    F = _pack(f[:m], w)  # f_1 in the top field
+    keep, half, even, odd = _masks(w, m)
+    full, top, w1, low = (1 << w * m) - 1, w * (m - 1), w - 1, (1 << w) - 1
+    G = _pack(f[:m], w) + keep  # f_1 in the top field
     out, t = [], m  # t: the top packed index
     while True:
         # the lowest unit is at least 2 above the packed top for this many letters
         for _ in range(units[-1] - len(out) - t - 1) if units else count():
-            if not F:
+            s = (G & half) >> w1
+            if not s:
                 break
-            nh = (F + keep) & half
-            n = (nh << 1) - (nh >> w1)
-            rev = n & (n ^ (n + (n & ~(n << 1) & even)))
-            d = (n & odd) ^ (rev & ones)
+            n = s * low
+            d = s & (odd ^ n ^ (n + (s & ~(s << w) & even)))
             out.append("ab"[d >> top])  # 1 is in R(f): f_1 gives to no f_0
-            F = F - d + ((d << w) & full)
+            G += d * low
         if not units:
             return "".join(out)
+        F = (G & full) - keep
         j = units[-1] - len(out)
         if F:
             t = m - ((F & -F).bit_length() - 1) // w  # the lowest nonzero field
@@ -112,8 +123,9 @@ def letters(f) -> str:
             j = 2
         units.pop()  # it joins the packed entries as their top
         F, m, t = (F << w * j >> w * m) + 1, j, j  # exact: no field over index t is set
-        ones, keep, half, even, odd = _masks(w, m)
+        keep, half, even, odd = _masks(w, m)
         full, top = (1 << w * m) - 1, w * (m - 1)
+        G = F + keep
 
 
 def promoted(word: str, f=()) -> tuple:
@@ -125,29 +137,30 @@ def promoted(word: str, f=()) -> tuple:
     """
     w = (sum(f) + word.count("b")).bit_length() + 1
     m = len(f) + 1
-    ones, keep, half, even, odd = _masks(w, m)
-    w1, tail, low = w - 1, -1 << w, (1 << w) - 1
-    F = _pack(f[::-1], w)  # f_1 in the bottom field
+    keep, half, even, odd = _masks(w, m)
+    w1, tail, low, bound = w - 1, -1 << w, (1 << w) - 1, 1 << w * m
+    G = _pack(f[::-1], w) + keep  # f_1 in the bottom field
     units = []  # final indices of the units that left
     for i in range(len(word) - 1, -1, -1):
-        b = word[i] == "b"
-        if not (F or b):  # the a-step keeps the empty sequence
-            continue
-        if F >> w * m:
+        if G >= bound:
+            F = G - keep
             t = (F.bit_length() - 1) // w  # the top field, index t + 1
             while t > 0 and F >> w * t == 1 and not (F >> w * (t - 1)) & low:
                 units.append(t + 2 + i)  # it rises once more per letter left
                 F ^= 1 << w * t
                 t = (F.bit_length() - 1) // w
             m = 2 * t + 2
-            ones, keep, half, even, odd = _masks(w, m)
-        nh = (F + keep) & half
-        n = (nh << 1) - (nh >> w1)
-        if b:
-            n &= tail
-        rev = n & (n ^ (n + (n & ~(n << 1) & even)))
-        d = (n & odd) ^ (rev & ones)
-        F = F - d + (d << w) + b
+            keep, half, even, odd = _masks(w, m)
+            bound = 1 << w * m
+            G = F + keep
+        s = (G & half) >> w1
+        if word[i] == "b":
+            s &= tail
+            G += 1
+        n = s * low
+        d = s & (odd ^ n ^ (n + (s & ~(s << w) & even)))
+        G += d * low
+    F = G - keep
     bits = format(F, f"0{-(-F.bit_length() // w) * w}b") if F else ""  # one conversion back
     fields = [bits[i : i + w] for i in range(0, len(bits), w)]
     codes = {x: int(x, 2) for x in set(fields)}
@@ -167,14 +180,16 @@ def max_evaluation(f) -> tuple:
     """
     best, at = 0, []
     tail = nxt = 0  # f_(i+2) + f_(i+3) + ..., and f_(i+1)
-    for i in range(len(f), 0, -1):
-        v = i * f[i - 1] + (i + 1) * nxt + 2 * tail
+    i = len(f)
+    for x in reversed(f):
+        v = i * x + (i + 1) * nxt + 2 * tail
         if v > best:
             best, at = v, [i]
         elif v == best:
             at.append(i)
         tail += nxt
-        nxt = f[i - 1]
+        nxt = x
+        i -= 1
     if at and at[-1] == 1:
         at.append(0)
     return best, tuple(reversed(at))

@@ -30,7 +30,7 @@ PART_CAP = 10**6
 SIZE_CAP = 10**5
 
 
-class _Checked(tuple):  # a checked partition: only as_partition and partitions_of build one
+class _Checked(tuple):  # a checked partition, from as_partition, partitions_of or parse_partition
     __slots__ = ()
 
 
@@ -223,7 +223,9 @@ def parse_partition(text: str) -> Partition:
 
     Raises ValueError with the offending position on malformed input, and
     before any part is listed if the size (sum of part * multiplicity)
-    exceeds ``SIZE_CAP``.
+    exceeds ``SIZE_CAP``.  The entry checks alone make the sorted parts a
+    checked partition: each listed part is an int of at least 1, and
+    part * mult <= size <= ``SIZE_CAP`` < ``PART_CAP``.
     """
     s = text.strip()
     if s in ("e", "ε"):
@@ -256,7 +258,7 @@ def parse_partition(text: str) -> Partition:
         if total > SIZE_CAP:
             raise ValueError(f"size exceeds the size cap {SIZE_CAP} at position {col} of {_quoted(text)}")
         parts.extend([part] * mult)
-    return as_partition(sorted(parts, reverse=True))
+    return _Checked(sorted(parts, reverse=True))
 
 
 def format_partition(parts: Iterable[int]) -> str:

@@ -1,10 +1,10 @@
-"""Named source mutants of the sweep, chain and oracle checks and of the kernels they read,
-and a runner that confirms each is killed.
+"""Named source mutants of the sweep, chain and oracle checks, of the kernels they read and
+of the partition parser, and a runner that confirms each is killed.
 
 Each entry of ``MUTANTS`` weakens one clause of a check in ``src/burgebox``,
-breaks one step of a kernel or takes a lone unit's fast path away: it
-replaces ``old``, which occurs exactly once in ``src/``, by ``new``, and
-names the tests that must then fail.  Run from the root of the repository::
+breaks one step of a kernel or of the parser or takes a lone unit's fast
+path away: it replaces ``old``, which occurs exactly once in ``src/``, by
+``new``, and names the tests that must then fail.  Run from the root of the repository::
 
     python tests/mutants.py [name ...]
 
@@ -12,12 +12,12 @@ The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory and first runs every named test there unmutated: they must pass.
 Then, for each mutant (all of them by default), it applies the mutant to the
 copy, runs ``pytest -x`` on the mutant's tests and restores the file.  It
-prints ``killed`` when those tests fail, ``SURVIVED`` when they pass and
-``ERROR`` when pytest could not run them, and exits 1 unless every mutant is
-killed.  Only the standard library is used here; pytest is the runner it
-drives.  Its name does not match ``test_*.py``, so pytest does not collect
-it; ``tests/test_mutants.py`` checks in tier-1 that every old text is still
-there to mutate.
+prints ``killed`` when those tests fail or run past ``TIMEOUT`` seconds,
+``SURVIVED`` when they pass and ``ERROR`` when pytest could not run them, and
+exits 1 unless every mutant is killed.  Only the standard library is used
+here; pytest is the runner it drives.  Its name does not match
+``test_*.py``, so pytest does not collect it; ``tests/test_mutants.py``
+checks in tier-1 that every old text is still there to mutate.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 120  # seconds a mutant's tests may run: a kernel made to loop forever is killed
 
 
 class Mutant(NamedTuple):
@@ -54,6 +55,9 @@ NOT_SUPER_DISTINCT = (
 )
 COR_BOX = "        ok = fibers[q] == Counter((_fiber_word(d, c), sum(c)) for c in _box(d))\n"
 LONE_UNIT = "tests/test_kernels.py::test_lone_unit_of_one_part_leaves_the_packed_int_both_ways"
+BURGE_KERNELS = "tests/test_kernels.py::test_burge_kernels_match_reference_exhaustive"
+OBLAK_KERNELS = "tests/test_kernels.py::test_oblak_kernels_match_reference_exhaustive"
+PARSE = "tests/test_partitions.py::test_parse_partition_returns_the_checked_partition_in_every_form"
 
 MUTANTS = {
     "lem-stats-part-count-of-del": Mutant(
@@ -187,6 +191,30 @@ MUTANTS = {
         KERNELS, "            while t > 0 and F >> w * t == 1 and not (F >> w * (t - 1)) & low:\n",
         "            while False:\n", (LONE_UNIT,),
     ),
+    "encode-index-1-transfer-kept": Mutant(  # the lone-unit code reads f_1's transfers as an entry
+        KERNELS, "        F = (G & full) - keep\n", "        F = G - keep\n", (BURGE_KERNELS,),
+    ),
+    "encode-run-starts-by-bit": Mutant(  # every flag starts a run: the field below is never read
+        KERNELS, "\n            d = s & (odd ^ n ^ (n + (s & ~(s << w) & even)))",
+        "\n            d = s & (odd ^ n ^ (n + (s & ~(s << 1) & even)))", (BURGE_KERNELS,),
+    ),
+    "decode-run-starts-by-bit": Mutant(
+        KERNELS, "\n        d = s & (odd ^ n ^ (n + (s & ~(s << w) & even)))",
+        "\n        d = s & (odd ^ n ^ (n + (s & ~(s << 1) & even)))", (BURGE_KERNELS,),
+    ),
+    "decode-b-step-f1-gives": Mutant(  # the b-step promotes f_1 too
+        KERNELS, "            s &= tail\n", "", (BURGE_KERNELS,),
+    ),
+    "parse-unsorted": Mutant(  # the parts come back in the order they were written
+        PARTITIONS, "    return _Checked(sorted(parts, reverse=True))\n",
+        "    return _Checked(parts)\n", (PARSE,),
+    ),
+    "parse-zero-part": Mutant(  # a part 0 is listed as a part
+        PARTITIONS, "            if part < 1:\n", "            if False:\n", (PARSE,),
+    ),
+    "oblak-last-maximal-index-only": Mutant(  # a tie with the best evaluation is dropped
+        KERNELS, "        elif v == best:\n            at.append(i)\n", "", (OBLAK_KERNELS,),
+    ),
 }
 
 
@@ -197,12 +225,16 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
 
-def run_pytest(root: Path, tests) -> int:
+def run_pytest(root: Path, tests, timeout=None):
+    """pytest's exit code, or None when it runs past ``timeout`` seconds."""
     # no bytecode is written, so a mutated file is never shadowed by a stale .pyc
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(command, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main(names: list) -> int:
@@ -226,10 +258,11 @@ def main(names: list) -> int:
                 status = "ERROR (old text not found exactly once)"
             else:
                 path.write_text(text.replace(mutant.old, mutant.new))
-                code = run_pytest(root, mutant.tests)
+                code = run_pytest(root, mutant.tests, TIMEOUT)
                 path.write_text(text)
-                status = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-            killed += status == "killed"
+                statuses = {0: "SURVIVED", 1: "killed", None: f"killed (timed out, {TIMEOUT} s)"}
+                status = statuses.get(code, f"ERROR (pytest exit {code})")
+            killed += status.startswith("killed")
             print(f"{status}: {name} ({time.perf_counter() - start:.1f} s)", flush=True)
     print(f"{killed} of {len(chosen)} mutants killed")
     return 0 if killed == len(chosen) else 1

@@ -226,6 +226,34 @@ def test_format_partition():
     assert format_frequency((1, 2, 1, 0, 1)) == "(1,2,1,0,1)"
 
 
+def spaced(text):
+    """text with spaces wherever parse_partition strips them."""
+    for mark, loose in (("f:", "f: "), ("(", "( "), (")", " )"), ("[", "[ "), ("]", " ]")):
+        text = text.replace(mark, loose)
+    text = text.replace(",", " , ")
+    return f" {text} "
+
+
+@given(partition_st, st.randoms(use_true_random=False))
+def test_parse_partition_returns_the_checked_partition_in_every_form(p, rng):
+    # the parser's own entry checks make its result a checked partition: no check follows them
+    runs = [(x, len(list(g))) for x, g in itertools.groupby(p)]
+    forms = (
+        ",".join(map(str, rng.sample(p, len(p)))) or "e",  # any order is accepted
+        "[" + ",".join(f"{x}^{m}" if m > 1 else str(x) for x, m in runs) + "]",
+        "f:(" + ",".join(map(str, to_frequency(p))) + ")",
+    )
+    for text in forms + tuple(map(spaced, forms)):
+        q = parse_partition(text)
+        assert type(q) is partitions._Checked and q == p, text
+        assert as_partition(list(q)) == q, text
+    zero = list(map(str, p))
+    zero.insert(rng.randrange(len(p) + 1), "0")
+    for text in (",".join(zero), spaced(",".join(zero))):
+        with pytest.raises(ValueError, match="part must be positive"):
+            parse_partition(text)
+
+
 @pytest.mark.parametrize("text", ["e", "[]", "10,7,3", "[4^2,3,2^2]", "f:(0,2,1,2)", "f:()"])
 def test_checked_partition_looks_like_the_plain_tuple(text):
     p = parse_partition(text)
