@@ -55,38 +55,39 @@ def _coords(text: str) -> tuple:
 
 
 # Each command returns (JSON data, text) or, when it verifies something,
-# (JSON data, text, ok); main prints one of the two and maps ok to the exit code.
+# (JSON data, text, ok), where text is a function of no arguments that builds
+# the text form; main calls it only without --json, prints one of the two and
+# maps ok to the exit code.
 
 
 def cmd_encode(args):
     p = parse_partition(args.partition)
     word = burge.encode(to_frequency(p))
-    return {"partition": list(p), "word": word}, word
+    return {"partition": list(p), "word": word}, lambda: word
 
 
 def cmd_decode(args):
     p = _partition(burge.decode(args.word))  # decode returns a checked frequency sequence
-    return {"word": burge.check_word(args.word), "partition": list(p)}, format_partition(p)
+    return {"word": burge.check_word(args.word), "partition": list(p)}, lambda: format_partition(p)
 
 
 def cmd_dmap(args):
     q = burge.descent_map(parse_partition(args.partition))
-    return {"partition": list(q)}, format_partition(q)
+    return {"partition": list(q)}, lambda: format_partition(q)
 
 
 def cmd_chain(args):
     ch = burge.burge_chain(to_frequency(parse_partition(args.partition)))
-    lines = [
+    data = {"states": [list(s) for s in ch.states], "word": ch.word}
+    return data, lambda: "\n".join([
         f"{i:3d}  {format_frequency(state):24s} {letter}"
         for i, (state, letter) in enumerate(zip(ch.states, ch.word))
-    ]
-    data = {"states": [list(s) for s in ch.states], "word": ch.word}
-    return data, "\n".join(lines + [f"word: {ch.word}"])
+    ] + [f"word: {ch.word}"])
 
 
 def cmd_oblak(args):
     out = oblak(to_frequency(parse_partition(args.partition)))
-    return {"partition": list(out)}, format_partition(out)
+    return {"partition": list(out)}, lambda: format_partition(out)
 
 
 def cmd_oblak_chains(args):
@@ -96,16 +97,15 @@ def cmd_oblak_chains(args):
         {"indices": list(c.indices), "states": [list(s) for s in c.states], "valuation": list(v)}
         for c, v in chains
     ]
-    lines = [
+    return data, lambda: "\n".join([
         f"indices ({','.join(str(i) for i in c.indices)})  valuation {format_partition(v)}"
         for c, v in chains
-    ]
-    return data, "\n".join(lines + [f"{len(chains)} chain(s)"])
+    ] + [f"{len(chains)} chain(s)"])
 
 
 def cmd_check_square(args):
     ok = check_commuting_square(to_frequency(parse_partition(args.partition)), args.index)
-    return {"index": args.index, "commutes": ok}, "true" if ok else "false"
+    return {"index": args.index, "commutes": ok}, lambda: "true" if ok else "false"
 
 
 def cmd_fiber(args):
@@ -120,69 +120,66 @@ def cmd_fiber(args):
         }
         for coords, part in boxes.fiber(q)
     ]
-    lines = [
+    return rows, lambda: "\n".join(
         f"({','.join(str(c) for c in row['coords'])})  {row['code']}  "
         f"{format_partition(row['partition'])}  {row['parts']}"
         for row in rows
-    ]
-    return rows, "\n".join(lines)
+    )
 
 
 def cmd_coords(args):
     q, coords = boxes.coordinates_of(parse_partition(args.partition))
-    text = f"Q={format_partition(q)} coords=({','.join(str(c) for c in coords)})"
-    return {"q": list(q), "coords": list(coords)}, text
+    return {"q": list(q), "coords": list(coords)}, lambda: (
+        f"Q={format_partition(q)} coords=({','.join(str(c) for c in coords)})"
+    )
 
 
 def cmd_maxparts(args):
     p = boxes.max_parts_partition(parse_partition(args.partition))
-    return {"partition": list(p)}, format_partition(p)
+    return {"partition": list(p)}, lambda: format_partition(p)
 
 
 def cmd_symmetry(args):
     q = parse_partition(args.partition)
     positions = _coords(args.positions) if args.positions else range(1, len(q) + 1)
     out = boxes.symmetry_map(q, _coords(args.coords), positions)
-    return {"coords": list(out)}, "(" + ",".join(str(c) for c in out) + ")"
+    return {"coords": list(out)}, lambda: "(" + ",".join(str(c) for c in out) + ")"
 
 
 def cmd_foata(args):
     w = words.foata_fiber(parse_partition(args.partition), _coords(args.coords))
     image = words.path_to_partition(w)
-    return {"word": w, "partition": list(image)}, f"{w}  ->  {format_partition(image)}"
+    return {"word": w, "partition": list(image)}, lambda: f"{w}  ->  {format_partition(image)}"
 
 
 def cmd_hooks(args):
     h = words.diagonal_hooks(parse_partition(args.partition))
-    return {"hooks": list(h)}, format_partition(h)
+    return {"hooks": list(h)}, lambda: format_partition(h)
 
 
 def cmd_durfee(args):
     d = words.durfee(parse_partition(args.partition))
-    return {"durfee": d}, str(d)
+    return {"durfee": d}, lambda: str(d)
 
 
 def cmd_verify(args):
     report = oracle.verify_restriction(
         parse_partition(args.partition), p=args.field, trials=args.trials, seed=args.seed
     )
-    text = (
+    return report.to_dict(), lambda: (
         f"{'ok' if report.ok else 'FAIL'}: expected {format_partition(report.expected)}, "
         f"witness gave {format_partition(report.witness_observed)}, "
         f"{len(report.misses)}/{report.trials} random misses"
-    )
-    return report.to_dict(), text, report.ok
+    ), report.ok
 
 
 def cmd_scan_max(args):
     report = oracle.scan_max_type(parse_partition(args.partition), p=args.field, budget=args.budget)
-    got = "(no maximum)" if report.max_type is None else format_partition(report.max_type)
-    text = (
-        f"{'ok' if report.ok else 'FAIL'}: scanned {report.scanned}, "
-        f"{len(report.types)} types, max {got}, "
+    return report.to_dict(), lambda: (
+        f"{'ok' if report.ok else 'FAIL'}: scanned {report.scanned}, {len(report.types)} types, "
+        f"max {'(no maximum)' if report.max_type is None else format_partition(report.max_type)}, "
         f"expected {format_partition(report.expected)}"
-    )
-    return report.to_dict(), text, report.ok
+    ), report.ok
 
 
 def cmd_sweep(args):
@@ -194,20 +191,20 @@ def cmd_sweep(args):
         seed=args.seed,
     )
     results = run_sweep(cfg)
-    lines = []
-    for r in results:
-        lines.append(
-            f"{'ok  ' if r.ok else 'FAIL'} {r.name:24s} "
-            f"{r.instances:6d} instances, {r.failures} failures ({r.elapsed:.2f}s)"
-        )
-        if r.first_counterexample:
-            lines.append(f"     repro: {r.first_counterexample}")
-    return [r.to_dict() for r in results], "\n".join(lines), all(r.ok for r in results)
+    return [r.to_dict() for r in results], lambda: "\n".join(
+        f"{'ok  ' if r.ok else 'FAIL'} {r.name:24s} "
+        f"{r.instances:6d} instances, {r.failures} failures ({r.elapsed:.2f}s)"
+        + (f"\n     repro: {r.first_counterexample}" if r.first_counterexample else "")
+        for r in results
+    ), all(r.ok for r in results)
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; built once per process, since it holds no per-call state."""
+def build_parser() -> tuple:
+    """The command-line parser and its map of command name to subparser.
+
+    Built once per process, since they hold no per-call state.
+    """
     parser = argparse.ArgumentParser(
         prog="burgebox",
         description="Partition codes, descent-map fibers, the Oblak process, "
@@ -266,18 +263,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--trials", type=nonnegative_int, default=5)
     sp.add_argument("--seed", type=int, default=0)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    args, unknown = command.parse_known_args(argv[1:]) if command else (None, None)
+    if command is None or unknown:
+        # an unknown command or argument: the whole parser words the help, usage and error
+        args = parser.parse_args(argv)
     try:
         data, text, *ok = args.fn(args)
+        out = json.dumps(data) if args.json else text()
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a failed internal self-check is a verification failure, not a usage error
         return 1 if isinstance(exc, AssertionError) else 2
-    print(json.dumps(data) if args.json else text)
+    print(out)
     return 0 if all(ok) else 1
 
 

@@ -1,14 +1,14 @@
-"""Named source mutants of the sweep, chain and oracle checks, of the kernels they read and
-of the partition parser, and a runner that confirms each is killed.
+"""Named source mutants of the sweep, chain and oracle checks, of the kernels they read, of
+the partition parser and of the command line's dispatch, and a runner that confirms each is killed.
 
 Each entry of ``MUTANTS`` weakens one clause of a check in ``src/burgebox``,
-breaks one step of a kernel or of the parser or takes a lone unit's fast
-path away: it replaces ``old``, which occurs exactly once in ``src/``, by
+breaks one step of a kernel, of the parser or of the command line, or takes
+a lone unit's fast path away: it replaces ``old``, which occurs exactly once in ``src/``, by
 ``new``, and names the tests that must then fail.  Run from the root of the repository::
 
     python tests/mutants.py [name ...]
 
-The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+The runner copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` to a temporary
 directory and first runs every named test there unmutated: they must pass.
 Then, for each mutant (all of them by default), it applies the mutant to the
 copy, runs ``pytest -x`` on the mutant's tests and restores the file.  It
@@ -48,6 +48,7 @@ OBLAK = "src/burgebox/oblak.py"
 ORACLE = "src/burgebox/oracle.py"
 KERNELS = "src/burgebox/kernels.py"
 PARTITIONS = "src/burgebox/partitions.py"
+CLI = "src/burgebox/cli.py"
 CLAUSE = "tests/test_sweep.py::test_planted_fault_in_one_clause_is_reported"
 PLANTED = "tests/test_sweep.py::test_planted_fault_is_reported"
 NOT_SUPER_DISTINCT = (
@@ -58,6 +59,8 @@ LONE_UNIT = "tests/test_kernels.py::test_lone_unit_of_one_part_leaves_the_packed
 BURGE_KERNELS = "tests/test_kernels.py::test_burge_kernels_match_reference_exhaustive"
 OBLAK_KERNELS = "tests/test_kernels.py::test_oblak_kernels_match_reference_exhaustive"
 PARSE = "tests/test_partitions.py::test_parse_partition_returns_the_checked_partition_in_every_form"
+GOLDEN = "tests/test_golden_cli.py::test_cli_output_matches_the_golden_transcript"
+PRINTED = "        out = json.dumps(data) if args.json else text()\n"
 
 MUTANTS = {
     "lem-stats-part-count-of-del": Mutant(
@@ -215,12 +218,22 @@ MUTANTS = {
     "oblak-last-maximal-index-only": Mutant(  # a tie with the best evaluation is dropped
         KERNELS, "        elif v == best:\n            at.append(i)\n", "", (OBLAK_KERNELS,),
     ),
+    "cli-leftover-args-kept": Mutant(  # a command runs with the arguments it does not know ignored
+        CLI, "    if command is None or unknown:\n", "    if command is None:\n", (GOLDEN,),
+    ),
+    "cli-text-under-json": Mutant(  # --json prints the text form
+        CLI, PRINTED, "        out = text()\n", (GOLDEN,),
+    ),
+    "cli-text-built-under-json": Mutant(  # --json prints the data, but builds the text form first
+        CLI, PRINTED, "        out = (text(), json.dumps(data))[1] if args.json else text()\n",
+        ("tests/test_cli.py::test_json_output_builds_no_text",),
+    ),
 }
 
 
 def copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):  # the golden transcript reads perfbench's pool
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest)
 

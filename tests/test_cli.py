@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -8,7 +9,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgebox import boxes, burge, kernels, oracle, sweep
+from burgebox import boxes, burge, cli, kernels, oracle, sweep
 from burgebox.cli import main
 from burgebox.partitions import SIZE_CAP, partition_counts
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
@@ -352,6 +353,36 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["encode", "5,3,2,2,1"], ["no-such-command"], ["encode", "3", "4"]])
+def test_main_reads_sys_argv_when_argv_is_none(capsys, monkeypatch, argv):
+    def outcome(*args):
+        try:
+            code = main(*args)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+        return code, capsys.readouterr()
+
+    explicit = outcome(argv)
+    monkeypatch.setattr(sys, "argv", ["burgebox", *argv])
+    assert outcome() == explicit
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "abbaba"], ["dmap", "5,3,2,2,1"], ["chain", "5,3,2,2,1"], ["oblak", "3,1"],
+    ["oblak-chains", "f:(3,0,1,1,0,0,0,1)"], ["fiber", "10,7,3"], ["coords", "[9,4^2,2,1]"],
+    ["maxparts", "10,7,3"], ["foata", "10,7,3", "--coords", "1,1,1"], ["hooks", "8,7,5"],
+    ["verify", "--partition", "3,1", "--trials", "1"], ["scan-max", "--partition", "2,1"],
+], ids=lambda argv: argv[0])
+def test_json_output_builds_no_text(capsys, monkeypatch, argv):
+    def unused(parts):
+        raise AssertionError("the text form was built under --json")
+
+    monkeypatch.setattr(cli, "format_partition", unused)
+    monkeypatch.setattr(cli, "format_frequency", unused)
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == "" and json.loads(out)
 
 
 @pytest.mark.parametrize("value", ["101", "abc"])
