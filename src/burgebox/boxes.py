@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from operator import gt
 from typing import Iterable
 
 from . import kernels
@@ -107,10 +108,9 @@ def coordinates_of(parts: Iterable[int]) -> tuple:
     q = descent_map(p)
     word = encode(to_frequency(p))
     coords = tuple(len(run.group(0)) for run in _B_RUN_RE.finditer(word))
-    if fiber_code(q, coords) != word:
-        raise AssertionError(
-            f"code {word} of {p} does not parse into the box shape of {q}"
-        )
+    d = _delta(q)  # unchecked: a Q that is not super-distinct has some d_j < 1 <= c_j
+    if len(coords) != len(d) or any(map(gt, coords, d)) or _fiber_word(d, coords) != word:
+        raise AssertionError(f"code {word} of {p} does not parse into the box shape of {q}")
     return q, coords
 
 

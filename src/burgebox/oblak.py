@@ -161,9 +161,9 @@ def check_commuting_square(freq: Iterable[int], i: int) -> bool:
     which keeps this module's binding of it in use for the benchmark's tracer
     (ROADMAP item 6).
     """
-    f = as_frequency(freq)
+    f, i = as_frequency(freq), _index(i)
     df = apply_del(f)
     return (
-        evaluate(df, i) == evaluate(f, i) - 1
-        and annihilate(df, i) == apply_del(annihilate(f, i))
+        kernels.evaluate(df, i) == kernels.evaluate(f, i) - 1
+        and _annihilated(df, i) == apply_del(_annihilated(f, i))
     )

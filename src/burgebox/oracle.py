@@ -8,7 +8,8 @@ min(i, j) free coefficients a_1, a_2, ..., right-aligned when i < j
 ``a_1`` of each square same-size block sits in the leading-coefficient
 matrix A_i of that size; a commuting matrix is nilpotent exactly when every
 A_i is, and forcing them strictly lower triangular carves out a maximal
-nilpotent subalgebra, where the random draws live.  The Levi group
+nilpotent subalgebra.  Every matrix this module builds lies in it: the
+witness, the random draws and the scan.  The Levi group
 L = prod GL(f_i), mixing the chains of each length, commutes with B, keeps
 Jordan types, acts on each A_i by similarity and leaves the other slots
 free; so every nilpotent commuting Jordan type is realized with each A_i a
@@ -17,13 +18,15 @@ lower nilpotent Jordan form, one representative per partition of f_i.
 This module builds those matrices explicitly over GF(p), constructs the
 all-ones-on-pivots witness whose image certifies the restriction type, and
 exhaustively scans small commutators for the dominance-maximum Jordan type.
-Every matrix is placed from one slot table per partition: one walk over the
-chains lists each slot's entries, and one comparison of two sets of ints,
-each the position of a one offset by its slot's tag, proves every slot
-commuting with B; a count of the entries proves them disjoint.  The scan
-counts its space from the frequencies before it lists a slot.  Its maximum
-is its lexicographically first type, checked against the rest, since a type
-that dominates another also comes first.
+Every matrix is placed from one slot table per partition, the subalgebra's,
+keyed by plain (i, k, j, l, h) tuples; the full commutator algebra is only
+counted, never listed.  One walk over the chains lists each slot's entries,
+and one comparison of two sets of ints, each the position of a one offset
+by its slot's tag, proves every slot commuting with B; a count of the
+entries proves them disjoint.  The scan counts its space from the
+frequencies before it lists a slot.  Its maximum is its lexicographically
+first type, checked against the rest, since a type that dominates another
+also comes first.
 
 Jordan chains are laid out with sizes descending and equal sizes adjacent.
 A chain is addressed as (i, k): length i, k-th chain of that length
@@ -38,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, product
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .burge import apply_del, descent_map
 from .gfp import (
@@ -74,24 +77,8 @@ RESTRICTION_WORK_CAP = 5 * 10**6
 # Layout and construction
 # ---------------------------------------------------------------------------
 
-class ParamSlot(NamedTuple):
-    """One free Toeplitz coefficient a_h of the block coupling chains (i,k) -> (j,l).
-
-    a_1 of a block with i = j is an entry of the leading-coefficient matrix A_i.
-    The table's own keys are made by ``tuple.__new__``, skipping the
-    Python-level ``ParamSlot.__new__``; a plain (i, k, j, l, h) tuple looks
-    up the same slot.
-    """
-
-    i: int
-    k: int
-    j: int
-    l: int
-    h: int
-
-
 def _slot_count(f) -> int:
-    """The number of slots in the full table of P, from its frequencies f, without listing slots.
+    """The number of slots of the full commutator algebra of B of type P, from its frequencies f.
 
     Chains of lengths i and j are coupled by min(i, j) slots, one for each
     t <= min(i, j).  So the count is the sum over t of c_t^2, with c_t the
@@ -100,16 +87,16 @@ def _slot_count(f) -> int:
     return sum(c * c for c in accumulate(reversed(f)))
 
 
-def _slot_listing(pt: Partition, reduced: bool) -> dict:
-    """Every Toeplitz coefficient slot of the commutator of B of type P, mapped to its entries.
+def _slot_listing(pt: Partition) -> dict:
+    """Each slot (i, k, j, l, h), a_h of the block coupling chains (i, k) -> (j, l), to its entries.
 
-    Slots run over the chains (i, k), by length i ascending and then k, then
-    over the chains (j, l) alike, then over h = 1 .. min(i, j).  Within its
-    block, a_h lies on the diagonal from column h - 1 + max(0, j - i) to the
-    block's last column.  ``reduced=True`` drops the slots forced to zero in
-    the maximal nilpotent subalgebra, a_1 of (i,k) -> (i,l) with k <= l: the
-    upper-and-diagonal entries of the same-size leading-coefficient matrices.
-    ``reduced=False`` lists the full commutator algebra.
+    The slots are the maximal nilpotent subalgebra's.  They run over the
+    chains (i, k), by length i ascending and then k, then over the chains
+    (j, l) alike, then over h = 1 .. min(i, j), leaving out a_1 of
+    (i,k) -> (i,l) with k <= l: the upper-and-diagonal entries of the
+    same-size leading-coefficient matrices, forced to zero in the subalgebra.
+    Within its block, a_h lies on the diagonal from column
+    h - 1 + max(0, j - i) to the block's last column.
     """
     chains, r0, k = [], 0, 0  # (i, k, first row), laid out as the parts of P
     for i in pt:
@@ -117,18 +104,18 @@ def _slot_listing(pt: Partition, reduced: bool) -> dict:
         chains.append((i, k, r0))
         r0 += i
     chains.sort()
-    table, new = {}, tuple.__new__
+    table = {}
     for i, k, r0 in chains:
         rows = range(r0, r0 + i)
         for j, l, c0 in chains:
             end, m = c0 + j, i if i < j else j  # a_1 starts min(i, j) columns before the end
-            for h in range(1 + (reduced and i == j and k <= l), m + 1):
-                table[new(ParamSlot, (i, k, j, l, h))] = list(zip(rows, range(end - m + h - 1, end)))
+            for h in range(1 + (i == j and k <= l), m + 1):
+                table[i, k, j, l, h] = list(zip(rows, range(end - m + h - 1, end)))
     return table
 
 
-def _slot_table(pt: Partition, reduced: bool = True) -> dict:
-    """``_slot_listing(P, reduced)``, proved disjoint and to commute with B of type P.
+def _slot_table(pt: Partition) -> dict:
+    """``_slot_listing(P)``, proved disjoint and to commute with B of type P.
 
     B shifts each Jordan chain: (Bv)[r] = v[r + 1], or 0 where r + 1 starts
     a chain or is n.  A slot's 0/1 pattern E commutes with B when EB, with
@@ -137,7 +124,7 @@ def _slot_table(pt: Partition, reduced: bool = True) -> dict:
     so one comparison of two sets of ints proves every slot.  Commuting is
     linear, so this covers every matrix placed from the table.
     """
-    table = _slot_listing(pt, reduced)
+    table = _slot_listing(pt)
     n = sum(pt)
     inner = [True] * (n + 1)  # False where a chain starts, and at n
     for s in accumulate(pt, initial=0):
@@ -182,32 +169,20 @@ def _draw(table: dict, p: int, rng: random.Random) -> list:
     return pairs
 
 
-def build_commuting(parts: Iterable[int], p: int, values: dict) -> MatrixGFp:
-    """Assemble a commuting matrix from slot -> coefficient assignments.
-
-    Raises ValueError for a key that is not a slot of P.
-    """
-    pt = as_partition(parts)
-    check_prime(p)
-    table = _slot_table(pt, reduced=False)
-    if bad := [s for s in values if s not in table]:
-        raise ValueError(f"{bad[0]} is not a slot of {format_partition(pt)}")
-    # values are reduced mod p by MatrixGFp
-    return MatrixGFp(_placed(sum(pt), [(table[s], v) for s, v in values.items()]), p)
-
-
 # ---------------------------------------------------------------------------
 # The witness matrix
 # ---------------------------------------------------------------------------
 
 def witness_matrix(parts: Iterable[int], p: int) -> MatrixGFp:
-    """The witness: ``_witness_values`` placed by ``build_commuting``."""
+    """The witness over GF(p): every slot of ``_witness_values`` placed from the slot table as 1."""
     pt = as_partition(parts)
-    return build_commuting(pt, p, _witness_values(pt))
+    check_prime(p)
+    table = _slot_table(pt)
+    return MatrixGFp(_placed(sum(pt), [(table[s], 1) for s in _witness_values(pt)]), p)
 
 
-def _witness_values(pt: Partition) -> dict:
-    """One pivot block per row of blocks, set to ones on its leading diagonal.
+def _witness_values(pt: Partition) -> list:
+    """The witness's slots: one pivot block per row of blocks, with ones on its leading diagonal.
 
     Pivots are selected recursively, two sizes per window, so that every
     column chain is targeted by at most one row of blocks (overlapping
@@ -220,12 +195,12 @@ def _witness_values(pt: Partition) -> dict:
       * otherwise row (z, 1) couples to (z, f_z) with a_2 = 1, the
         nilpotent Jordan form of the block (a 1 x 1 block stays zero);
 
-    then the window drops to sizes <= z-2.  The witness lies in the maximal
-    nilpotent subalgebra and its image realizes the restriction type given
-    by one demotion step of P, over any field.
+    then the window drops to sizes <= z-2.  Every slot is one of the maximal
+    nilpotent subalgebra's, and the witness's image realizes the restriction
+    type given by one demotion step of P, over any field.
     """
     f = to_frequency(pt)
-    values = {}
+    slots = []
     z = len(f)
     while z > 0:
         if f[z - 1] == 0:
@@ -233,15 +208,13 @@ def _witness_values(pt: Partition) -> dict:
             continue
         fz = f[z - 1]
         fz1 = f[z - 2] if z >= 2 else 0
-        values.update(dict.fromkeys(_jordan_form(z, (fz,)), 1))
+        slots += _jordan_form(z, (fz,))
         if fz1 > 0:
-            values[ParamSlot(z, 1, z - 1, fz1, 1)] = 1
-            values.update(dict.fromkeys(_jordan_form(z - 1, (fz1,)), 1))
-            values[ParamSlot(z - 1, 1, z, fz, 1)] = 1
+            slots += [(z, 1, z - 1, fz1, 1), *_jordan_form(z - 1, (fz1,)), (z - 1, 1, z, fz, 1)]
         elif z >= 2:
-            values[ParamSlot(z, 1, z, fz, 2)] = 1
+            slots.append((z, 1, z, fz, 2))
         z -= 2
-    return values
+    return slots
 
 
 def random_commuting(parts: Iterable[int], p: int, rng: random.Random | int) -> MatrixGFp:
@@ -381,12 +354,12 @@ def verify_restriction(
 
     The witness must match exactly; random draws from the maximal
     nilpotent subalgebra miss only on a thin non-generic locus, so misses
-    are recorded rather than raised.  The witness and the draws are placed
-    from the proved slot table by the routines that serve ``witness_matrix``
-    and ``random_commuting``.  B shifts each chain, so row r of B^k A is row
-    r + k of A or zero, and dim B^k W is the rank of A's rows at chain offset
-    >= k: with the rows by decreasing offset, one elimination per draw gives
-    each as a prefix rank.
+    are recorded rather than raised.  The witness's slots, each set to 1,
+    and the draws are placed from the one proved slot table by ``_placed``,
+    as ``witness_matrix`` and ``random_commuting`` place them.  B shifts
+    each chain, so row r of B^k A is row r + k of A or zero, and dim B^k W
+    is the rank of A's rows at chain offset >= k: with the rows by
+    decreasing offset, one elimination per draw gives each as a prefix rank.
     """
     start = time.perf_counter()
     pt = as_partition(parts)
@@ -403,7 +376,7 @@ def verify_restriction(
         ranks = rank_profile(map(rows.__getitem__, order), p)
         return _type_of_ranks([*(ranks[m - 1] for m in cuts), 0])
 
-    observed = type_of((table[s], v) for s, v in _witness_values(pt).items())
+    observed = type_of((table[s], 1) for s in _witness_values(pt))
     rng = random.Random(seed)
     draws = [type_of(_draw(table, p, rng)) for _ in range(trials)]
     misses = [(t, got) for t, got in enumerate(draws) if got != expected]

@@ -9,10 +9,12 @@ a lone unit's fast path away: it replaces ``old``, which occurs exactly once in 
     python tests/mutants.py [name ...]
 
 The runner copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` to a temporary
-directory and first runs every named test there unmutated: they must pass.
+directory and first runs each distinct set of named tests there unmutated:
+they must pass, and the time they take, times ``TIMEOUT_FACTOR`` but at least
+``TIMEOUT_FLOOR`` seconds, is the timeout of every mutant that names them.
 Then, for each mutant (all of them by default), it applies the mutant to the
 copy, runs ``pytest -x`` on the mutant's tests and restores the file.  It
-prints ``killed`` when those tests fail or run past ``TIMEOUT`` seconds,
+prints ``killed`` when those tests fail or run past their timeout,
 ``SURVIVED`` when they pass and ``ERROR`` when pytest could not run them, and
 exits 1 unless every mutant is killed.  Only the standard library is used
 here; pytest is the runner it drives.  Its name does not match
@@ -32,7 +34,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-TIMEOUT = 120  # seconds a mutant's tests may run: a kernel made to loop forever is killed
+# A mutant's tests may run 10 times as long as they do unmutated, and at least 10 s:
+# a kernel made to loop forever is killed
+TIMEOUT_FACTOR, TIMEOUT_FLOOR = 10, 10
 
 
 class Mutant(NamedTuple):
@@ -152,6 +156,11 @@ MUTANTS = {
         ORACLE, "sum(map(len, entries)) != len(set().union(*entries)) or ", "",
         ("tests/test_oracle.py::test_slot_fault_is_caught_on_every_oracle_path[bad1-<lambda>]",),
     ),
+    "oracle-listing-diagonal-a1": Mutant(  # the diagonal a_1 is listed: the draws are not nilpotent
+        ORACLE, "(i == j and k <= l)", "(i == j and k < l)",
+        ("tests/test_oracle.py::test_slot_table_is_the_reference_listing[True]",
+         "tests/test_oracle.py::test_random_commuting_restriction"),
+    ),
     "oracle-scan-count-unbounded": Mutant(  # p(m) is counted to the largest f_i, past the cap
         ORACLE, "    while len(counts) <= top and counts[-1] <= cap:\n",
         "    while len(counts) <= top:\n",
@@ -258,10 +267,13 @@ def main(names: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         copy_tree(root)
-        tests = sorted({test for mutant in chosen.values() for test in mutant.tests})
-        if code := run_pytest(root, tests):
-            print(f"ERROR: the named tests do not pass unmutated (pytest exit {code})")
-            return 1
+        timeouts = {}
+        for tests in sorted({mutant.tests for mutant in chosen.values()}):
+            start = time.perf_counter()
+            if code := run_pytest(root, tests):
+                print(f"ERROR: {' '.join(tests)} do not pass unmutated (pytest exit {code})")
+                return 1
+            timeouts[tests] = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * (time.perf_counter() - start))
         killed = 0
         for name, mutant in chosen.items():
             path = root / mutant.file
@@ -271,9 +283,10 @@ def main(names: list) -> int:
                 status = "ERROR (old text not found exactly once)"
             else:
                 path.write_text(text.replace(mutant.old, mutant.new))
-                code = run_pytest(root, mutant.tests, TIMEOUT)
+                timeout = timeouts[mutant.tests]
+                code = run_pytest(root, mutant.tests, timeout)
                 path.write_text(text)
-                statuses = {0: "SURVIVED", 1: "killed", None: f"killed (timed out, {TIMEOUT} s)"}
+                statuses = {0: "SURVIVED", 1: "killed", None: f"killed (timed out, {timeout:.0f} s)"}
                 status = statuses.get(code, f"ERROR (pytest exit {code})")
             killed += status.startswith("killed")
             print(f"{status}: {name} ({time.perf_counter() - start:.1f} s)", flush=True)

@@ -10,7 +10,12 @@ product per power per matrix) and exists only as a test oracle for
 
 ``param_slots``, ``chain_layout`` and ``slot_entries`` list the slot table
 slot by slot, as ``oracle._slot_table`` did before it listed the table in
-one walk over the chains; ``slot_table`` is that listing.
+one walk over the chains; ``slot_table`` is that listing.  Its keys are
+``ParamSlot`` named tuples, each equal to the plain (i, k, j, l, h) tuple
+that keys the same slot in ``oracle``.  ``slot_table(P, reduced=False)``
+lists the full commutator algebra, which ``oracle`` only counts, and
+``build_commuting`` places any matrix of it, each slot checked alone by
+``slot_commutes``.
 
 ``int_row_scan`` is the GF(2) Levi walk that the bitsliced scan replaced:
 the same leading Jordan forms and Gray walk, one matrix at a time as a list
@@ -20,10 +25,10 @@ picks the walked slots with ``leading`` and counts the matrices it walks.
 
 from collections import Counter
 from itertools import product
+from typing import NamedTuple
 
-from burgebox.gfp import MatrixGFp
+from burgebox.gfp import MatrixGFp, check_prime
 from burgebox.oracle import (
-    ParamSlot,
     _gray_walk,
     _jordan_form,
     _placed,
@@ -33,11 +38,25 @@ from burgebox.oracle import (
 from burgebox.partitions import (
     as_partition,
     dominates,
+    format_partition,
     partitions_of,
     to_frequency,
     to_partition,
 )
 from reference_gfp import gf2_matmul, gf2_rank, is_zero
+
+
+class ParamSlot(NamedTuple):
+    """One free Toeplitz coefficient a_h of the block coupling chains (i,k) -> (j,l).
+
+    a_1 of a block with i = j is an entry of the leading-coefficient matrix A_i.
+    """
+
+    i: int
+    k: int
+    j: int
+    l: int
+    h: int
 
 
 def chain_layout(parts):
@@ -53,8 +72,9 @@ def chain_layout(parts):
 
 
 def leading(slot):
-    """An entry of a same-size leading-coefficient matrix: a_1 with i = j."""
-    return slot.i == slot.j and slot.h == 1
+    """An entry of a same-size leading-coefficient matrix: a_1 with i = j; a plain tuple will do."""
+    i, _, j, _, h = slot
+    return i == j and h == 1
 
 
 def param_slots(parts, reduced=True):
@@ -113,6 +133,25 @@ def slot_commutes(parts, entries):
     eb = {(r, c + 1) for r, c in entries if c + 1 not in starts}
     be = {(r - 1, c) for r, c in entries if r not in starts}
     return eb == be
+
+
+def build_commuting(parts, p, values):
+    """Assemble a matrix of the full commutator algebra from slot -> coefficient assignments.
+
+    Every slot of ``slot_table(P, reduced=False)`` is checked to commute with B
+    alone, and no two to share an entry.  Raises ValueError for a key that is
+    not a slot of P.
+    """
+    pt = as_partition(parts)
+    check_prime(p)
+    table = slot_table(pt, reduced=False)
+    entries = [rc for es in table.values() for rc in es]
+    assert len(set(entries)) == len(entries), "two slots share an entry"
+    assert all(slot_commutes(pt, es) for es in table.values()), "a slot does not commute with B"
+    if bad := [s for s in values if s not in table]:
+        raise ValueError(f"{bad[0]} is not a slot of {format_partition(pt)}")
+    # values are reduced mod p by MatrixGFp
+    return MatrixGFp(_placed(sum(pt), [(table[s], v) for s, v in values.items()]), p)
 
 
 def jordan_type(m):

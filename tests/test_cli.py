@@ -13,6 +13,7 @@ from burgebox import boxes, burge, cli, kernels, oracle, sweep
 from burgebox.cli import main
 from burgebox.partitions import SIZE_CAP, partition_counts
 from burgebox.sweep import CHECKS, SweepConfig, run_sweep
+from reference_scan import slot_table
 
 
 def run(capsys, *argv):
@@ -287,12 +288,10 @@ def test_sweep_trials_are_bounded_before_any_check(capsys, checks):
 
 def test_planted_slot_fault_fails_the_restriction_sweep(capsys, monkeypatch):
     real = oracle._slot_listing
-    bad = oracle.ParamSlot(3, 1, 1, 1, 1)  # a_1 of (3,1) -> (1,1): only (3,1) has it at n <= 4
+    bad = (3, 1, 1, 1, 1)  # a_1 of (3,1) -> (1,1): only (3,1) has it at n <= 4
     monkeypatch.setattr(
         oracle, "_slot_listing",
-        lambda pt, reduced: {
-            s: [(r + 1, c) for r, c in es] if s == bad else es for s, es in real(pt, reduced).items()
-        },
+        lambda pt: {s: [(r + 1, c) for r, c in es] if s == bad else es for s, es in real(pt).items()},
     )
     code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "matrix-restriction")
     assert code == 1 and err == ""
@@ -523,10 +522,9 @@ def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
 
 
 def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
-    # with the forced-zero slots listed and every slot walked, the diagonal a_1
-    # slots join the free walk and the scan meets a non-nilpotent matrix
-    real = oracle._slot_listing
-    monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: real(pt, False))
+    # with the reference's full table listed and every slot walked, the diagonal
+    # a_1 slots join the free walk and the scan meets a non-nilpotent matrix
+    monkeypatch.setattr(oracle, "_slot_listing", lambda pt: slot_table(pt, reduced=False))
     monkeypatch.setattr(oracle, "_walked", lambda table: list(table.values()))
     code, _, err = run(capsys, "scan-max", "--partition", "2,1")
     assert code == 1 and "Traceback" not in err
@@ -559,6 +557,25 @@ def test_failed_coordinates_self_check_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "coords", "3,1")
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: code baba of (3, 1) does not parse into the box shape of (4, 2)"]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        (12,),  # one box dimension for the three b-runs of babaaabba
+        (6, 5, 1),  # not super-distinct: its third box dimension is 0
+        (12, 8, 3, 1),  # (8,3,1), the true Q, with a fourth dimension the word never reaches
+    ],
+)
+def test_coordinates_self_check_fails_with_exit_1_for_any_wrong_q(capsys, monkeypatch, q):
+    # the check compares with the fiber word unvalidated: a Q that the public
+    # fiber_code would refuse, with exit 2, is the same failed self-check
+    monkeypatch.setattr(boxes, "descent_map", lambda p: q)
+    code, out, err = run(capsys, "coords", "5,3,3,1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: code babaaabba of (5, 3, 3, 1) does not parse into the box shape of {q}"
+    ]
 
 
 FUZZ_ARGS = st.one_of(

@@ -10,11 +10,9 @@ from burgebox import oracle
 from burgebox.burge import apply_del
 from burgebox.gfp import MatrixGFp
 from burgebox.oracle import (
-    ParamSlot,
     _dominance_max,
     _slot_count,
     _type_of_ranks,
-    build_commuting,
     jordan_type,
     random_commuting,
     restriction_type,
@@ -32,6 +30,8 @@ from burgebox.partitions import (
 from burgebox.sweep import SWEEP_BUDGET_US, SweepConfig, dominance_cost
 from reference_gfp import dense_power, identity, is_zero, jordan_matrix
 from reference_scan import (
+    ParamSlot,
+    build_commuting,
     chain_layout,
     int_row_scan,
     leading,
@@ -400,22 +400,29 @@ def test_scan_histogram_sums_to_scanned(p, max_n):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_scan_asserts_the_nilpotency_it_relies_on(monkeypatch, p):
-    # with the forced-zero slots listed and every slot walked, the diagonal a_1
-    # slots join the free walk, which then builds non-nilpotent matrices and
-    # must raise, not miscount
-    real = oracle._slot_listing
-    monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: real(pt, False))
+    # with the reference's full table listed and every slot walked, the
+    # diagonal a_1 slots join the free walk, which then builds non-nilpotent
+    # matrices and must raise, not miscount
+    monkeypatch.setattr(oracle, "_slot_listing", full_listing)
     monkeypatch.setattr(oracle, "_walked", lambda table: list(table.values()))
     with pytest.raises(AssertionError, match="scanned matrix is not nilpotent"):
         scan_max_type((2, 1), p=p)
 
 
-def plant_entries(monkeypatch, moved):
-    """Make ``oracle._slot_listing`` list ``moved[slot](entries)`` for each slot of ``moved``."""
-    real = oracle._slot_listing
+def full_listing(pt):
+    """The reference's table of the full commutator algebra, in ``oracle._slot_listing``'s form."""
+    return slot_table(pt, reduced=False)
 
-    def planted(pt, reduced):
-        return {s: moved[s](es) if s in moved else es for s, es in real(pt, reduced).items()}
+
+def plant_entries(monkeypatch, moved, listing=None):
+    """Make ``oracle._slot_listing`` list ``moved[slot](entries)`` for each slot of ``moved``.
+
+    The other slots are those of ``listing``, by default the real listing.
+    """
+    real = listing or oracle._slot_listing
+
+    def planted(pt):
+        return {s: moved[s](es) if s in moved else es for s, es in real(pt).items()}
 
     monkeypatch.setattr(oracle, "_slot_listing", planted)
 
@@ -436,7 +443,6 @@ def test_slot_fault_is_caught_on_every_oracle_path(monkeypatch, bad, wrong):
         lambda: scan_max_type((3, 1), p=2),
         lambda: witness_matrix((3, 1), 5),
         lambda: random_commuting((3, 1), 5, 0),
-        lambda: build_commuting((3, 1), 5, {ParamSlot(3, 1, 3, 1, 1): 1}),
     ):
         with pytest.raises(AssertionError, match="slot placement does not commute"):
             path()
@@ -447,14 +453,17 @@ def test_slot_proof_is_per_slot(monkeypatch):
     # the single chain of (3,), with (0, 1) moved from the a_2 diagonal to
     # the a_1 pattern: neither pattern commutes with B, but their sum, the
     # all-ones upper triangle, does, so a probe with every slot set to 1, or
-    # one comparison of the ones of every slot untagged, would pass.  The full
-    # table, which build_commuting reads, holds both slots; the scan's reduced
-    # table holds only a_2
-    plant_entries(monkeypatch, {
+    # one comparison of the ones of every slot untagged, would pass.  The
+    # full table holds both slots; the scan's table, the subalgebra's, holds
+    # only a_2
+    moved = {
         ParamSlot(3, 1, 3, 1, 1): lambda entries: [(0, 0), (1, 1), (2, 2), (0, 1)],
         ParamSlot(3, 1, 3, 1, 2): lambda entries: [(1, 2)],
-    })
-    for path in (lambda: build_commuting((3,), 2, {}), lambda: scan_max_type((3,), p=2)):
+    }
+    real = oracle._slot_listing
+    for listing, path in ((full_listing, lambda: oracle._slot_table((3,))),
+                          (real, lambda: scan_max_type((3,), p=2))):
+        plant_entries(monkeypatch, moved, listing)
         with pytest.raises(AssertionError, match="does not commute"):
             path()
 
@@ -465,30 +474,31 @@ def test_slot_proof_matches_a_per_slot_check_on_every_moved_entry(monkeypatch):
     # does not commute with B, or two slots share an entry
     for n in range(2, 5):
         for q in partitions_of(n):
-            clean = oracle._slot_listing(q, False)
+            clean = full_listing(q)
             for s, es in clean.items():
                 for e, cell in itertools.product(range(len(es)), itertools.product(range(n), repeat=2)):
                     table = {**clean, s: es[:e] + [cell] + es[e + 1:]}
                     entries = [rc for moved in table.values() for rc in moved]
                     holds = len(set(entries)) == len(entries) and all(
                         slot_commutes(q, moved) for moved in table.values())
-                    monkeypatch.setattr(oracle, "_slot_listing", lambda pt, reduced: table)
+                    monkeypatch.setattr(oracle, "_slot_listing", lambda pt: table)
                     try:
-                        oracle._slot_table(q, False)
+                        oracle._slot_table(q)
                         proved = True
                     except AssertionError:
                         proved = False
                     assert proved == holds, (q, s, e, cell)
 
 
-@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("reduced", [True])
 def test_slot_table_is_the_reference_listing(reduced):
     # the one walk over the chains lists the slots of the slot-by-slot
-    # reference in its order, each with the same entries
+    # reference in its order, each with the same entries, keyed by plain tuples
     for n in range(13):
         for q in partitions_of(n):
-            got = oracle._slot_table(q, reduced)
+            got = oracle._slot_table(q)
             assert list(got.items()) == list(slot_table(q, reduced).items()), q
+            assert all(type(s) is tuple for s in got), q
 
 
 def test_dominance_max_is_the_brute_force_maximum():
