@@ -28,10 +28,10 @@ way (``kernels.letters`` and ``kernels.promoted``).  A lone unit above all
 other entries is a spread of its own and moves one index per letter, so
 the kernels keep it out of the int and move it by counting letters: the
 word of a single part a costs O(a), not O(a^2).  ``apply_del`` and
-``burge_chain``, which return every state, demote a plain list in one scan
-over the spreads.  The public functions here validate their input once and
-hand trusted data to the kernels in ``kernels`` (or to the private
-helpers); what they return is an immutable tuple or string.  ``encode``'s
+``burge_chain``, which return every state, call ``kernels.demote``, one
+scan over the spreads that returns a new tuple.  The public functions here
+validate their input once and hand trusted data to the kernels in
+``kernels``; what they return is an immutable tuple or string.  ``encode``'s
 one ``apply_del`` call is kept only for the benchmark's smoke test
 (ROADMAP item 6).
 """
@@ -89,13 +89,7 @@ def apply_b(freq: Iterable[int]) -> FreqSeq:
 
 
 def apply_del(freq: Iterable[int]) -> FreqSeq:
-    return _demoted(as_frequency(freq))
-
-
-def _demoted(f: FreqSeq) -> FreqSeq:
-    g = list(f)
-    kernels.demote(g)
-    return tuple(g)
+    return kernels.demote(as_frequency(freq))
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ def burge_chain(freq: Iterable[int]) -> BurgeChain:
         )
     states = [f]
     while f:
-        f = _demoted(f)
+        f = kernels.demote(f)
         states.append(f)
     return BurgeChain(tuple(states), "".join(map(_letter, states)))
 

@@ -141,7 +141,7 @@ def cmd_maxparts(args):
 
 def cmd_symmetry(args):
     q = parse_partition(args.partition)
-    positions = _coords(args.positions) if args.positions else range(1, len(q) + 1)
+    positions = range(1, len(q) + 1) if args.positions is None else _coords(args.positions)
     out = boxes.symmetry_map(q, _coords(args.coords), positions)
     return {"coords": list(out)}, lambda: "(" + ",".join(str(c) for c in out) + ")"
 

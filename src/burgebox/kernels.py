@@ -1,48 +1,50 @@
 """Trusted kernels for the Burge and Oblak combinatorics.
 
-The kernels validate nothing.  ``demote`` and the Oblak kernels take a
-plain list of nonnegative ints without trailing zeros (a frequency
-sequence, 0-indexed in storage); the ones that change the sequence do so
-in place and keep that form, and ``demote`` leaves the class letter to
-``burge._letter``.  ``letters`` and ``promoted`` run a whole chain of
-demotions or promotions on the sequence packed into one int, one field of
-w bits per entry, so that each operator application is a fixed run of
-big-int operations.  The lone units above all other entries move one index
-per letter, so both keep them out of the int: a large part alone costs no
-more per letter than a small one.  ``oblak_step`` is the one checked Oblak
-step: ``oblak_steps`` and the sweep's Oblak table both run it.  The public
-functions in ``burge`` and ``oblak`` validate their input and return
-immutable tuples.
+The kernels validate nothing and change no argument.  They read a tuple
+or list of nonnegative ints without trailing zeros (a frequency sequence,
+0-indexed in storage), and a new sequence comes back as such a tuple;
+``demote`` leaves the class letter to ``burge._letter``.  ``letters`` and
+``promoted`` run a whole chain of demotions or promotions on the sequence
+packed into one int, one field of w bits per entry, so that each operator
+application is a fixed run of big-int operations.  The lone units above all
+other entries move one index per letter, so both keep them out of the int:
+a large part alone costs no more per letter than a small one.  An Oblak
+step has two forms, both with the one size-drop check ``_checked``:
+``oblak_step`` (the first maximal index, for ``oblak`` and the sweep's
+table) and ``successors`` (every maximal index, for the chains and the two
+chain checks).  ``burge`` and ``oblak`` validate and return tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
-from operator import mul
+from itertools import accumulate, count
 
 
-def _strip(f: list) -> None:
-    while f and not f[-1]:
-        f.pop()
+def _strip(f) -> tuple:
+    k = len(f)
+    while k and not f[k - 1]:
+        k -= 1
+    return tuple(f[:k])
 
 
-def demote(f: list) -> None:
-    """Demote f in place, in one downward scan over its spreads."""
-    k = len(f) - 1
+def demote(f) -> tuple:
+    """f demoted, in one downward scan over its spreads."""
+    g = list(f)
+    k = len(g) - 1
     while k >= 0:
-        if not f[k]:
+        if not g[k]:
             k -= 1
             continue
         lo = k
-        while lo and f[lo - 1]:
+        while lo and g[lo - 1]:
             lo -= 1
         for j in range(k, lo - 1, -2):
-            f[j] -= 1
+            g[j] -= 1
             if j:
-                f[j - 1] += 1
-        k = lo - 2  # f[lo - 1] was zero before the transfer
-    _strip(f)
+                g[j - 1] += 1
+        k = lo - 2  # g[lo - 1] was zero before the transfer
+    return _strip(g)
 
 
 @lru_cache(maxsize=64)
@@ -203,34 +205,39 @@ def evaluate(f, i: int) -> int:
     return i * fi + (i + 1) * fi1 + 2 * sum(f[i + 1:])
 
 
-def annihilate(f: list, i: int) -> None:
-    """Splice entries i and i + 1 (1-based; 0 means 1) out of f."""
+def annihilate(f, i: int) -> tuple:
+    """f with entries i and i + 1 (1-based; 0 means 1) spliced out."""
     i = max(i, 1)
-    del f[i - 1 : i + 1]
-    _strip(f)
+    return _strip(f[: i - 1] + f[i + 1 :])
 
 
 def size(f) -> int:
-    """|f| = sum of i * f_i."""
-    return sum(map(mul, f, count(1)))
+    """|f| = sum of i * f_i, summed as the suffix sums f_i + f_(i+1) + ... for each i."""
+    return sum(accumulate(reversed(f)))
 
 
-def oblak_step(f: list, before: int) -> tuple:
-    """Annihilate a nonempty f of size ``before`` at its first maximal index: (index, evaluation).
-
-    A size drop other than the evaluation fails the self-check: AssertionError.
-    """
-    ev, indices = max_evaluation(f)
-    annihilate(f, indices[0])
-    if (drop := before - size(f)) != ev:
+def _checked(g: tuple, before: int, ev: int) -> tuple:
+    """g, a step's new state, when its size drop from ``before`` is ev; else AssertionError."""
+    if (drop := before - size(g)) != ev:
         raise AssertionError(f"corrupt chain: size drop {drop} != evaluation {ev}")
-    return indices[0], ev
+    return g
 
 
-def oblak_steps(f: list):
-    """Run ``oblak_step`` on f down to empty, yielding (index, evaluation) of each step."""
-    n = size(f)
-    while f:
-        i, ev = oblak_step(f, n)
-        n -= ev
-        yield i, ev
+def oblak_step(f, before: int) -> tuple:
+    """(evaluation, new state) of a nonempty f of size ``before``, at its first maximal index."""
+    ev, at = max_evaluation(f)
+    return ev, _checked(annihilate(f, at[0]), before, ev)
+
+
+def successors(f) -> tuple:
+    """(maximum evaluation, {state: the smallest maximal index giving it}) of f, each step checked.
+
+    The items come in ascending index order; an empty f has none.
+    """
+    ev, at = max_evaluation(f)
+    before, out = size(f), {}
+    for i in at:
+        g = annihilate(f, i)
+        if g not in out:
+            out[_checked(g, before, ev)] = i
+    return ev, out

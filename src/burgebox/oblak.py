@@ -14,9 +14,10 @@ descent map of the corresponding partition; this module computes it
 without touching the code-word machinery, so the two routes can be checked
 against each other.
 
-The public functions validate their input once; the process itself runs
-in ``kernels`` on a plain list, with all evaluations of a state taken in
-one backward pass over a running suffix sum.
+The public functions validate their input once; the steps run in
+``kernels``, which take all evaluations of a state in one backward pass
+over a running suffix sum, return each new state as a tuple and check
+that its size drop equals its evaluation.
 """
 
 from __future__ import annotations
@@ -45,13 +46,7 @@ def evaluate(freq: Iterable[int], i: int) -> int:
 
 def annihilate(freq: Iterable[int], i: int) -> FreqSeq:
     """Annihilation of f at index i, an int >= 0 and not a bool: entries i and i+1 spliced out."""
-    return _annihilated(as_frequency(freq), _index(i))
-
-
-def _annihilated(f: FreqSeq, i: int) -> FreqSeq:
-    g = list(f)
-    kernels.annihilate(g, i)
-    return tuple(g)
+    return kernels.annihilate(as_frequency(freq), _index(i))
 
 
 def maximal_indices(freq: Iterable[int]) -> tuple:
@@ -63,18 +58,6 @@ def maximal_indices(freq: Iterable[int]) -> tuple:
     return kernels.max_evaluation(as_frequency(freq))[1]
 
 
-def _successors(f: FreqSeq, indices: tuple) -> dict:
-    """Successor states of a validated f -> the smallest of its maximal ``indices`` giving each.
-
-    ``indices`` is ``kernels.max_evaluation(f)[1]``, which the caller has
-    already read; the items come in ascending index order.
-    """
-    out: dict = {}
-    for i in indices:
-        out.setdefault(_annihilated(f, i), i)
-    return out
-
-
 @dataclass(frozen=True)
 class OblakChain:
     """One run of the process: states from f down to empty, and the chosen indices.
@@ -83,7 +66,8 @@ class OblakChain:
     index maximal for the state it acts on.  Every chain, the process's own
     included, is checked when it is made: its states are validated and their
     trailing zeros stripped, each index is an int >= 0 and not a bool, and one
-    index lies between each two states.  The steps themselves are not checked.
+    index lies between each two states.  ``valuation`` checks each step; the
+    process's own chains were checked step by step by ``kernels.successors``.
     """
 
     states: tuple
@@ -116,14 +100,19 @@ def oblak(freq: Iterable[int]) -> Partition:
 
     The successive values decrease by at least two, so no sort is needed;
     choice independence makes the deterministic chain representative.
-    The kernel runs every step and checks that its size drop equals its
-    evaluation.  The empty test goes through the public
+    ``kernels.oblak_step`` takes each step and checks that its size drop
+    equals its evaluation.  The empty test goes through the public
     ``maximal_indices`` only for the benchmark's counter (ROADMAP item 6).
     """
     f = as_frequency(freq)
     if not maximal_indices(f):  # no maximal index: f is empty
         return ()
-    return tuple(v for _, v in kernels.oblak_steps(list(f)))
+    out, n = [], kernels.size(f)
+    while f:
+        ev, f = kernels.oblak_step(f, n)
+        n -= ev
+        out.append(ev)
+    return tuple(out)
 
 
 def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> list:
@@ -143,7 +132,7 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
                 raise ValueError(f"chain enumeration for {f} exceeds limit {limit}")
             out.append(OblakChain(states, indices))
             return
-        for nxt, i in _successors(state, kernels.max_evaluation(state)[1]).items():
+        for nxt, i in kernels.successors(state)[1].items():
             rec(nxt, states + [nxt], indices + [i])
 
     rec(f, [f], [])
@@ -165,5 +154,5 @@ def check_commuting_square(freq: Iterable[int], i: int) -> bool:
     df = apply_del(f)
     return (
         kernels.evaluate(df, i) == kernels.evaluate(f, i) - 1
-        and _annihilated(df, i) == apply_del(_annihilated(f, i))
+        and kernels.annihilate(df, i) == apply_del(kernels.annihilate(f, i))
     )

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 from . import kernels, oracle
 from .boxes import _box, _delta, _fiber_word
-from .burge import _characterization, _demoted, _descents, _letter
-from .oblak import _successors
+from .burge import _characterization, _descents, _letter
 from .partitions import (
     _two_measure,
     partition_counts,
@@ -136,16 +135,15 @@ class _Table(dict):
 
 def _word_step(f, words, df=None) -> str:
     """Burge's code word of f: its class letter, then the word of del f, df if given."""
-    return _letter(f) + words[_demoted(f) if df is None else df] if f else "a"
+    return _letter(f) + words[kernels.demote(f) if df is None else df] if f else "a"
 
 
 def _oblak_step(f, outputs) -> tuple:
     """The Oblak output of f: the process's own first step (size drop checked), then the rest."""
     if not f:
         return ()
-    g = list(f)
-    ev = kernels.oblak_step(g, kernels.size(f))[1]
-    return (ev, *outputs[tuple(g)])
+    ev, g = kernels.oblak_step(f, kernels.size(f))
+    return (ev, *outputs[g])
 
 
 class Tables:
@@ -156,7 +154,7 @@ class Tables:
 
 
 def check_lem_stats(p, f, cfg: SweepConfig, tables) -> bool:
-    df, two = _demoted(f), _two_measure(f)
+    df, two = kernels.demote(f), _two_measure(f)
     in_b = _letter(f) == "b"
     return (sum(df) == sum(f) - in_b
             and kernels.size(df) == kernels.size(f) - two
@@ -172,7 +170,7 @@ def check_prop_stats(p, f, cfg: SweepConfig, tables) -> bool:
 
 
 def check_prop_characterization(p, f, cfg: SweepConfig, tables) -> bool:
-    df = _demoted(f)  # one demotion, for the word step and the seven tests
+    df = kernels.demote(f)  # one demotion, for the word step and the seven tests
     tables.words[f] = w = _word_step(f, tables.words, df)
     return len(set(_characterization(p, f, df, w))) == 1
 
@@ -202,13 +200,13 @@ def check_cor_box(n: int, cfg: SweepConfig, record, tables) -> None:
 def check_oblakburge(p, f, cfg: SweepConfig, tables) -> bool:
     if f in ((), (1,)):
         return True
-    df = _demoted(f)
-    (ev, at), (dev, dat) = kernels.max_evaluation(f), kernels.max_evaluation(df)
-    return dev == ev - 1 and {_demoted(s) for s in _successors(f, at)} <= _successors(df, dat).keys()
+    df = kernels.demote(f)
+    (ev, steps), (dev, dsteps) = kernels.successors(f), kernels.successors(df)
+    return dev == ev - 1 and {kernels.demote(s) for s in steps} <= dsteps.keys()
 
 
 def check_khatami(p, f, cfg: SweepConfig, tables) -> bool:
-    return len({tables.oblak[s] for s in _successors(f, kernels.max_evaluation(f)[1])}) <= 1
+    return len({tables.oblak[s] for s in kernels.successors(f)[1]}) <= 1
 
 
 def check_foata_hooks(n: int, cfg: SweepConfig, record, tables) -> None:

@@ -144,6 +144,7 @@ def invocations() -> list:
                 ["symmetry", q, "--coords", "2,1,2", "--positions", "2"],
                 ["foata", q, "--coords", "1,1,1"], ["foata", q, "--coords", "(2,1,2)", "--json"],
                 ["foata", q, "--coords", "e"]]
+    out.append(["symmetry", "10,7,3", "--coords", "2,1,2", "--positions", ""])
     out += [["check-square", f, "--index", str(i), *flag]
             for f in ("f:(3,0,2,1,0,1,2,1)", "f:(3,3,2,0,3,1,0,0,2)", "5,3,2,2,1")
             for i in range(-1, 10) for flag in ([], ["--json"])]

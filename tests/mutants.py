@@ -187,13 +187,17 @@ MUTANTS = {
         ("tests/test_partitions.py::test_left_right_sets_examples",),
     ),
     "size-counts-from-zero": Mutant(  # f_1 weighs 0, f_2 weighs 1, ...
-        KERNELS, "sum(map(mul, f, count(1)))", "sum(map(mul, f, count(0)))",
+        KERNELS, "sum(accumulate(reversed(f)))", "sum(accumulate(reversed(f[1:])))",
         ("tests/test_partitions.py::test_size_length_examples",),
     ),
     "oblak-step-size-drop-unchecked": Mutant(
-        KERNELS, "    if (drop := before - size(f)) != ev:\n"
-        '        raise AssertionError(f"corrupt chain: size drop {drop} != evaluation {ev}")\n', "",
+        KERNELS, "return ev, _checked(annihilate(f, at[0]), before, ev)",
+        "return ev, annihilate(f, at[0])",
         ("tests/test_sweep.py::test_oblak_table_checks_each_size_drop",),
+    ),
+    "oblak-successors-size-drop-unchecked": Mutant(
+        KERNELS, "out[_checked(g, before, ev)] = i", "out[g] = i",
+        ("tests/test_cli.py::test_failed_chain_step_exits_1",),
     ),
     "encode-lone-units-packed": Mutant(  # the same words, each letter O(largest part) bits
         KERNELS, "    while m > 1 and f[m - 1] == 1 and not f[m - 2]:\n", "    while False:\n",

@@ -102,6 +102,13 @@ def test_coords_maxparts_symmetry(capsys):
     assert code == 0 and out.strip() == "()"
 
 
+@pytest.mark.parametrize("positions", ["", "e", "()"])
+def test_symmetry_at_no_position_keeps_every_coordinate(capsys, positions):
+    # an empty list reflects nothing; only a missing --positions means all of them
+    code, out, _ = run(capsys, "symmetry", "10,7,3", "--coords", "2,1,2", "--positions", positions)
+    assert code == 0 and out.strip() == "(2,1,2)"
+
+
 def test_coords_option_takes_the_form_the_cli_prints(capsys):
     code, out, _ = run(capsys, "symmetry", "10,7,3", "--coords", "(2,1,2)")
     assert code == 0 and out.strip() == "(2,3,1)"
@@ -508,14 +515,14 @@ def test_run_sweep_all_checks_tiny():
 
 
 def test_raising_sweep_check_exits_1_with_its_reproducer(capsys, monkeypatch):
-    real = sweep._successors
+    real = kernels.successors
 
-    def planted(f, indices):
+    def planted(f):
         if f == (1, 0, 1):  # (3,1)
             raise ValueError(f"planted fault at {f}")
-        return real(f, indices)
+        return real(f)
 
-    monkeypatch.setattr(sweep, "_successors", planted)
+    monkeypatch.setattr(kernels, "successors", planted)
     code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "thm-oblakburge")
     assert code == 1 and err == ""
     assert "repro: burgebox sweep --max-n 4 --checks thm-oblakburge  # raised: " in out
@@ -533,13 +540,12 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch):
 
 
 def test_failed_process_step_exits_1(capsys, monkeypatch):
-    # the process's step on (3,1), which it runs on a list, claims evaluation 4
-    # for a size drop of 3
+    # the process's step on (3,1) claims evaluation 4 for a size drop of 3
     real = kernels.max_evaluation
 
     def planted(f):
         ev, at = real(f)
-        return ev + (f == [1, 0, 1]), at
+        return ev + (tuple(f) == (1, 0, 1)), at
 
     monkeypatch.setattr(kernels, "max_evaluation", planted)
     code, out, err = run(capsys, "oblak", "3,1")
@@ -548,6 +554,35 @@ def test_failed_process_step_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", "thm-main-vs-oblak")
     assert code == 1 and err == ""
     assert "  # raised: corrupt chain: size drop 3 != evaluation 4" in out
+
+
+# binding -> (its wrong result, from the argument and the true result; the self-check's message)
+CHAIN_FAULTS = {
+    # the first state of (3,1), (1,0,1), claims evaluation 4 for its size drop of 3
+    "max_evaluation": (lambda f, out: (out[0] + (tuple(f) == (1, 0, 1)), out[1]),
+                       "size drop 3 != evaluation 4"),
+    # (1,0,1) steps to (2,), a size drop of 2, in place of (1,)
+    "annihilate": (lambda f, out: (2,) if tuple(f) == (1, 0, 1) and out == (1,) else out,
+                   "size drop 2 != evaluation 3"),
+}
+
+
+@pytest.mark.parametrize("binding", CHAIN_FAULTS)
+def test_failed_chain_step_exits_1(capsys, monkeypatch, binding):
+    # every route that takes an Oblak step checks its size drop: the process, its
+    # chains and the three sweep checks that step it fail the self-check alike
+    wrong, message = CHAIN_FAULTS[binding]
+    real = getattr(kernels, binding)
+    monkeypatch.setattr(kernels, binding, lambda f, *rest: wrong(f, real(f, *rest)))
+    for command in ("oblak", "oblak-chains"):
+        code, out, err = run(capsys, command, "3,1")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: corrupt chain: {message}"]
+    for check in ("thm-main-vs-oblak", "thm-oblakburge", "prop-khatami"):
+        code, out, err = run(capsys, "sweep", "--max-n", "4", "--checks", check)
+        assert code == 1 and err == ""
+        repro = f"burgebox sweep --max-n 4 --checks {check}  # raised: corrupt chain: {message}"
+        assert f"repro: {repro}" in out
 
 
 def test_failed_coordinates_self_check_exits_1(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_combinatorics as ref
+from golden_cli import big_queries_pool
 from burgebox import kernels, sweep
 from burgebox.boxes import coordinates_of, fiber
 from burgebox.burge import apply_a, apply_b, apply_del, burge_chain, decode, descent_map, encode
@@ -18,6 +19,7 @@ from burgebox.partitions import (
     _two_measure,
     as_frequency,
     is_super_distinct,
+    parse_partition,
     partitions_of,
     to_frequency,
     to_partition,
@@ -60,9 +62,15 @@ def assert_oblak_agrees(f):
     assert oblak(f) == ref.oblak(f) == chain.valuation, f
     assert kernels.size(f) == ref.size(f), f
     for r, i in enumerate(indices):  # each step alone, from the reference's state
-        g = list(states[r])
-        assert kernels.oblak_step(g, ref.size(states[r])) == (i, ref.evaluate(states[r], i)), f
-        assert tuple(g) == ref.annihilate(states[r], i) == states[r + 1], f
+        step = (ref.evaluate(states[r], i), ref.annihilate(states[r], i))
+        assert kernels.oblak_step(states[r], ref.size(states[r])) == step, f
+        assert step[1] == states[r + 1], f
+    steps = {}
+    for i in ref.maximal_indices(f):
+        steps.setdefault(ref.annihilate(f, i), i)
+    ev, successors = kernels.successors(f)
+    assert list(successors.items()) == list(steps.items()), f
+    assert ev == (ref.evaluate(f, indices[0]) if f else 0), f
 
 
 def all_freqs(max_n):
@@ -88,9 +96,29 @@ def test_statistic_kernels_match_reference_on_sequences(f):
     assert _two_measure(f) == ref.two_measure(f)
     assert kernels.size(f) == ref.size(f)
     if f:
-        g, i = list(f), ref.maximal_indices(f)[0]
-        assert kernels.oblak_step(g, ref.size(f)) == (i, ref.evaluate(f, i))
-        assert tuple(g) == ref.annihilate(f, i)
+        i = ref.maximal_indices(f)[0]
+        assert kernels.oblak_step(f, ref.size(f)) == (ref.evaluate(f, i), ref.annihilate(f, i))
+
+
+def kernel_results(f):
+    """What every kernel gives on f: annihilate and evaluate at each index, promoted under a few
+    words, and the two Oblak steps."""
+    out = [kernels.demote(f), kernels.letters(f), kernels.max_evaluation(f), kernels.size(f),
+           kernels.successors(f)]
+    out += [kernels.annihilate(f, i) for i in range(len(f) + 2)]
+    out += [kernels.evaluate(f, i) for i in range(len(f) + 2)]
+    out += [kernels.promoted(w, f) for w in ("a", "b", "aab")]
+    if f:
+        out.append(kernels.oblak_step(f, kernels.size(f)))
+    return out
+
+
+def test_kernels_change_no_argument_and_read_a_list_as_its_tuple():
+    pool = [to_frequency(parse_partition(text)) for text in big_queries_pool()]
+    for f in itertools.chain(all_freqs(12), pool):
+        g = list(f)
+        assert kernel_results(g) == kernel_results(f), f
+        assert g == list(f), f
 
 
 def test_sweep_tables_match_the_whole_kernels_exhaustive():

@@ -27,7 +27,7 @@ ALLOWED = {
                  " types; about 20 test references",
     "evaluate": "the validating form of kernels.evaluate, one of the Oblak process's two defining"
                 " steps; check_commuting_square checks its index once and calls the kernel",
-    "annihilate": "the validating form of oblak._annihilated, the other defining step, which"
+    "annihilate": "the validating form of kernels.annihilate, the other defining step, which"
                   " check_commuting_square calls on its checked index",
     "fiber_code": "the validating form of boxes._fiber_word; coordinates_of compares its result"
                   " with it unvalidated, so that a mismatch is one AssertionError",

@@ -46,10 +46,11 @@ PLANTED = {
         sweep, "_fiber_word", (1, 1), lambda w: "a" + w, "burgebox fiber 3,1 --json",
     ),
     "thm-oblakburge": (
-        sweep, "_demoted", F, extra_part, "burgebox oblak-chains 3,1",
+        kernels, "demote", F, extra_part, "burgebox oblak-chains 3,1",
     ),
     "prop-khatami": (  # (3,1) steps to (1,) alone; (2,) has another Oblak output
-        sweep, "_successors", F, lambda steps: {**steps, (2,): 1}, "burgebox oblak-chains 3,1",
+        kernels, "successors", F, lambda out: (out[0], {**out[1], (2,): 1}),
+        "burgebox oblak-chains 3,1",
     ),
     "foata-hooks": (
         sweep, "_path_partition", words.foata_fiber(TARGET, (1, 1)), extra_part,
@@ -97,11 +98,11 @@ CLAUSE_PLANTS = {
         "lem-stats", [(kernels, "size", F, lambda s: s + 1)], 4, "burgebox chain 3,1", 1,
     ),
     "lem-stats-part-count-of-del": (  # (0,1) in place of (2,): same size and two-measure
-        "lem-stats", [(sweep, "_demoted", to_frequency((2, 1)), const((0, 1)))], 4,
+        "lem-stats", [(kernels, "demote", to_frequency((2, 1)), const((0, 1)))], 4,
         "burgebox chain 2,1", 1,
     ),
     "lem-stats-two-measure-of-del": (  # (1,0,1) in place of (0,2): same sum and size
-        "lem-stats", [(sweep, "_demoted", to_frequency((3, 2)), const((1, 0, 1)))], 5,
+        "lem-stats", [(kernels, "demote", to_frequency((3, 2)), const((1, 0, 1)))], 5,
         "burgebox chain 3,2", 1,
     ),
     "prop-stats-part-count": (  # the word of (3,) is aaba; abba has its descents
@@ -207,9 +208,8 @@ def test_fault_in_one_word_step_is_reported(name, repro, monkeypatch):
     assert result.first_counterexample == repro
 
 
-# the process's step on (3,1), which it runs on a list, claims evaluation 4 for
-# a size drop of 3
-STEP_PLANT = (kernels, "max_evaluation", list(F), lambda out: (out[0] + 1, out[1]))
+# the process's step on (3,1) claims evaluation 4 for a size drop of 3
+STEP_PLANT = (kernels, "max_evaluation", F, lambda out: (out[0] + 1, out[1]))
 
 
 def test_oblak_table_checks_each_size_drop(monkeypatch):
@@ -238,13 +238,13 @@ def test_fault_on_a_non_first_chain_is_reported(monkeypatch):
     # (4,1,1) steps to (0,1) at index 0 and to (2,) at index 3, so only a chain after
     # its first passes (2,); planted there, (3,) does not demote to a step of del f
     bad = to_frequency((4, 1, 1))
-    real = sweep._successors
+    real = kernels.successors
 
-    def planted(f, indices):
-        steps = real(f, indices)
-        return {(3,) if s == (2,) else s: i for s, i in steps.items()} if f == bad else steps
+    def planted(f):
+        ev, steps = real(f)
+        return ev, {(3,) if s == (2,) else s: i for s, i in steps.items()} if f == bad else steps
 
-    monkeypatch.setattr(sweep, "_successors", planted)
+    monkeypatch.setattr(kernels, "successors", planted)
     (result,) = run_sweep(SweepConfig(max_n=6, checks=("thm-oblakburge",)))
     assert result.failures == 1
     assert result.first_counterexample == "burgebox oblak-chains 4,1,1"
@@ -268,14 +268,14 @@ def test_one_step_checks_agree_with_the_chain_forms_to_12():
 
 
 def test_raising_check_is_a_failure_with_its_reproducer(monkeypatch):
-    real = sweep._successors
+    real = kernels.successors
 
-    def planted(f, indices):
+    def planted(f):
         if f == F:
             raise ValueError(f"planted fault at {f}")
-        return real(f, indices)
+        return real(f)
 
-    monkeypatch.setattr(sweep, "_successors", planted)
+    monkeypatch.setattr(kernels, "successors", planted)
     (result,) = run_sweep(SweepConfig(max_n=5, checks=("thm-oblakburge",)))
     assert result.failures == 1
     assert result.first_counterexample == (
