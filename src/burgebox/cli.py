@@ -92,14 +92,11 @@ def cmd_oblak(args):
 
 def cmd_oblak_chains(args):
     f = to_frequency(parse_partition(args.partition))
-    chains = [(c, c.valuation) for c in oblak_all_chains(f, limit=args.limit)]
-    data = [
-        {"indices": list(c.indices), "states": [list(s) for s in c.states], "valuation": list(v)}
-        for c, v in chains
-    ]
+    chains = oblak_all_chains(f, limit=args.limit)
+    data = [{"indices": c.indices, "states": c.states, "valuation": c.valuation} for c in chains]
     return data, lambda: "\n".join([
-        f"indices ({','.join(str(i) for i in c.indices)})  valuation {format_partition(v)}"
-        for c, v in chains
+        f"indices ({','.join(map(str, c.indices))})  valuation {format_partition(c.valuation)}"
+        for c in chains
     ] + [f"{len(chains)} chain(s)"])
 
 

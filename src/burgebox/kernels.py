@@ -232,11 +232,12 @@ def oblak_step(f, before: int) -> tuple:
 def successors(f) -> tuple:
     """(maximum evaluation, {state: the smallest maximal index giving it}) of f, each step checked.
 
-    The items come in ascending index order; an empty f has none.
+    The items come in ascending index order; an empty f has none.  Index 0
+    is listed just before index 1 and gives its state, so index 1 is skipped.
     """
     ev, at = max_evaluation(f)
     before, out = size(f), {}
-    for i in at:
+    for i in at[:1] + at[2:] if at[:1] == (0,) else at:
         g = annihilate(f, i)
         if g not in out:
             out[_checked(g, before, ev)] = i

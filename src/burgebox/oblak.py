@@ -17,13 +17,13 @@ against each other.
 The public functions validate their input once; the steps run in
 ``kernels``, which take all evaluations of a state in one backward pass
 over a running suffix sum, return each new state as a tuple and check
-that its size drop equals its evaluation.
+that its size drop equals its evaluation.  An ``OblakChain`` records the
+steps so checked; nothing here takes one as input or checks it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import kernels
 from .burge import apply_del
@@ -58,41 +58,18 @@ def maximal_indices(freq: Iterable[int]) -> tuple:
     return kernels.max_evaluation(as_frequency(freq))[1]
 
 
-@dataclass(frozen=True)
-class OblakChain:
-    """One run of the process: states from f down to empty, and the chosen indices.
+class OblakChain(NamedTuple):
+    """One run of the process: its states from f down to empty, indices and evaluations.
 
-    ``states[r] == annihilate(states[r-1], indices[r-1])`` with each chosen
-    index maximal for the state it acts on.  Every chain, the process's own
-    included, is checked when it is made: its states are validated and their
-    trailing zeros stripped, each index is an int >= 0 and not a bool, and one
-    index lies between each two states.  ``valuation`` checks each step; the
-    process's own chains were checked step by step by ``kernels.successors``.
+    ``states[r + 1] == annihilate(states[r], indices[r])``, where ``indices[r]``
+    is the smallest maximal index of ``states[r]`` that gives that state and
+    ``valuation[r]`` is its evaluation, which ``kernels.successors`` checked
+    against the size drop.
     """
 
     states: tuple
     indices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(map(as_frequency, self.states)))
-        object.__setattr__(self, "indices", tuple(map(_index, self.indices)))
-        if len(self.states) != len(self.indices) + 1:
-            raise ValueError(f"{len(self.states)} states need one index between each two,"
-                             f" got {len(self.indices)} indices")
-
-    @property
-    def valuation(self) -> Partition:
-        """Recorded evaluations, recomputed by the kernels from size drops as a self-check."""
-        states, vals = self.states, []
-        for r, i in enumerate(self.indices):
-            drop = kernels.size(states[r]) - kernels.size(states[r + 1])
-            ev = kernels.evaluate(states[r], i)
-            if drop != ev:
-                raise ValueError(
-                    f"corrupt chain: size drop {drop} != evaluation {ev} at step {r}"
-                )
-            vals.append(ev)
-        return tuple(vals)
+    valuation: Partition
 
 
 def oblak(freq: Iterable[int]) -> Partition:
@@ -126,16 +103,17 @@ def oblak_all_chains(freq: Iterable[int], limit: int = DEFAULT_CHAIN_LIMIT) -> l
     f = as_frequency(freq)
     out: list = []
 
-    def rec(state, states, indices):
+    def rec(state, states, indices, vals):
         if not state:
             if len(out) >= limit:
                 raise ValueError(f"chain enumeration for {f} exceeds limit {limit}")
-            out.append(OblakChain(states, indices))
+            out.append(OblakChain(states, indices, vals))
             return
-        for nxt, i in kernels.successors(state)[1].items():
-            rec(nxt, states + [nxt], indices + [i])
+        ev, nexts = kernels.successors(state)
+        for nxt, i in nexts.items():
+            rec(nxt, states + (nxt,), indices + (i,), vals + (ev,))
 
-    rec(f, [f], [])
+    rec(f, (f,), (), ())
     return out
 
 

@@ -277,13 +277,13 @@ def _type_of_ranks(ranks) -> Partition:
     n-dimensional space, or dim(B^k W) for B restricted to W.  There are
     r_{k-1} - r_k blocks of size k or more, so the type is read from the
     longest blocks down.  A negative multiplicity, which no nilpotent map
-    has, raises ValueError.
+    has, is an internal fault and raises AssertionError.
     """
     parts, longer = [], 0  # the blocks longer than k
     for k in range(len(ranks) - 1, 0, -1):
         m = ranks[k - 1] - ranks[k] - longer
         if m < 0:
-            raise ValueError(f"rank sequence {tuple(ranks)} gives a negative multiplicity")
+            raise AssertionError(f"rank sequence {tuple(ranks)} gives a negative multiplicity")
         parts += [k] * m
         longer += m
     return tuple(parts)

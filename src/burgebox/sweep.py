@@ -26,8 +26,9 @@ word comes from the word table, ``cor-box`` compares box words with it, and
 ``foata-hooks`` walks the box coordinates.
 
 ``partitions_of`` yields checked partitions, which pass every public check at
-once, and an ``OblakChain`` is checked when it is made.  Frequency sequences
-and words are not branded, so on those the checks call the private helpers.
+once; the chain checks step with ``kernels.successors``, which checks each
+step's size drop.  Frequency sequences and words are not branded, so on those
+the checks call the private helpers.
 """
 
 from __future__ import annotations

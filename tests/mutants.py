@@ -130,17 +130,17 @@ MUTANTS = {
         "    for q in sorted((q for q in by_hooks if min(_delta(q), default=1) > 0), reverse=True):\n",
         (f"{NOT_SUPER_DISTINCT}[foata-hooks]",),
     ),
-    "oblak-chain-index-count": Mutant(  # a chain may have too few or too many indices
-        OBLAK, "        if len(self.states) != len(self.indices) + 1:\n", "        if False:\n",
-        ("tests/test_oblak.py::test_chain_needs_one_index_between_each_two_states",),
-    ),
     "oblak-index-bool": Mutant(  # True and False pass as the indices 1 and 0
         OBLAK, " or isinstance(i, bool) or i < 0:", " or i < 0:",
-        ("tests/test_oblak.py::test_chain_index_must_be_a_nonnegative_integer[True]",),
+        ("tests/test_oblak.py::test_index_that_is_a_bool_or_not_an_int_is_rejected[evaluate-True]",),
     ),
     "oblak-index-negative": Mutant(
         OBLAK, "isinstance(i, bool) or i < 0:", "isinstance(i, bool):",
-        ("tests/test_oblak.py::test_chain_index_must_be_a_nonnegative_integer[-1]",),
+        ("tests/test_oblak.py::test_negative_index_is_rejected",),
+    ),
+    "oblak-chain-records-next-evaluation": Mutant(  # the same as the true one at index 0 only
+        OBLAK, "vals + (ev,)", "vals + (kernels.evaluate(state, i + 1),)",
+        ("tests/test_oblak.py::test_all_chains_match_the_reference_enumeration_exhaustive",),
     ),
     "oracle-slot-proof-untagged": Mutant(  # the ones of every slot are compared as one pattern
         ORACLE, "                eb.add(tag + r * n + c + 1)\n            if inner[r]:\n"
@@ -178,6 +178,10 @@ MUTANTS = {
         ORACLE, "    return top if all(_dominates(top, t) for t in types[1:]) else None\n",
         "    return top\n", ("tests/test_oracle.py::test_dominance_max_is_the_brute_force_maximum",),
     ),
+    "oracle-negative-multiplicity-usage-error": Mutant(  # an internal fault exits 2
+        ORACLE, 'raise AssertionError(f"rank sequence', 'raise ValueError(f"rank sequence',
+        ("tests/test_cli.py::test_failed_rank_typing_exits_1",),
+    ),
     "two-measure-last-spread-floor": Mutant(  # a last spread of odd length counts one short
         PARTITIONS, "return total + ((run + 1) >> 1)", "return total + (run >> 1)",
         ("tests/test_partitions.py::test_two_measure_examples",),
@@ -198,6 +202,9 @@ MUTANTS = {
     "oblak-successors-size-drop-unchecked": Mutant(
         KERNELS, "out[_checked(g, before, ev)] = i", "out[g] = i",
         ("tests/test_cli.py::test_failed_chain_step_exits_1",),
+    ),
+    "oblak-successors-index-0-skipped": Mutant(  # the same states, each reached by index 1
+        KERNELS, "at[:1] + at[2:]", "at[1:]", (GOLDEN,),
     ),
     "encode-lone-units-packed": Mutant(  # the same words, each letter O(largest part) bits
         KERNELS, "    while m > 1 and f[m - 1] == 1 and not f[m - 2]:\n", "    while False:\n",

@@ -4,9 +4,10 @@ These are the direct, tuple-based transcriptions of the definitions that
 the package's kernels replaced: every operator recomputes its
 index sets from the spreads and every evaluation sums its suffix afresh.
 They are slow (the maximal-index search is quadratic in the support) and
-exist only as a test oracle for ``test_kernels.py``.  The recursive
-partition enumerator and the diagonal hooks with each leg counted afresh
-are the ones the package's iterative and linear versions replaced.
+exist only as a test oracle for ``test_kernels.py``; ``all_chains`` is
+the one for ``oblak_all_chains``.  The recursive partition enumerator and
+the diagonal hooks with each leg counted afresh are the ones the package's
+iterative and linear versions replaced.
 
 The spreads, L(f) and R(f), the admissible indices, index equivalence, the
 chain checks, the image of a chain under demotion and the word statistics
@@ -220,11 +221,34 @@ def equivalent_indices(freq):
     return sorted(groups.values())
 
 
+def chain_of(states, indices):
+    """The record of states and indices, with the evaluations of this module as its valuation."""
+    return OblakChain(tuple(states), tuple(indices), tuple(map(evaluate, states, indices)))
+
+
+def all_chains(freq):
+    """Every chain of f, sorted by index sequence: one per state reached, by its smallest index."""
+    f = as_frequency(freq)
+    if not f:
+        return [chain_of([f], [])]
+    firsts = {}
+    for i in maximal_indices(f):
+        firsts.setdefault(annihilate(f, i), i)
+    return [
+        chain_of([f, *c.states], [i, *c.indices])
+        for g, i in firsts.items()
+        for c in all_chains(g)
+    ]
+
+
 def is_valid_chain(chain):
-    """Every step recomputed: each index maximal for its state and annihilating it to the next."""
-    s = chain.states
-    return s[-1] == () and all(
-        i in maximal_indices(s[r]) and annihilate(s[r], i) == s[r + 1]
+    """Every step recomputed: each index maximal for its state, annihilating it to the next,
+    with its evaluation recorded, and one index and one evaluation between each two states."""
+    s, vals = chain.states, chain.valuation
+    return len(s) == len(chain.indices) + 1 == len(vals) + 1 and s[-1] == () and all(
+        i in maximal_indices(s[r])
+        and annihilate(s[r], i) == s[r + 1]
+        and evaluate(s[r], i) == vals[r]
         for r, i in enumerate(chain.indices)
     )
 
@@ -234,7 +258,7 @@ def is_valid_index_sequence(freq, indices):
     states = [as_frequency(freq)]
     for i in indices:
         states.append(annihilate(states[-1], i))
-    return is_valid_chain(OblakChain(states, indices))
+    return is_valid_chain(chain_of(states, indices))
 
 
 def del_chain(chain):
@@ -254,7 +278,7 @@ def del_chain(chain):
         if not carrying:
             raise ValueError(f"no maximal index carries {here} to {nxt}; not a chain")
         indices.append(carrying[0])
-    return OblakChain(states, indices)
+    return chain_of(states, indices)
 
 
 def descent_set(word):

@@ -585,6 +585,37 @@ def test_failed_chain_step_exits_1(capsys, monkeypatch, binding):
         assert f"repro: {repro}" in out
 
 
+def test_chain_route_reads_no_evaluation_kernel(capsys, monkeypatch):
+    # the chains record the evaluations that kernels.successors checked against
+    # each size drop, so a fault in kernels.evaluate does not reach them
+    real = kernels.evaluate
+    monkeypatch.setattr(kernels, "evaluate", lambda f, i: real(f, i) + (tuple(f) == (1, 0, 1)))
+    assert kernels.evaluate((1, 0, 1), 0) == 4
+    code, out, err = run(capsys, "oblak-chains", "3,1")
+    assert (code, out, err) == (0, "indices (0,0)  valuation [3,1]\n1 chain(s)\n", "")
+
+
+# binding -> (its wrong result from the true one, the command, the rank sequence then typed)
+RANK_FAULTS = {
+    # each prefix rank 2 is raised by one
+    "rank_profile": (lambda out: [r + (r == 2) for r in out],
+                     ("verify", "--partition", "3,2,1"), (4, 3, 0, 0)),
+    # the top bit-plane of every lane's rank is dropped
+    "sliced_rank": (lambda out: out[:-1], ("scan-max", "--partition", "4,3"), (7, 1, 3, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("binding", RANK_FAULTS)
+def test_failed_rank_typing_exits_1(capsys, monkeypatch, binding):
+    # no nilpotent map has a negative block multiplicity, so one is an internal fault
+    wrong, argv, ranks = RANK_FAULTS[binding]
+    real = getattr(oracle, binding)
+    monkeypatch.setattr(oracle, binding, lambda *args: wrong(real(*args)))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: rank sequence {ranks} gives a negative multiplicity"]
+
+
 def test_failed_coordinates_self_check_exits_1(capsys, monkeypatch):
     # Q = (4,2) has a box of the same shape as (3,1)'s own, so the coordinates
     # parse, but the fiber code there is not the code word of (3,1)

@@ -517,7 +517,7 @@ def test_dominance_max_is_the_brute_force_maximum():
 def test_type_of_ranks_rejects_a_negative_multiplicity():
     assert _type_of_ranks((4, 2, 0)) == (2, 2)
     assert _type_of_ranks((5, 3, 1, 0)) == (3, 2)
-    with pytest.raises(ValueError, match="negative multiplicity"):
+    with pytest.raises(AssertionError, match="negative multiplicity"):
         _type_of_ranks((3, 1, 1, 0))
 
 
